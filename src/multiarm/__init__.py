@@ -5,11 +5,10 @@ from .collision import (
     CollisionReport,
     RunningRecord,
     Scene,
+    candidate_sweep,
     composite_state_check,
+    pair_clearances,
     required_margin,
-    state_pair_check,
-    trajectory_vs_running,
-    trajectory_vs_static,
 )
 from .errors import (
     DimensionMismatch,
@@ -20,6 +19,7 @@ from .errors import (
     NonFiniteInput,
     NonPositiveStep,
     ScenarioInvalid,
+    TickBudgetExceeded,
     UnknownGroup,
     UnknownHandle,
     ValidationFailed,
@@ -59,9 +59,7 @@ from .kinematics import (
 )
 from .trajectory import (
     JointTrajectory,
-    TimedState,
     Violation,
-    discretize,
     state_at,
     time_grid,
     validate,

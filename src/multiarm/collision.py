@@ -1,39 +1,38 @@
 """Time-dependent collision checking for trajectories and composite states.
 
-All checks share one vectorized kernel: place both primitive sets for a batch
-of sampled times, AABB-filter pairs at the check margin, and take signed
-clearances (segment distance minus radii) for the surviving pairs. A pair
-pruned by the broadphase is reported as infinitely clear, which is sound
-because pruning guarantees its clearance exceeds the margin.
+Every check runs through one kernel, `pair_clearances`. The bodies a check
+involves are placed into flat (T, S, 3) segment-endpoint arrays (T sampled
+times, S primitives), the check itself is a precomputed list of index pairs
+into them, and one call returns the signed clearance (segment distance minus
+radii) of every pair at every sample. A pair whose AABBs, inflated by
+margin/2, do not overlap is reported as infinitely clear, which is sound
+because such a pair's clearance exceeds the margin.
 
-A configuration is *colliding* when the minimum clearance is <= margin.
+A configuration is *colliding* when the minimum clearance is <= margin. The
+witness of a colliding check is the first pair, in the check's pair order,
+that attains the minimum at the first colliding sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import JointLimitViolation, MissingGroupState, UnknownGroup
-from .geometry import (
-    FAR,
-    Clearance,
-    Owner,
-    PlacedPrimitive,
-    segment_aabbs,
-    segment_distance,
-    segments_of,
-)
-from .kinematics import JointState, RobotModel, placed_segments, within_limits
+from .errors import DimensionMismatch, JointLimitViolation, MissingGroupState, UnknownGroup
+from .geometry import FAR, Owner, PlacedPrimitive, pair_clearances, segments_of
+from .kinematics import _LIMIT_SLACK, ArmStack, JointState, RobotModel
 from .trajectory import JointTrajectory, states_at, time_grid
-
-_LIMIT_SLACK = 1e-9
 
 
 @dataclass(eq=False)
 class Scene:
-    """Robot models, their idle postures, and static obstacles."""
+    """Robot models, their idle postures, and static obstacles.
+
+    Not edited once checked: the checks' layout is built on first use and kept.
+    """
 
     robots: dict[str, RobotModel]
     idle_postures: dict[str, JointState]
@@ -49,6 +48,10 @@ class Scene:
         for prim in self.static_obstacles:
             if prim.owner[0] != "static":
                 raise ValueError("static obstacles must be owned by 'static'")
+
+    @cached_property
+    def layout(self) -> Layout:
+        return Layout(self.robots, self.static_obstacles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +73,6 @@ class CollisionReport:
     witness: tuple[Owner, Owner] | None
     min_clearance_seen: float
 
-    @property
-    def verdict(self) -> str:
-        return "Colliding" if self.colliding else "Clear"
-
 
 @dataclass(frozen=True)
 class CheckParams:
@@ -83,10 +82,10 @@ class CheckParams:
     margin: float = 0.02
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.margin < 0.0:
-            raise ValueError("margin must be >= 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError("margin must be finite and >= 0")
 
 
 def required_margin(model_a: RobotModel, model_b: RobotModel | None, dt: float) -> float:
@@ -103,189 +102,167 @@ def required_margin(model_a: RobotModel, model_b: RobotModel | None, dt: float) 
     return 2.0 * combined * dt
 
 
-class _ClearanceSweep:
-    """Accumulates clearance families over a shared time grid."""
-
-    def __init__(self, times: np.ndarray, margin: float):
-        self.times = np.asarray(times, dtype=float)
-        self.margin = margin
-        self._families: list[tuple[np.ndarray, list[tuple[Owner, Owner]]]] = []
-        self._min_per_t = np.full(len(self.times), np.inf)
-
-    def add(self, clearances: np.ndarray, pairs: list[tuple[Owner, Owner]]):
-        if clearances.shape[-1] == 0:
-            return
-        clearances = np.broadcast_to(
-            clearances, (len(self.times), clearances.shape[-1])
-        )
-        self._families.append((clearances, pairs))
-        self._min_per_t = np.minimum(self._min_per_t, clearances.min(axis=1))
-
-    @property
-    def min_clearance(self) -> float:
-        return float(self._min_per_t.min()) if len(self.times) else FAR
-
-    def report(self) -> CollisionReport:
-        min_seen = self.min_clearance
-        hits = np.nonzero(self._min_per_t <= self.margin)[0]
-        if hits.size == 0:
-            return CollisionReport(False, None, None, min_seen)
-        k = int(hits[0])
-        target = self._min_per_t[k]
-        for clearances, pairs in self._families:
-            j = int(np.argmin(clearances[k]))
-            if clearances[k, j] == target:
-                return CollisionReport(True, float(self.times[k]), pairs[j], min_seen)
-        raise AssertionError("unreachable: witness must exist at a colliding sample")
+def _report(times, clear, owners, ii, jj, margin) -> CollisionReport:
+    """Verdict of a (T, P) clearance block; the witness is the first pair, in
+    pair order, that attains the minimum at the first colliding sample."""
+    if clear.size == 0:
+        return CollisionReport(False, None, None, FAR)
+    min_seen = float(clear.min())
+    if min_seen > margin:
+        return CollisionReport(False, None, None, min_seen)
+    k = int(np.nonzero(clear.min(axis=1) <= margin)[0][0])
+    j = int(np.argmin(clear[k]))
+    return CollisionReport(True, float(times[k]), (owners[ii[j]], owners[jj[j]]), min_seen)
 
 
-def _cross_clearances(a, owners_a, b, owners_b, margin):
-    """Clearances of the full cross product of two placed sets, (T, La*Lb).
+class Layout:
+    """Flat segment layout of a set of arms and the static obstacles.
 
-    `a` and `b` are (p0, p1, radii) triples with endpoint shapes (Ta, L, 3);
-    time axes broadcast (either side may be a single static placement).
+    Rows are the arms' links, arm by arm in sorted group order, then the
+    static obstacles. Arms that share joint count and link frames are placed
+    together by one ArmStack. The monitor's pair list is fixed here, in the
+    order that defines its witness: the self pairs of each arm not exempted
+    by allowed_pairs (arms in sorted order), then the cross pairs of arms
+    gi < gj (links of gi major), then each arm's links against every
+    obstacle. The first `n_self` pairs are the self pairs.
     """
-    a0, a1, ra = a
-    b0, b1, rb = b
-    lo_a, hi_a = segment_aabbs(a0, a1, ra, margin / 2.0)
-    lo_b, hi_b = segment_aabbs(b0, b1, rb, margin / 2.0)
-    mask = np.all(lo_a[:, :, None, :] <= hi_b[:, None, :, :], axis=-1) & np.all(
-        lo_b[:, None, :, :] <= hi_a[:, :, None, :], axis=-1
-    )
-    dist = segment_distance(
-        a0[:, :, None, :], a1[:, :, None, :], b0[:, None, :, :], b1[:, None, :, :]
-    )
-    clear = np.where(mask, dist - ra[:, None] - rb[None, :], np.inf)
-    pairs = [(oa, ob) for oa in owners_a for ob in owners_b]
-    return clear.reshape(clear.shape[0], -1), pairs
+
+    def __init__(self, robots: dict[str, RobotModel], static_obstacles: list[PlacedPrimitive]):
+        self.robots = robots
+        self.groups = sorted(robots)
+        by_structure: dict[tuple, list[str]] = {}
+        for g in self.groups:
+            by_structure.setdefault((robots[g].n_joints, robots[g]._frames.tobytes()), []).append(g)
+        self._slot: dict[str, tuple[ArmStack, int]] = {}
+        for members in by_structure.values():
+            stack = ArmStack([robots[g] for g in members])
+            self._slot.update((g, (stack, i)) for i, g in enumerate(members))
+        self.statics = segments_of(static_obstacles)
+        self.static_owners = [p.owner for p in static_obstacles]
+        self.owners = self.owners_of(self.groups) + self.static_owners
+        self.radii = np.concatenate([self.radii_of(self.groups), self.statics[2]])
+        starts = np.cumsum([0] + [robots[g].n_links for g in self.groups])
+        rows = [range(a, b) for a, b in zip(starts, starts[1:])]
+        pairs = [
+            (r[i], r[j])
+            for g, r in zip(self.groups, rows)
+            for i in range(len(r))
+            for j in range(i + 1, len(r))
+            if (i, j) not in robots[g].allowed_pairs
+        ]
+        self.n_self = len(pairs)
+        pairs += [(i, j) for a, ra in enumerate(rows) for rb in rows[a + 1 :] for i in ra for j in rb]
+        pairs += [(i, j) for r in rows for i in r for j in range(starts[-1], len(self.owners))]
+        self.ii, self.jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+
+    def owners_of(self, groups) -> list[Owner]:
+        return [o for g in groups for o in self.robots[g].owners()]
+
+    def radii_of(self, groups) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [self.robots[g]._radii for g in groups])
+
+    def place_arms(self, groups, q) -> tuple[np.ndarray, np.ndarray]:
+        """World endpoints (n, S, 3) of the links of `groups`, arm by arm in that order.
+
+        q[k] is an (n, J) batch of configurations of groups[k]; each must fit
+        its arm's joint count and limits (with the rounding slack that
+        interpolated states need).
+        """
+        members: dict[ArmStack, list[int]] = {}
+        for k, g in enumerate(groups):
+            if g not in self.robots:
+                raise UnknownGroup(f"no robot model for group '{g}'")
+            if np.shape(q[k])[-1] != self.robots[g].n_joints:
+                raise DimensionMismatch(f"{g}: expected {self.robots[g].n_joints} joint values")
+            members.setdefault(self._slot[g][0], []).append(k)
+        starts = np.cumsum([0] + [self.robots[g].n_links for g in groups])
+        n = len(q[0]) if groups else 1
+        p0 = np.empty((n, starts[-1], 3))
+        p1 = np.empty((n, starts[-1], 3))
+        for stack, ks in members.items():
+            arms = [self._slot[groups[k]][1] for k in ks]
+            qs = np.stack([q[k] for k in ks])
+            lo, hi = (stack.arrays[name][arms][:, None] for name in ("_lo", "_hi"))
+            fits = (qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK)
+            bad = np.nonzero(~np.all(fits, axis=(1, 2)))[0]
+            if bad.size:
+                raise JointLimitViolation(f"{groups[ks[bad[0]]]}: state outside joint limits")
+            a0, a1 = stack.place(qs, arms)
+            rows = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in ks])
+            p0[:, rows] = a0.swapaxes(0, 1).reshape(n, -1, 3)
+            p1[:, rows] = a1.swapaxes(0, 1).reshape(n, -1, 3)
+        return p0, p1
+
+    def place(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """(n, S, 3) endpoints of every row, arm k at the (n, J) batch q[k]."""
+        p0, p1 = self.place_arms(self.groups, q)
+        s0, s1, _ = self.statics
+        return _held(p0, s0[None]), _held(p1, s1[None])
 
 
-def _self_clearances(placed, owners, index_pairs, margin):
-    """Clearances of selected within-set link pairs, (T, len(index_pairs))."""
-    p0, p1, radii = placed
-    if not index_pairs:
-        return np.zeros((p0.shape[0], 0)), []
-    ii = [i for i, _ in index_pairs]
-    jj = [j for _, j in index_pairs]
-    a0, a1, ra = p0[:, ii], p1[:, ii], radii[ii]
-    b0, b1, rb = p0[:, jj], p1[:, jj], radii[jj]
-    lo_a, hi_a = segment_aabbs(a0, a1, ra, margin / 2.0)
-    lo_b, hi_b = segment_aabbs(b0, b1, rb, margin / 2.0)
-    mask = np.all(lo_a <= hi_b, axis=-1) & np.all(lo_b <= hi_a, axis=-1)
-    dist = segment_distance(a0, a1, b0, b1)
-    clear = np.where(mask, dist - ra - rb, np.inf)
-    pairs = [(owners[i], owners[j]) for i, j in index_pairs]
-    return clear, pairs
-
-
-def _place_state(model: RobotModel, q: JointState):
-    if not within_limits(model, q, tol=_LIMIT_SLACK):
-        raise JointLimitViolation(f"{model.group_id}: state outside joint limits")
-    return placed_segments(model, q.positions[None, :])
-
-
-def state_pair_check(
-    model_a: RobotModel,
-    q_a: JointState,
-    model_b: RobotModel,
-    q_b: JointState,
-    margin: float,
-) -> Clearance:
-    """Minimum clearance between two robots at fixed configurations.
-
-    Cross-robot pairs only; self-collision exemptions never apply across
-    robots. Checking a robot against itself is a contract violation.
-    """
-    if model_a is model_b or model_a.group_id == model_b.group_id:
-        raise ValueError("state_pair_check is cross-robot only")
-    placed_a = _place_state(model_a, q_a)
-    placed_b = _place_state(model_b, q_b)
-    clear, pairs = _cross_clearances(placed_a, model_a.owners(), placed_b, model_b.owners(), margin)
-    if clear.shape[1] == 0:
-        return Clearance(FAR, None)
-    j = int(np.argmin(clear[0]))
-    value = float(clear[0, j])
-    if np.isinf(value):
-        return Clearance(FAR, None)
-    return Clearance(value, pairs[j])
-
-
-def _models_for(models, *group_ids) -> list[RobotModel]:
-    out = []
-    for g in group_ids:
-        try:
-            out.append(models[g])
-        except KeyError:
-            raise UnknownGroup(f"no robot model for group '{g}'") from None
+def _held(rows: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """(n, S, 3) rows followed by the (1, F, 3) fixed rows, repeated at every sample."""
+    out = np.empty((rows.shape[0], rows.shape[1] + fixed.shape[1], 3))
+    out[:, : rows.shape[1]] = rows
+    out[:, rows.shape[1] :] = fixed
     return out
 
 
-def trajectory_vs_running(
+def candidate_sweep(
     candidate: JointTrajectory,
-    running: RunningRecord,
     now: float,
     params: CheckParams,
-    models: dict[str, RobotModel],
-) -> CollisionReport:
-    """Check a candidate starting at `now` against one running trajectory.
+    layout: Layout,
+    running: list[RunningRecord],
+    parked: dict[str, JointState] | None = None,
+) -> list[CollisionReport]:
+    """Check a candidate starting at `now` against everything else in one sweep.
 
-    Both sides are sampled at the shared step params.dt on the horizon
-    covering the candidate and the running trajectory's remaining motion;
-    past either end the held final state applies. This also catches the
-    candidate's parked end state obstructing the running arm's later motion.
-    Times in the report are relative to the candidate start.
+    The candidate and every running trajectory are sampled at params.dt on
+    one grid over the longest horizon (the candidate's duration or a running
+    trajectory's remaining motion); past either end the held final state
+    applies, so a shorter check's extra samples repeat its endpoint. The
+    candidate's links are paired with the links of every running arm, then
+    with the static obstacles and the `parked` arms (in sorted group order),
+    and one kernel call gives all clearances.
+
+    Returns one report per running record, in order, then, unless `parked`
+    is None, one for the static obstacles and the parked arms together.
+    Times in the reports are relative to the candidate start.
     """
-    if candidate.group_id == running.trajectory.group_id:
-        raise ValueError("a group never runs two trajectories at once; cross-group only")
-    model_c, model_r = _models_for(models, candidate.group_id, running.trajectory.group_id)
-    offset = now - running.start_time
-    if offset < -1e-9:
-        raise ValueError("running.start_time must be <= now")
-    offset = max(0.0, offset)
-    horizon = max(candidate.duration, running.trajectory.duration - offset)
-    times = time_grid(max(horizon, 0.0), params.dt)
-    placed_c = placed_segments(model_c, states_at(candidate, times))
-    placed_r = placed_segments(model_r, states_at(running.trajectory, offset + times))
-    sweep = _ClearanceSweep(times, params.margin)
-    sweep.add(*_cross_clearances(placed_c, model_c.owners(), placed_r, model_r.owners(), params.margin))
-    return sweep.report()
-
-
-def trajectory_vs_static(
-    candidate: JointTrajectory,
-    scene: Scene,
-    excluded_groups: set[str],
-    params: CheckParams,
-    models: dict[str, RobotModel] | None = None,
-    idle_postures: dict[str, JointState] | None = None,
-) -> CollisionReport:
-    """Check a candidate against static obstacles and idle (non-excluded) arms.
-
-    `excluded_groups` should hold the candidate's group and every currently
-    running group (those are covered by trajectory_vs_running); the
-    candidate's own group is always excluded. `idle_postures` overrides the
-    scene's initial postures with where the idle arms are parked *now* (they
-    move as trajectories complete).
-    """
-    models = scene.robots if models is None else models
-    postures = scene.idle_postures if idle_postures is None else idle_postures
-    (model_c,) = _models_for(models, candidate.group_id)
-    excluded = set(excluded_groups) | {candidate.group_id}
-    times = time_grid(candidate.duration, params.dt)
-    placed_c = placed_segments(model_c, states_at(candidate, times))
-    sweep = _ClearanceSweep(times, params.margin)
-    if scene.static_obstacles:
-        s0, s1, sr = segments_of(scene.static_obstacles)
-        statics = (s0[None, :, :], s1[None, :, :], sr)
-        owners = [p.owner for p in scene.static_obstacles]
-        sweep.add(*_cross_clearances(placed_c, model_c.owners(), statics, owners, params.margin))
-    for g in sorted(scene.robots):
-        if g in excluded:
-            continue
-        model_i = scene.robots[g]
-        placed_i = _place_state(model_i, postures[g])
-        sweep.add(*_cross_clearances(placed_c, model_c.owners(), placed_i, model_i.owners(), params.margin))
-    return sweep.report()
+    if any(r.trajectory.group_id == candidate.group_id or r.start_time > now + 1e-9 for r in running):
+        raise ValueError("running records must be of other groups and started by `now`")
+    offsets = [max(0.0, now - rec.start_time) for rec in running]
+    remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
+    times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
+    moving = [candidate.group_id] + [rec.trajectory.group_id for rec in running]
+    q = [states_at(candidate, times)]
+    q += [states_at(rec.trajectory, o + times) for rec, o in zip(running, offsets)]
+    p0, p1 = layout.place_arms(moving, q)
+    owners, radii = layout.owners_of(moving), layout.radii_of(moving)
+    blocks = [[layout.robots[g].n_links] for g in moving[1:]]  # row counts of each block's bodies
+    if parked is not None:
+        fixed = sorted(parked)
+        f0, f1 = layout.place_arms(fixed, [parked[g].positions[None] for g in fixed])
+        s0, s1, sr = layout.statics
+        p0 = _held(p0, np.concatenate([s0[None], f0], axis=1))
+        p1 = _held(p1, np.concatenate([s1[None], f1], axis=1))
+        owners += layout.static_owners + layout.owners_of(fixed)
+        radii = np.concatenate([radii, sr, layout.radii_of(fixed)])
+        blocks.append([len(sr)] + [layout.robots[g].n_links for g in fixed])
+    n_c = layout.robots[candidate.group_id].n_links
+    pairs, bounds, row = [], [0], n_c
+    for block in blocks:
+        for size in block:
+            pairs += [(i, j) for i in range(n_c) for j in range(row, row + size)]
+            row += size
+        bounds.append(len(pairs))
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    clear = pair_clearances(p0, p1, radii, ii, jj, params.margin)
+    return [
+        _report(times, clear[:, a:b], owners, ii[a:b], jj[a:b], params.margin)
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def composite_state_check(
@@ -294,9 +271,10 @@ def composite_state_check(
     """One discrete check of the consolidated multi-robot state.
 
     Covers within-robot pairs not exempted by allowed_pairs, every
-    cross-robot pair, and every robot-vs-static pair. Needs exactly one
-    state per robot group. first_collision_time is 0.0 when colliding (the
-    checked horizon is the single instant).
+    cross-robot pair, and every robot-vs-static pair, as one kernel call over
+    the scene's layout (see Layout for the pair order, which fixes the
+    witness). Needs exactly one state per robot group. first_collision_time
+    is 0.0 when colliding (the checked horizon is the single instant).
     """
     missing = set(scene.robots) - set(states)
     if missing:
@@ -304,30 +282,7 @@ def composite_state_check(
     extra = set(states) - set(scene.robots)
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
-
-    groups = sorted(scene.robots)
-    placed = {g: _place_state(scene.robots[g], states[g]) for g in groups}
-    sweep = _ClearanceSweep(np.zeros(1), margin)
-    for g in groups:
-        model = scene.robots[g]
-        pairs = [
-            (i, j)
-            for i in range(model.n_links)
-            for j in range(i + 1, model.n_links)
-            if (i, j) not in model.allowed_pairs
-        ]
-        sweep.add(*_self_clearances(placed[g], model.owners(), pairs, margin))
-    for i, gi in enumerate(groups):
-        for gj in groups[i + 1 :]:
-            sweep.add(
-                *_cross_clearances(
-                    placed[gi], scene.robots[gi].owners(), placed[gj], scene.robots[gj].owners(), margin
-                )
-            )
-    if scene.static_obstacles:
-        s0, s1, sr = segments_of(scene.static_obstacles)
-        statics = (s0[None, :, :], s1[None, :, :], sr)
-        owners = [p.owner for p in scene.static_obstacles]
-        for g in groups:
-            sweep.add(*_cross_clearances(placed[g], scene.robots[g].owners(), statics, owners, margin))
-    return sweep.report()
+    layout = scene.layout
+    p0, p1 = layout.place([states[g].positions[None] for g in layout.groups])
+    clear = pair_clearances(p0, p1, layout.radii, layout.ii, layout.jj, margin)
+    return _report(np.zeros(1), clear, layout.owners, layout.ii, layout.jj, margin)

@@ -41,6 +41,10 @@ class ScenarioInvalid(MultiArmError):
     """Scenario file failed structural or semantic validation."""
 
 
+class TickBudgetExceeded(MultiArmError, RuntimeError):
+    """A run did not reach a quiescent state within its tick budget."""
+
+
 class ValidationFailed(MultiArmError):
     """A trajectory failed validation at submission.
 

@@ -2,7 +2,8 @@
 
 New submissions enter a continuous queue. On every tick the manager, in fixed
 order: completes finished trajectories, moves backlog entries whose blockers
-terminated back into the queue, aborts backlog entries past their deadline,
+terminated back into the queue unless their deadline has come, aborts backlog
+entries at or past their deadline,
 drains the queue through the collision gate (admit or backlog), and runs the
 periodic composite-state monitor. Admission may fail against a running
 trajectory (blocker = its id), against another arm parked in the way
@@ -28,15 +29,14 @@ from .collision import (
     CheckParams,
     RunningRecord,
     Scene,
+    candidate_sweep,
     composite_state_check,
     required_margin,
-    trajectory_vs_running,
-    trajectory_vs_static,
 )
 from .errors import UnknownGroup, UnknownHandle, ValidationFailed
 from .geometry import Owner, owner_str
 from .kinematics import JointState
-from .trajectory import JointTrajectory, state_at, time_grid, validate
+from .trajectory import JointTrajectory, grid_size, state_at, validate
 
 log = logging.getLogger(__name__)
 
@@ -301,9 +301,12 @@ class ExecutionManager:
                 )
                 self._event("COMPLETED", entry, f"finish={clock:.6f}")
 
-        # 2) re-queue backlog entries whose blockers went away
+        # 2) re-queue backlog entries whose blockers went away; an entry at
+        # or past its deadline stays for step 3 to abort
         triggered = []
         for entry in self._backlog:
+            if clock + _CLOCK_EPS >= entry.deadline:
+                continue
             trigger = self._requeue_trigger(entry)
             if trigger is not None:
                 triggered.append((entry.seq, entry, trigger))
@@ -419,37 +422,33 @@ class ExecutionManager:
             self._event("CANCELLED", entry, "reason=mismatched_start")
             return
 
-        tokens: list[tuple] = []
-        checks = 0
-        states = 0
-        for _, (other, rec) in self._running.items():
-            report = trajectory_vs_running(
-                entry.trajectory, rec, clock, self.params, self.scene.robots
-            )
-            checks += 1
-            remaining = max(0.0, rec.trajectory.duration - (clock - rec.start_time))
-            horizon = max(entry.trajectory.duration, remaining)
-            states += len(time_grid(horizon, self.params.dt))
-            if report.colliding:
-                tokens.append(("traj", other))
+        # one sweep against every running arm, then the obstacles and parked
+        # arms; the log still counts a check and a time grid per running arm
+        # plus one for the static scene, as when each was a separate check
+        running = list(self._running.values())
+        parked = None
         if self.check_static:
-            excluded = {g} | set(self._running.keys())
-            report = trajectory_vs_static(
-                entry.trajectory,
-                self.scene,
-                excluded,
-                self.params,
-                idle_postures=self._postures,
+            parked = {h: q for h, q in self._postures.items() if h != g and h not in self._running}
+        duration, dt = entry.trajectory.duration, self.params.dt
+        checks = len(running) + (parked is not None)
+        states = sum(
+            grid_size(max(duration, rec.trajectory.duration - (clock - rec.start_time)), dt)
+            for _, rec in running
+        ) + (grid_size(duration, dt) if parked is not None else 0)
+        reports = []
+        if checks:
+            records = [rec for _, rec in running]
+            reports = candidate_sweep(
+                entry.trajectory, clock, self.params, self.scene.layout, records, parked
             )
-            checks += 1
-            states += len(time_grid(entry.trajectory.duration, self.params.dt))
-            if report.colliding:
-                blocking_owner = report.witness[1]
-                if blocking_owner[0] == "static":
-                    tokens.append(("static",))
-                else:
-                    other_group = blocking_owner[0]
-                    tokens.append(("idle", other_group, self._posture_version[other_group]))
+        tokens = [("traj", other) for (other, _), rep in zip(running, reports) if rep.colliding]
+        if parked is not None and reports[-1].colliding:
+            blocking_owner = reports[-1].witness[1]
+            if blocking_owner[0] == "static":
+                tokens.append(("static",))
+            else:
+                other_group = blocking_owner[0]
+                tokens.append(("idle", other_group, self._posture_version[other_group]))
 
         if tokens:
             self._to_backlog(entry, tuple(tokens), checks, states)

@@ -172,6 +172,26 @@ def segment_aabbs(p0: np.ndarray, p1: np.ndarray, radii: np.ndarray, inflate: fl
     return lo, hi
 
 
+def pair_clearances(p0, p1, radii, ii, jj, margin: float) -> np.ndarray:
+    """The clearance kernel: every index pair of a flat segment layout in one call.
+
+    `p0`, `p1` are (T, S, 3) segment endpoints of S primitives at T sampled
+    times and `radii` their (S,) radii; pair k is (ii[k], jj[k]). Returns
+    (T, P) signed clearances, segment distance minus both radii, where the
+    two AABBs inflated by margin/2 overlap, and +inf where they do not.
+    Segment distances are computed for overlapping pairs only, if any.
+    """
+    lo, hi = segment_aabbs(p0, p1, radii, margin / 2.0)
+    near = np.all(lo[:, ii] <= hi[:, jj], axis=-1) & np.all(lo[:, jj] <= hi[:, ii], axis=-1)
+    clear = np.full(near.shape, np.inf)
+    t, k = np.nonzero(near)
+    if k.size:
+        a, b = ii[k], jj[k]
+        dist = segment_distance(p0[t, a], p1[t, a], p0[t, b], p1[t, b])
+        clear[t, k] = dist - radii[a] - radii[b]
+    return clear
+
+
 def broadphase_pairs(
     set_a: list[PlacedPrimitive], set_b: list[PlacedPrimitive], margin: float
 ) -> list[tuple[int, int]]:
@@ -183,13 +203,7 @@ def broadphase_pairs(
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    if not set_a or not set_b:
-        return []
-    a0, a1, ra = segments_of(set_a)
-    b0, b1, rb = segments_of(set_b)
-    lo_a, hi_a = segment_aabbs(a0, a1, ra, margin / 2.0)
-    lo_b, hi_b = segment_aabbs(b0, b1, rb, margin / 2.0)
-    overlap = np.all(lo_a[:, None, :] <= hi_b[None, :, :], axis=-1) & np.all(
-        lo_b[None, :, :] <= hi_a[:, None, :], axis=-1
-    )
-    return [(int(i), int(j)) for i, j in np.argwhere(overlap)]
+    p0, p1, radii = segments_of(set_a + set_b)
+    ii, jj = np.divmod(np.arange(len(set_a) * len(set_b)), max(1, len(set_b)))
+    near = np.isfinite(pair_clearances(p0[None], p1[None], radii, ii, jj + len(set_a), margin)[0])
+    return [(int(i), int(j)) for i, j in zip(ii[near], jj[near])]

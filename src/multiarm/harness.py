@@ -12,26 +12,21 @@ log, so emitted numbers are reproducible from the log alone.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .collision import CheckParams, Scene
-from .errors import JointLimitViolation, ScenarioInvalid
+from .collision import CheckParams, Scene, pair_clearances
+from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
 from .executor import Event, ExecutionManager, ExecStatus, ExecHandle
-from .geometry import Capsule, PlacedPrimitive, Sphere, segment_distance, segments_of
-from .kinematics import (
-    JointSpec,
-    JointState,
-    LinkGeometry,
-    RobotModel,
-    placed_segments,
-    pose,
-    within_limits,
-)
+from .geometry import Capsule, PlacedPrimitive, Sphere
+from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, pose, within_limits
 from .trajectory import JointTrajectory, states_at, time_grid
 
 CSV_HEADER = [
@@ -47,6 +42,9 @@ CSV_HEADER = [
 ]
 
 FIXTURES = ("disjoint.json", "crossing.json", "timeout.json", "panda_like_shared.json")
+
+# pair-samples per kernel call in the replay audit, to bound its memory
+_REPLAY_PAIR_SAMPLES = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +132,27 @@ def plan_joint_line(
 
 
 def validate_scenario(scenario: Scenario) -> None:
+    p = scenario.params
+    if not 0.0 < p.tick_length < math.inf:
+        raise ScenarioInvalid("tick must be finite and > 0")
+    period = p.monitor_period
+    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
+        raise ScenarioInvalid(f"monitor_period must be an integer >= 1, got {period!r}")
+    if not 0.0 < p.default_timeout < math.inf:
+        raise ScenarioInvalid("default_timeout must be finite and > 0")
+    for g, q in scenario.scene.idle_postures.items():
+        if not within_limits(scenario.scene.robots[g], q):
+            raise ScenarioInvalid(f"idle posture of '{g}' outside joint limits")
     for i, task in enumerate(scenario.tasks):
         if task.group_id not in scenario.scene.robots:
             raise ScenarioInvalid(f"task {i} references unknown group '{task.group_id}'")
         model = scenario.scene.robots[task.group_id]
         if not within_limits(model, task.goal):
             raise ScenarioInvalid(f"task {i} goal outside joint limits")
-        if task.submit_time < 0.0:
-            raise ScenarioInvalid(f"task {i} has negative submit_time")
-        if task.timeout is not None and task.timeout <= 0.0:
-            raise ScenarioInvalid(f"task {i} has non-positive timeout")
+        if not 0.0 <= task.submit_time < math.inf:
+            raise ScenarioInvalid(f"task {i} needs a finite submit_time >= 0")
+        if task.timeout is not None and not 0.0 < task.timeout < math.inf:
+            raise ScenarioInvalid(f"task {i} needs a finite timeout > 0")
 
 
 def plan_tasks(scenario: Scenario) -> list[JointTrajectory]:
@@ -189,7 +198,7 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
         if idx == len(order) and mgr.all_terminal():
             break
         if mgr.tick_index >= max_ticks:
-            raise RuntimeError("scenario did not quiesce within the tick budget")
+            raise TickBudgetExceeded("scenario did not quiesce within the tick budget")
         mgr.tick()
     lines = mgr.event_lines()
     statuses = {h.id: mgr.status(h) for h in handles}
@@ -327,23 +336,16 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
             qs = np.where(mask[:, None], vals, qs)
         motions[g] = qs
 
+    # all cross-robot and robot-static pairs of the scene's layout, unfiltered
+    # (infinite margin), a bounded number of samples per kernel call
+    layout = scenario.scene.layout
+    ii, jj = layout.ii[layout.n_self :], layout.jj[layout.n_self :]
+    step = max(1, _REPLAY_PAIR_SAMPLES // max(1, len(ii)))
     best = float("inf")
-    placed = {g: placed_segments(scenario.scene.robots[g], motions[g]) for g in groups}
-    for i, gi in enumerate(groups):
-        a0, a1, ra = placed[gi]
-        for gj in groups[i + 1 :]:
-            b0, b1, rb = placed[gj]
-            dist = segment_distance(
-                a0[:, :, None, :], a1[:, :, None, :], b0[:, None, :, :], b1[:, None, :, :]
-            )
-            clear = dist - ra[:, None] - rb[None, :]
-            best = min(best, float(clear.min()))
-        if scenario.scene.static_obstacles:
-            s0, s1, sr = segments_of(scenario.scene.static_obstacles)
-            dist = segment_distance(
-                a0[:, :, None, :], a1[:, :, None, :], s0[None, None, :, :], s1[None, None, :, :]
-            )
-            clear = dist - ra[:, None] - sr[None, :]
+    for lo in range(0, len(ts), step):
+        p0, p1 = layout.place([motions[g][lo : lo + step] for g in layout.groups])
+        clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
+        if clear.size:
             best = min(best, float(clear.min()))
     return best
 
@@ -394,6 +396,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         idles = {}
         for rd in data["robots"]:
             model, idle = robot_from_dict(rd)
+            if model.group_id in robots:
+                raise ScenarioInvalid(f"duplicate group_id '{model.group_id}'")
             robots[model.group_id] = model
             idles[model.group_id] = idle
         obstacles = [
@@ -416,14 +420,14 @@ def scenario_from_dict(data: dict) -> Scenario:
                 dt=float(pd.get("time_step", 0.05)), margin=float(pd.get("margin", 0.02))
             ),
             tick_length=float(pd.get("tick", 0.01)),
-            monitor_period=int(pd.get("monitor_period", 5)),
+            monitor_period=pd.get("monitor_period", 5),
             default_timeout=float(pd.get("default_timeout", 30.0)),
             check_static=bool(pd.get("check_static", True)),
         )
         scenario = Scenario(scene=scene, tasks=tasks, seed=int(data.get("seed", 0)), params=params)
     except ScenarioInvalid:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioInvalid(f"malformed scenario: {exc}") from exc
     validate_scenario(scenario)
     return scenario
@@ -450,15 +454,18 @@ def with_overrides(
 ) -> Scenario:
     """Scenario copy with CLI-style parameter overrides applied."""
     p = scenario.params
-    check = CheckParams(
-        dt=time_step if time_step is not None else p.check.dt,
-        margin=margin if margin is not None else p.check.margin,
-    )
-    params = RunParams(
+    try:
+        check = CheckParams(
+            dt=p.check.dt if time_step is None else time_step,
+            margin=p.check.margin if margin is None else margin,
+        )
+    except ValueError as exc:
+        raise ScenarioInvalid(str(exc)) from exc
+    params = dataclasses.replace(
+        p,
         check=check,
-        tick_length=tick if tick is not None else p.tick_length,
-        monitor_period=monitor_period if monitor_period is not None else p.monitor_period,
-        default_timeout=backlog_timeout if backlog_timeout is not None else p.default_timeout,
-        check_static=p.check_static,
+        tick_length=p.tick_length if tick is None else tick,
+        monitor_period=p.monitor_period if monitor_period is None else monitor_period,
+        default_timeout=p.default_timeout if backlog_timeout is None else backlog_timeout,
     )
-    return Scenario(scene=scenario.scene, tasks=scenario.tasks, seed=scenario.seed, params=params)
+    return dataclasses.replace(scenario, params=params)

@@ -19,18 +19,25 @@ from .geometry import Capsule, PlacedPrimitive, Shape, Sphere, segment_of
 # Interpolated states may overshoot a limit by rounding; FK tolerates this much.
 _LIMIT_SLACK = 1e-9
 
+_EYE = np.eye(3)
+
 
 def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
     """Rodrigues rotation matrix; `angle` may be a scalar or an array."""
     a = np.asarray(axis, dtype=float)
+    return _rodrigues(_skew(a), np.outer(a, a), angle)
+
+
+def _rodrigues(k, outer, angle) -> np.ndarray:
+    """cos(angle) I + sin(angle) K + (1 - cos(angle)) a a^T, broadcast over angle."""
     th = np.asarray(angle, dtype=float)
-    k = np.array(
-        [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
-    )
-    outer = np.outer(a, a)
     c = np.cos(th)[..., None, None]
     s = np.sin(th)[..., None, None]
-    return c * np.eye(3) + s * k + (1.0 - c) * outer
+    return c * _EYE + s * k + (1.0 - c) * outer
+
+
+def _skew(a) -> np.ndarray:
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
 
 
 def rpy_matrix(rpy) -> np.ndarray:
@@ -127,8 +134,8 @@ class RobotModel:
         self.joint_velocity_limits = np.asarray(self.joint_velocity_limits, dtype=float).reshape(-1)
         if len(self.joint_velocity_limits) != len(self.joints):
             raise ValueError("need one velocity limit per joint")
-        if not np.all(self.joint_velocity_limits > 0.0):
-            raise ValueError("velocity limits must be > 0")
+        if not np.all((self.joint_velocity_limits > 0.0) & np.isfinite(self.joint_velocity_limits)):
+            raise ValueError("velocity limits must be finite and > 0")
         for link in self.links:
             if not 0 <= link.frame < len(self.joints):
                 raise ValueError(f"link frame {link.frame} out of range")
@@ -140,7 +147,9 @@ class RobotModel:
         self.allowed_pairs |= self._adjacent_pairs()
 
         # cached arrays for the batch FK path
-        self._axes = np.array([j.axis for j in self.joints]).reshape(-1, 3)
+        axes = np.array([j.axis for j in self.joints]).reshape(-1, 3)
+        self._k = np.array([_skew(a) for a in axes]).reshape(-1, 3, 3)
+        self._outer = axes[:, :, None] * axes[:, None, :]
         self._r_off = np.array([j.origin_offset[:3, :3] for j in self.joints]).reshape(-1, 3, 3)
         self._t_off = np.array([j.origin_offset[:3, 3] for j in self.joints]).reshape(-1, 3)
         self._lo = np.array([j.position_limits[0] for j in self.joints])
@@ -208,20 +217,48 @@ def within_limits(model: RobotModel, q: JointState, tol: float = 0.0) -> bool:
     return bool(np.all(positions >= model._lo - tol) and np.all(positions <= model._hi + tol))
 
 
-def joint_frames(model: RobotModel, q_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation (n,J,3,3) and origin (n,J,3) of every joint frame."""
-    q_batch = np.asarray(q_batch, dtype=float)
-    n = q_batch.shape[0]
-    rot = np.broadcast_to(model.base_pose[:3, :3], (n, 3, 3))
-    trans = np.broadcast_to(model.base_pose[:3, 3], (n, 3))
-    rots = np.empty((n, model.n_joints, 3, 3))
-    origins = np.empty((n, model.n_joints, 3))
-    for j in range(model.n_joints):
-        trans = trans + np.einsum("nij,j->ni", rot, model._t_off[j])
-        rot = rot @ model._r_off[j] @ rotation_about_axis(model._axes[j], q_batch[:, j])
-        rots[:, j] = rot
-        origins[:, j] = trans
-    return rots, origins
+# per-arm constants that ArmStack stacks, in the order place() unpacks them
+_STACKED = ("base_pose", "_r_off", "_t_off", "_k", "_outer", "_local_p0", "_local_p1", "_lo", "_hi")
+
+
+class ArmStack:
+    """Batched forward kinematics of arms that share joint count and link frames.
+
+    Each arm keeps its own base pose, joint offsets, axes, limits and link
+    shapes; only the structure (which joint frame carries which link) must
+    agree, so one sequence of array operations places every arm at once,
+    with the same arithmetic per arm as placing it alone.
+    """
+
+    def __init__(self, models: list[RobotModel]):
+        self.n_joints, self.frames = models[0].n_joints, models[0]._frames
+        same = (m.n_joints == self.n_joints and np.array_equal(m._frames, self.frames) for m in models)
+        if not all(same):
+            raise ValueError("stacked arms must share joint count and link frames")
+        self.arrays = {name: np.array([getattr(m, name) for m in models]) for name in _STACKED}
+
+    def place(self, q, arms=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """World endpoints (R, n, L, 3) of every link primitive.
+
+        `q` is (R, n, J): n configurations for each of the R stack members
+        selected by `arms`. No limit checking happens here.
+        """
+        shape = q.shape[:2]
+        base, r_off, t_off, k, outer, local_p0, local_p1 = (
+            self.arrays[name][arms][:, None] for name in _STACKED[:7]
+        )
+        rot, trans = base[..., :3, :3], base[..., :3, 3]  # (R, 1, ...), broadcast over n
+        r = np.empty(shape + (len(self.frames), 3, 3))  # each link's frame
+        t = np.empty(shape + (len(self.frames), 3))
+        for j in range(self.n_joints):
+            trans = trans + np.einsum("...ij,...j->...i", rot, t_off[:, :, j])
+            rot = rot @ r_off[:, :, j] @ _rodrigues(k[:, :, j], outer[:, :, j], q[..., j])
+            on = self.frames == j
+            r[:, :, on] = rot[:, :, None]
+            t[:, :, on] = trans[:, :, None]
+        p0 = t + np.einsum("...lij,...lj->...li", r, local_p0)
+        p1 = t + np.einsum("...lij,...lj->...li", r, local_p1)
+        return p0, p1
 
 
 def placed_segments(model: RobotModel, q_batch: np.ndarray):
@@ -230,12 +267,8 @@ def placed_segments(model: RobotModel, q_batch: np.ndarray):
     Returns (p0, p1, radii) with shapes (n, L, 3), (n, L, 3), (L,). No limit
     checking happens here; callers validate states first.
     """
-    rots, origins = joint_frames(model, q_batch)
-    r = rots[:, model._frames]          # (n, L, 3, 3)
-    t = origins[:, model._frames]       # (n, L, 3)
-    p0 = t + np.einsum("nlij,lj->nli", r, model._local_p0)
-    p1 = t + np.einsum("nlij,lj->nli", r, model._local_p1)
-    return p0, p1, model._radii
+    p0, p1 = ArmStack([model]).place(np.asarray(q_batch, dtype=float)[None])
+    return p0[0], p1[0], model._radii
 
 
 def forward_kinematics(model: RobotModel, q: JointState) -> list[PlacedPrimitive]:

@@ -1,4 +1,4 @@
-"""Timed joint-space trajectories: interpolation, held end state, discretization.
+"""Timed joint-space trajectories: interpolation, held end state, sample grids.
 
 Interpolation is piecewise linear in joint space. After the final waypoint a
 trajectory holds its last configuration forever, so sampling is defined for
@@ -26,16 +26,6 @@ _VEL_SLACK = 1e-9
 
 def _next_id() -> str:
     return f"traj-{next(_traj_counter)}"
-
-
-@dataclass(frozen=True)
-class TimedState:
-    time: float
-    state: JointState
-
-    def __post_init__(self):
-        if self.time < 0.0:
-            raise NegativeTime("timed states live on t >= 0")
 
 
 @dataclass(eq=False)
@@ -147,27 +137,25 @@ def state_at(traj: JointTrajectory, t: float) -> JointState:
     return JointState(group_id=traj.group_id, positions=states_at(traj, [t])[0])
 
 
+def grid_size(horizon: float, dt: float) -> int:
+    """Number of samples in time_grid(horizon, dt), without building it."""
+    if dt <= 0.0:
+        raise NonPositiveStep(f"dt must be > 0, got {dt}")
+    if horizon < 0.0:
+        raise NegativeTime(f"horizon must be >= 0, got {horizon}")
+    # multiples k*dt below the forced endpoint (guard scaled so a horizon
+    # much smaller than dt still keeps the t=0 sample)
+    guard = horizon - min(dt, horizon) * 1e-9
+    k = int(np.floor(horizon / dt + 1e-9))
+    while k >= 0 and k * dt >= guard:
+        k -= 1
+    return k + 2
+
+
 def time_grid(horizon: float, dt: float) -> np.ndarray:
     """Sample times 0, dt, 2*dt, ... plus the horizon endpoint, exactly once.
 
     Gaps never exceed dt (up to rounding); the last element equals `horizon`.
     """
-    if dt <= 0.0:
-        raise NonPositiveStep(f"dt must be > 0, got {dt}")
-    if horizon < 0.0:
-        raise NegativeTime(f"horizon must be >= 0, got {horizon}")
-    n = int(np.floor(horizon / dt + 1e-9))
-    ts = np.arange(n + 1) * dt
-    # drop multiples that collide with the forced endpoint (guard scaled so a
-    # horizon much smaller than dt still keeps the t=0 sample)
-    ts = ts[ts < horizon - min(dt, horizon) * 1e-9]
-    return np.append(ts, horizon)
+    return np.append(np.arange(grid_size(horizon, dt) - 1) * dt, horizon)
 
-
-def discretize(traj: JointTrajectory, dt: float, horizon: float) -> list[TimedState]:
-    """States sampled on time_grid(horizon, dt); held past the trajectory end."""
-    ts = time_grid(horizon, dt)
-    qs = states_at(traj, ts)
-    return [
-        TimedState(time=float(t), state=JointState(traj.group_id, q)) for t, q in zip(ts, qs)
-    ]

@@ -16,9 +16,11 @@ from multiarm import (
     Scenario,
     Scene,
     Task,
+    candidate_sweep,
     plan_joint_line,
     pose,
 )
+from multiarm.collision import Layout
 
 # The shipped fixture parameters deliberately violate the margin/dt soundness
 # bound (they rely on large true clearances instead); silence the warning in
@@ -33,6 +35,7 @@ def planar_arm(
     radius=0.05,
     vlim=1.0,
     limits=(-4.8, 4.8),
+    base_rpy=(0.0, 0.0, 0.0),
 ):
     joints = []
     links = []
@@ -43,7 +46,7 @@ def planar_arm(
         prev = (length, 0.0, 0.0)
     return RobotModel(
         group_id=group,
-        base_pose=pose(base_xyz),
+        base_pose=pose(base_xyz, base_rpy),
         joints=joints,
         links=links,
         joint_velocity_limits=[vlim] * len(lengths),
@@ -69,6 +72,12 @@ def sweep_traj(model, q0, q1, traj_id=None):
     return plan_joint_line(
         model, JointState(model.group_id, q0), JointState(model.group_id, q1), traj_id
     )
+
+
+def running_check(candidate, running, now, params, models):
+    """The candidate's check against one running record, on its own."""
+    (report,) = candidate_sweep(candidate, now, params, Layout(models, []), [running])
+    return report
 
 
 def crossing_case(rng, dt=0.01):

@@ -128,6 +128,32 @@ def dense_running_sweep(candidate, running, now, models, step):
     return ts, clear.reshape(len(ts), -1).min(axis=1)
 
 
+def loop_placed_segments(model, q_batch):
+    """Forward kinematics of one arm, joint by joint, with no batching over arms.
+
+    The library's batched placement does the same arithmetic per arm and
+    must match this bit for bit.
+    """
+    from multiarm.kinematics import rotation_about_axis
+
+    q_batch = np.asarray(q_batch, dtype=float)
+    n = len(q_batch)
+    rot = np.broadcast_to(model.base_pose[:3, :3], (n, 3, 3))
+    trans = np.broadcast_to(model.base_pose[:3, 3], (n, 3))
+    rots, origins = [], []
+    for j, joint in enumerate(model.joints):
+        trans = trans + np.einsum("nij,j->ni", rot, model._t_off[j])
+        rot = rot @ model._r_off[j] @ rotation_about_axis(joint.axis, q_batch[:, j])
+        rots.append(rot)
+        origins.append(trans)
+    frames = [link.frame for link in model.links]
+    r = np.stack(rots, axis=1)[:, frames]
+    t = np.stack(origins, axis=1)[:, frames]
+    p0 = t + np.einsum("nlij,lj->nli", r, model._local_p0)
+    p1 = t + np.einsum("nlij,lj->nli", r, model._local_p1)
+    return p0, p1
+
+
 def finite_difference_speeds(model, q, qdot, h=1e-6):
     """Endpoint speeds of every link primitive via finite differences."""
     from multiarm.kinematics import placed_segments

@@ -20,13 +20,12 @@ from multiarm import (
     primitive_clearance,
     replay_min_clearance,
     run,
-    trajectory_vs_running,
     write_metrics,
 )
 from multiarm.geometry import Capsule, PlacedPrimitive, Sphere, segments_of
 from multiarm.harness import FIXTURES, parse_event_line
 
-from conftest import crossing_case, planar_arm, random_scenario
+from conftest import crossing_case, planar_arm, random_scenario, running_check
 from oracles import (
     dense_running_sweep,
     finite_difference_speeds,
@@ -127,7 +126,7 @@ def test_criterion_3_discrete_check_soundness(rng):
         combined = sum(m.max_cartesian_speed_bound for m in models.values())
         assert params.margin >= 2.0 * combined * params.dt
         rec = RunningRecord(running_traj, start)
-        report = trajectory_vs_running(cand, rec, now, params, models)
+        report = running_check(cand, rec, now, params, models)
         ts, dense = dense_running_sweep(cand, rec, now, models, step=params.dt / 100)
         if dense.min() <= 0.0:
             colliding += 1

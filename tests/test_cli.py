@@ -1,6 +1,10 @@
 import json
+import math
 
-from multiarm import fixture_path
+import pytest
+
+import multiarm.cli
+from multiarm import TickBudgetExceeded, fixture_path
 from multiarm.cli import main
 from multiarm.harness import CSV_HEADER
 
@@ -100,3 +104,56 @@ def test_collision_halt_exit_three(tmp_path):
     code = main(["run", "--scenario", str(path), "--events-out", str(events)])
     assert code == 3
     assert "COLLISION_HALT" in events.read_text()
+
+
+def _timeout_inf(data):
+    data["tasks"][0]["timeout"] = math.inf
+
+
+def _submit_time_nan(data):
+    data["tasks"][0]["submit_time"] = math.nan
+
+
+def _duplicate_group(data):
+    data["robots"].append(json.loads(json.dumps(data["robots"][0])))
+
+
+def _fractional_monitor_period(data):
+    data["params"]["monitor_period"] = 2.7
+
+
+def _velocity_limit_inf(data):
+    data["robots"][0]["joints"][0]["velocity_limit"] = math.inf
+
+
+def _idle_posture_out_of_limits(data):
+    data["robots"][0]["idle_posture"] = [9.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _timeout_inf,
+        _submit_time_nan,
+        _duplicate_group,
+        _fractional_monitor_period,
+        _velocity_limit_inf,
+        _idle_posture_out_of_limits,
+    ],
+)
+def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):
+    data = json.loads(fixture_path("crossing.json").read_text())
+    corrupt(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # writes Infinity / NaN, which json.load reads back
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tick_budget_overrun_exits_one(tmp_path, capsys, monkeypatch):
+    def overrun(scenario, mode):
+        raise TickBudgetExceeded("scenario did not quiesce within the tick budget")
+
+    monkeypatch.setattr(multiarm.cli, "run", overrun)
+    assert main(["run", "--scenario", str(fixture_path("disjoint.json"))]) == 1
+    assert "tick budget" in capsys.readouterr().err

@@ -10,17 +10,23 @@ from multiarm import (
     Scene,
     Sphere,
     UnknownGroup,
+    candidate_sweep,
     composite_state_check,
+    fixture_path,
     forward_kinematics,
+    load_scenario,
     primitive_clearance,
     required_margin,
-    state_pair_check,
-    trajectory_vs_running,
-    trajectory_vs_static,
 )
 
-from conftest import crossing_case, facing_pair, planar_arm, scene_of, sweep_traj
+from conftest import crossing_case, facing_pair, planar_arm, running_check, scene_of, sweep_traj
 from oracles import dense_running_sweep
+
+
+def cross_check(left, qa, right, qb, margin):
+    """The monitor on a two-arm scene; the 2-link arms exempt all self pairs."""
+    scene = scene_of([left, right], [qa.positions, qb.positions])
+    return composite_state_check({"left": qa, "right": qb}, scene, margin)
 
 
 def test_far_apart_arms_clear(rng):
@@ -29,8 +35,9 @@ def test_far_apart_arms_clear(rng):
     for _ in range(20):
         qa = JointState("left", rng.uniform(-3, 3, 2))
         qb = JointState("right", rng.uniform(-3, 3, 2))
-        c = state_pair_check(left, qa, right, qb, margin=0.02)
-        assert c.signed_distance >= 8.0  # may be +inf once broadphase prunes
+        c = cross_check(left, qa, right, qb, margin=0.02)
+        assert c.min_clearance_seen >= 8.0  # may be +inf once broadphase prunes
+        assert not c.colliding
 
 
 def test_interleaved_arms_penetrate():
@@ -38,33 +45,37 @@ def test_interleaved_arms_penetrate():
     right = planar_arm("right", (1, 0, 0), lengths=(1.0, 1.0), limits=(-3.2, 3.2))
     qa = JointState("left", [0.0, 0.0])  # points at right base, overlapping it
     qb = JointState("right", [np.pi, 0.0])  # points back at left base
-    got = state_pair_check(left, qa, right, qb, margin=0.02)
-    assert got.signed_distance < 0
+    got = cross_check(left, qa, right, qb, margin=0.02)
+    assert got.min_clearance_seen < 0
     # the oracle: minimum over primitive_clearance of all placed cross pairs
     placed_a = forward_kinematics(left, qa)
     placed_b = forward_kinematics(right, qb)
     want = min(
         primitive_clearance(pa, pb).signed_distance for pa in placed_a for pb in placed_b
     )
-    assert got.signed_distance == pytest.approx(want, abs=1e-12)
+    assert got.min_clearance_seen == pytest.approx(want, abs=1e-12)
 
 
-def test_state_pair_check_same_robot_rejected():
-    arm = planar_arm("arm")
-    q = JointState("arm", [0, 0])
-    with pytest.raises(ValueError):
-        state_pair_check(arm, q, arm, q, margin=0.0)
+def test_layout_never_cross_pairs_a_robot_with_itself():
+    arms = [planar_arm(g, (k, 0, 0), lengths=(0.4, 0.4, 0.4)) for k, g in enumerate("abc")]
+    layout = scene_of(arms, [[0, 0, 0]] * 3).layout
+    groups = [(layout.owners[i][0], layout.owners[j][0]) for i, j in zip(layout.ii, layout.jj)]
+    # the self pairs (link 0 with link 2 of each arm) come first, then only cross pairs
+    assert groups[: layout.n_self] == [("a", "a"), ("b", "b"), ("c", "c")]
+    assert all(ga < gb for ga, gb in groups[layout.n_self :])
+    assert len(groups) == 3 + 3 * 9
 
 
 def test_allowed_pairs_never_apply_across_robots():
     # both robots exempt everything internally; the cross pair must still hit
     left = planar_arm("left", (0, 0, 0), lengths=(1.0, 1.0), limits=(-3.2, 3.2))
     right = planar_arm("right", (1.5, 0, 0), lengths=(1.0, 1.0), limits=(-3.2, 3.2))
-    c = state_pair_check(
+    c = cross_check(
         left, JointState("left", [0, 0]), right, JointState("right", [np.pi, 0]), margin=0.02
     )
-    assert c.signed_distance < 0
-    assert c.witness is not None
+    assert c.min_clearance_seen < 0
+    assert c.colliding
+    assert c.witness[0][0] == "left" and c.witness[1][0] == "right"
 
 
 def test_trajectory_vs_running_disjoint_clear():
@@ -73,7 +84,7 @@ def test_trajectory_vs_running_disjoint_clear():
     models = {"left": left, "right": right}
     cand = sweep_traj(right, [0.0, 0.0], [2.0, 0.5], "cand")
     running = RunningRecord(sweep_traj(left, [0.0, 0.0], [1.5, -0.5], "run"), start_time=0.0)
-    report = trajectory_vs_running(cand, running, now=0.5, params=CheckParams(), models=models)
+    report = running_check(cand, running, 0.5, CheckParams(), models)
     assert not report.colliding
     assert report.first_collision_time is None
 
@@ -83,7 +94,7 @@ def test_trajectory_vs_running_matches_dense_oracle(rng):
     for _ in range(15):
         cand, running_traj, start, now, params, models = crossing_case(rng)
         rec = RunningRecord(running_traj, start)
-        report = trajectory_vs_running(cand, rec, now, params, models)
+        report = running_check(cand, rec, now, params, models)
         ts, dense = dense_running_sweep(cand, rec, now, models, step=params.dt / 100)
         if dense.min() <= 0.0:
             assert report.colliding  # soundness under the margin/dt condition
@@ -102,7 +113,7 @@ def test_trajectory_vs_running_held_state():
     parked = sweep_traj(left, [np.pi / 2 - 0.8, 0.0], [np.pi / 2, 0.0], "run")  # ends at centre
     cand = sweep_traj(right, [-np.pi / 2 + 1.0, 0.0], [-np.pi / 2 - 1.0, 0.0], "cand")
     rec = RunningRecord(parked, start_time=0.0)
-    report = trajectory_vs_running(cand, rec, now=parked.duration + 5.0, params=CheckParams(), models=models)
+    report = running_check(cand, rec, parked.duration + 5.0, CheckParams(), models)
     assert report.colliding
 
 
@@ -118,16 +129,33 @@ def test_trajectory_vs_running_covers_parked_candidate():
     )
     # quick dart to the centre, parking inside the running arm's later sweep
     cand = sweep_traj(right, [-np.pi / 2 + 1.4, 0.0], [-np.pi / 2, 0.0], "cand")
-    report = trajectory_vs_running(cand, running, now=0.0, params=CheckParams(), models=models)
+    report = running_check(cand, running, 0.0, CheckParams(), models)
     assert report.colliding
     assert report.first_collision_time > cand.duration
+
+
+def test_candidate_sweep_rejects_own_group_and_future_records():
+    cand, running_traj, start, now, params, models = crossing_case(np.random.default_rng(3))
+    layout = scene_of(list(models.values()), [[0.0, 0.0], [0.0, 0.0]]).layout
+    with pytest.raises(ValueError):
+        candidate_sweep(cand, now, params, layout, [RunningRecord(cand, now)])
+    with pytest.raises(ValueError):
+        candidate_sweep(cand, now, params, layout, [RunningRecord(running_traj, now + 1.0)])
+
+
+def static_check(candidate, scene, postures=None):
+    """The candidate's check against the obstacles and every other, parked, arm."""
+    postures = scene.idle_postures if postures is None else postures
+    parked = {g: q for g, q in postures.items() if g != candidate.group_id}
+    (report,) = candidate_sweep(candidate, 0.0, CheckParams(), scene.layout, [], parked)
+    return report
 
 
 def test_trajectory_vs_static_empty_scene_clear():
     arm = planar_arm("arm", lengths=(1.0, 1.0))
     scene = scene_of([arm], [[0.0, 0.0]])
     cand = sweep_traj(arm, [-0.5, 0.0], [0.5, 0.0], "cand")
-    report = trajectory_vs_static(cand, scene, {"arm"}, CheckParams())
+    report = static_check(cand, scene)
     assert not report.colliding
 
 
@@ -136,7 +164,7 @@ def test_trajectory_vs_static_obstacle_on_path_midpoint():
     obstacle = PlacedPrimitive(Sphere((2.0, 0.0, 0.0), 0.1), ("static", 0))
     scene = scene_of([arm], [[-0.5, 0.0]], obstacles=[obstacle])
     cand = sweep_traj(arm, [-0.5, 0.0], [0.5, 0.0], "cand")  # tip passes (2,0,0) at midtime
-    report = trajectory_vs_static(cand, scene, {"arm"}, CheckParams())
+    report = static_check(cand, scene)
     assert report.colliding
     assert report.witness[1] == ("static", 0)
     # the sphere sits exactly on the midpoint of the tip's arc
@@ -147,7 +175,7 @@ def test_trajectory_vs_static_idle_arm_out_of_reach():
     left, right = facing_pair(gap=4.0)
     scene = scene_of([left, right], [[0.0, 0.0], [0.0, 0.0]])
     cand = sweep_traj(left, [0.0, 0.0], [1.0, 0.5], "cand")
-    report = trajectory_vs_static(cand, scene, {"left"}, CheckParams())
+    report = static_check(cand, scene)
     assert not report.colliding
 
 
@@ -155,10 +183,10 @@ def test_trajectory_vs_static_idle_posture_override():
     left, right = facing_pair(gap=1.5)
     scene = scene_of([left, right], [[np.pi / 2 - 1.0, 0.0], [-np.pi / 2 + 1.0, 0.0]])
     cand = sweep_traj(left, [np.pi / 2 - 1.0, 0.0], [np.pi / 2 + 1.0, 0.0], "cand")
-    assert not trajectory_vs_static(cand, scene, {"left"}, CheckParams()).colliding
+    assert not static_check(cand, scene).colliding
     # the right arm has since parked across the centre
     parked = {"right": JointState("right", [-np.pi / 2, 0.0]), "left": scene.idle_postures["left"]}
-    report = trajectory_vs_static(cand, scene, {"left"}, CheckParams(), idle_postures=parked)
+    report = static_check(cand, scene, parked)
     assert report.colliding
 
 
@@ -249,14 +277,10 @@ def test_composite_equals_pairwise_minimum(rng):
             "right": JointState("right", rng.uniform(-2, 2, 2)),
         }
         combined = composite_state_check(states, scene, margin)
-        pair = state_pair_check(left, states["left"], right, states["right"], margin)
-        statics = []
-        for g in ("left", "right"):
-            placed = forward_kinematics(scene.robots[g], states[g])
-            statics.extend(
-                primitive_clearance(p, obstacle).signed_distance for p in placed
-            )
-        want = min([pair.signed_distance] + statics)
+        placed = {g: forward_kinematics(scene.robots[g], states[g]) for g in ("left", "right")}
+        pairs = [(pa, pb) for pa in placed["left"] for pb in placed["right"]]
+        pairs += [(p, obstacle) for g in ("left", "right") for p in placed[g]]
+        want = min(primitive_clearance(a, b).signed_distance for a, b in pairs)
         assert combined.min_clearance_seen == pytest.approx(want, abs=1e-12)
 
 
@@ -264,9 +288,9 @@ def test_margin_monotonicity(rng):
     for _ in range(10):
         cand, running_traj, start, now, params, models = crossing_case(rng)
         rec = RunningRecord(running_traj, start)
-        low = trajectory_vs_running(cand, rec, now, params, models)
+        low = running_check(cand, rec, now, params, models)
         bigger = CheckParams(dt=params.dt, margin=params.margin * 3)
-        high = trajectory_vs_running(cand, rec, now, bigger, models)
+        high = running_check(cand, rec, now, bigger, models)
         if low.colliding:
             assert high.colliding
 
@@ -275,8 +299,8 @@ def test_dt_monotonicity(rng):
     for _ in range(8):
         cand, running_traj, start, now, params, models = crossing_case(rng)
         rec = RunningRecord(running_traj, start)
-        coarse = trajectory_vs_running(cand, rec, now, params, models)
-        fine = trajectory_vs_running(
+        coarse = running_check(cand, rec, now, params, models)
+        fine = running_check(
             cand, rec, now, CheckParams(dt=params.dt / 4, margin=params.margin), models
         )
         assert fine.min_clearance_seen <= coarse.min_clearance_seen + 1e-12
@@ -285,8 +309,8 @@ def test_dt_monotonicity(rng):
 def test_swap_roles_verdicts_agree(rng):
     for _ in range(10):
         cand, running_traj, start, now, params, models = crossing_case(rng)
-        fwd = trajectory_vs_running(cand, RunningRecord(running_traj, now), now, params, models)
-        rev = trajectory_vs_running(running_traj, RunningRecord(cand, now), now, params, models)
+        fwd = running_check(cand, RunningRecord(running_traj, now), now, params, models)
+        rev = running_check(running_traj, RunningRecord(cand, now), now, params, models)
         assert fwd.colliding == rev.colliding
         if fwd.colliding:
             assert fwd.first_collision_time == pytest.approx(rev.first_collision_time, abs=params.dt)
@@ -319,3 +343,112 @@ def test_scene_validation():
             idle_postures={"arm": JointState("arm", [0, 0])},
             static_obstacles=[PlacedPrimitive(Sphere((0, 0, 0), 0.1), ("arm", 0))],
         )
+
+
+def brute_force_pairs(scene, states):
+    """(clearance, owner, owner) of every pair the monitor covers, in its
+    documented order, from primitive_clearance on forward_kinematics."""
+    groups = sorted(scene.robots)
+    placed = {g: forward_kinematics(scene.robots[g], states[g]) for g in groups}
+    out = []
+    for g in groups:
+        prims = placed[g]
+        for i in range(len(prims)):
+            for j in range(i + 1, len(prims)):
+                if (i, j) not in scene.robots[g].allowed_pairs:
+                    out.append((prims[i], prims[j]))
+    for a, ga in enumerate(groups):
+        for gb in groups[a + 1 :]:
+            out.extend((pa, pb) for pa in placed[ga] for pb in placed[gb])
+    for g in groups:
+        out.extend((pa, ps) for pa in placed[g] for ps in scene.static_obstacles)
+    return [(primitive_clearance(a, b).signed_distance, a.owner, b.owner) for a, b in out]
+
+
+def random_states(scene, rng, spread=1.0):
+    """In-limit states, drawn from the middle `spread` share of each range."""
+    states = {}
+    for g, m in scene.robots.items():
+        mid, half = (m._hi + m._lo) / 2.0, (m._hi - m._lo) / 2.0
+        states[g] = JointState(g, mid + spread * rng.uniform(-half, half))
+    return states
+
+
+def planar_ring(arms=16, radius=2.0):
+    """Planar 3-link arms on a ring, bases facing the centre, around an obstacle."""
+    models = []
+    for k in range(arms):
+        angle = 2.0 * np.pi * k / arms
+        base = (radius * np.cos(angle), radius * np.sin(angle), 0.0)
+        models.append(
+            planar_arm(
+                f"arm{k:02d}", base, lengths=(0.35, 0.3, 0.25), radius=0.04,
+                limits=(-1.3, 1.3), base_rpy=(0.0, 0.0, angle + np.pi),
+            )
+        )
+    obstacle = PlacedPrimitive(Sphere((0.0, 0.0, 0.0), 0.6), ("static", 0))
+    return scene_of(models, [[0.0, 0.0, 0.0]] * arms, obstacles=[obstacle])
+
+
+@pytest.mark.parametrize("name", ["panda_like_shared", "ring16"])
+def test_composite_matches_brute_force_oracle(name, rng):
+    if name == "ring16":
+        scene, margin, samples = planar_ring(), 0.05, 12
+    else:
+        scene, margin, samples = load_scenario(fixture_path(f"{name}.json")).scene, 0.02, 40
+    seen = {True: 0, False: 0}
+    for k in range(samples):
+        states = random_states(scene, rng, spread=(0.2, 1.0)[k % 2])
+        pairs = brute_force_pairs(scene, states)
+        values = np.array([c for c, _, _ in pairs])
+        best = float(values.min())
+        # crossing planar links all give -(r_a + r_b): the witness is one of
+        # the pairs at the minimum, up to rounding
+        tied = [owners for c, *owners in pairs if c <= best + 1e-12]
+        # with a margin spanning the workspace no pair is pruned: exact agreement
+        wide = composite_state_check(states, scene, margin=100.0)
+        assert wide.min_clearance_seen == pytest.approx(best, abs=1e-12)
+        assert list(wide.witness) in tied
+        report = composite_state_check(states, scene, margin)
+        assert report.colliding == (best <= margin)
+        seen[report.colliding] += 1
+        if report.colliding:
+            assert report.min_clearance_seen == pytest.approx(best, abs=1e-12)
+            assert list(report.witness) in tied
+        else:
+            assert report.min_clearance_seen >= best - 1e-12
+    assert seen[True] and seen[False]  # both verdicts exercised
+
+
+def test_candidate_sweep_matches_separate_checks(rng):
+    # one sweep over two running arms with different horizons, a parked arm
+    # and an obstacle gives the verdicts of the separate checks
+    hits = 0
+    for _ in range(12):
+        cand, running_traj, start, now, params, models = crossing_case(rng)
+        far = planar_arm("far", (4.0, 0.0, 0.0), lengths=(0.5, 0.5))
+        parked = planar_arm("park", (float(rng.uniform(-1.2, -0.8)), 0.0, 0.0), lengths=(0.5, 0.4))
+        obstacle = PlacedPrimitive(Sphere((float(rng.uniform(0.3, 1.0)), 0.0, 0.0), 0.1), ("static", 0))
+        scene = scene_of(
+            [models["left"], models["right"], far, parked],
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float(rng.uniform(-0.6, 0.6)), 0.0]],
+            obstacles=[obstacle],
+        )
+        records = [
+            RunningRecord(running_traj, start),
+            RunningRecord(sweep_traj(far, [0.0, 0.0], [float(rng.uniform(0.1, 3.0)), 0.0], "far"), now),
+        ]
+        idle = {"park": scene.idle_postures["park"]}
+        reports = candidate_sweep(cand, now, params, scene.layout, records, idle)
+        assert len(reports) == 3
+        for rec, got in zip(records, reports):
+            models = {g: scene.robots[g] for g in (cand.group_id, rec.trajectory.group_id)}
+            want = running_check(cand, rec, now, params, models)
+            assert got.colliding == want.colliding
+            assert got.first_collision_time == want.first_collision_time
+            assert got.witness == want.witness
+            assert got.min_clearance_seen == pytest.approx(want.min_clearance_seen, abs=1e-12)
+        (want,) = candidate_sweep(cand, now, params, scene.layout, [], idle)
+        assert reports[2] == want
+        hits += reports[0].colliding + reports[2].colliding
+    assert hits >= 4

@@ -128,6 +128,18 @@ def test_timeout_abort_at_deadline():
     assert abs(st.at - 2.0) <= 0.01 + 1e-9
 
 
+def test_no_admission_at_or_past_deadline_when_blocker_completes_on_that_tick():
+    left, right, scene = disjoint_setup()
+    mgr = manager(scene)
+    mgr.submit(sweep_traj(left, [0, 0], [2, 0], "first"), timeout=30.0)  # 2 s from 0.01
+    h = mgr.submit(sweep_traj(left, [2, 0], [3, 0], "second"), timeout=2.009999)
+    tick_until(mgr, lambda: mgr.status(h).terminal)
+    st = mgr.status(h)
+    assert st.kind is StatusKind.ABORTED_TIMEOUT
+    assert st.at == pytest.approx(2.01)
+    assert not any(e.kind in ("REQUEUED", "ADMITTED") and e.trajectory_id == "second" for e in mgr.events)
+
+
 def test_cancel_backlogged_and_terminal():
     left, right, scene, tl, tr = crossing_setup()
     mgr = manager(scene)

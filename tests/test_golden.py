@@ -1,0 +1,31 @@
+"""Pinned event logs of the shipped fixtures.
+
+The digests were recorded before the collision checks moved onto the flat
+clearance kernel. Any change that moves a verdict, a witness, a printed
+clearance or a check count in a fixture run changes a digest; such a change
+must be a documented behaviour change, with the digests re-recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from multiarm import fixture_path, load_scenario, run
+
+DIGESTS = {
+    ("disjoint.json", "async"): "9656a6cd909545bde0935daa4ab139104f43e3d5adde33c11872b6df2b279e13",
+    ("disjoint.json", "sync"): "0f2c54c6b35e0e766f37572d12a45e0246afc418350d85ca3d0faa034ed58da0",
+    ("crossing.json", "async"): "0e87ed3fbca8e5c5a2f32ead33b03d9827c1d7de4ac1e63b3618f5e9e710ce3d",
+    ("crossing.json", "sync"): "a96945e55819d6fe3c1435f4d244504b26c36f43dff920ad19d521d75cd63e18",
+    ("timeout.json", "async"): "47b29c2945e2bafb035d56191690341d54ee8d8eb1bd9ff54e5bb2f6fa72ec75",
+    ("timeout.json", "sync"): "3e465dfbdffd33a69c3e98ee2ae745cbe71881648c1ecb23f2fa32d56bcfa554",
+    ("panda_like_shared.json", "async"): "1b897b5e73511ddf8492ff2e9ed1d4fa57a75c3d2f8d651091a9dee98f34867e",
+    ("panda_like_shared.json", "sync"): "20fe7f416d424f8d38c5e8944a29a7c5d82ac1293fcc389437d1300d53e4b336",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(DIGESTS))
+def test_fixture_event_log_matches_pinned_digest(name, mode):
+    result = run(load_scenario(fixture_path(name)), mode)
+    log = "".join(line + "\n" for line in result.lines).encode()
+    assert hashlib.sha256(log).hexdigest() == DIGESTS[(name, mode)]

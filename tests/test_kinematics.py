@@ -14,10 +14,12 @@ from multiarm import (
     pose,
     within_limits,
 )
+from multiarm import fixture_path, load_scenario
+from multiarm.collision import Layout
 from multiarm.kinematics import placed_segments, rotation_about_axis, rpy_matrix
 
 from conftest import planar_arm
-from oracles import finite_difference_speeds, planar_chain_points
+from oracles import finite_difference_speeds, loop_placed_segments, planar_chain_points
 
 
 def two_link(lengths=(1.0, 1.0)):
@@ -72,6 +74,35 @@ def test_fk_determinism_bit_identical():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.shape.p0, pb.shape.p0)
         assert np.array_equal(pa.shape.p1, pb.shape.p1)
+
+
+def test_batched_placement_is_bit_identical_to_joint_by_joint_fk(rng):
+    # arms of two structures, in an order that interleaves their stacks
+    panda = load_scenario(fixture_path("panda_like_shared.json")).scene.robots
+    models = dict(panda)
+    for k in range(3):
+        models[f"p{k}"] = planar_arm(f"p{k}", (k, 1.0, 0.0), base_rpy=(0.0, 0.3 * k, 0.7 * k))
+    groups = ["p2", "arm_b", "p0", "arm_a", "p1"]
+    q = [rng.uniform(models[g]._lo, models[g]._hi, size=(7, models[g].n_joints)) for g in groups]
+    p0, p1 = Layout(models, []).place_arms(groups, q)
+    row = 0
+    for g, qg in zip(groups, q):
+        want0, want1 = loop_placed_segments(models[g], qg)
+        single0, single1, _ = placed_segments(models[g], qg)
+        n = models[g].n_links
+        for got, want in ((p0[:, row : row + n], want0), (p1[:, row : row + n], want1)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(single0, want0) and np.array_equal(single1, want1)
+        row += n
+    assert row == p0.shape[1]
+
+
+def test_batched_placement_checks_states():
+    layout = Layout({"a": two_link(), "b": planar_arm("b", lengths=(1.0,))}, [])
+    with pytest.raises(DimensionMismatch):
+        layout.place_arms(["a", "b"], [np.zeros((1, 2)), np.zeros((1, 2))])
+    with pytest.raises(JointLimitViolation, match="^a:"):
+        layout.place_arms(["b", "a"], [np.zeros((1, 1)), np.array([[3.3, 0.0]])])
 
 
 def test_rigid_body_consistency(rng):

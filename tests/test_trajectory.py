@@ -5,12 +5,11 @@ from multiarm import (
     JointTrajectory,
     NegativeTime,
     NonPositiveStep,
-    discretize,
     state_at,
     time_grid,
     validate,
 )
-from multiarm.trajectory import states_at
+from multiarm.trajectory import grid_size, states_at
 
 from conftest import planar_arm
 
@@ -118,6 +117,7 @@ def test_time_grid_properties(rng):
         horizon = float(rng.uniform(0.0, 5.0))
         dt = float(rng.uniform(0.01, 1.0))
         ts = time_grid(horizon, dt)
+        assert grid_size(horizon, dt) == len(ts)
         assert ts[0] == 0.0
         assert ts[-1] == horizon
         assert np.all(np.diff(ts) > 0)
@@ -136,24 +136,30 @@ def test_time_grid_tiny_horizon_keeps_origin():
     assert ts[-1] == 1e-12
 
 
+def discretize(t, dt, horizon):
+    """A trajectory sampled the way the collision checks sample it."""
+    ts = time_grid(horizon, dt)
+    return ts, states_at(t, ts)
+
+
 def test_discretize_endpoint_forced():
     t = traj([(0.0, [0.0]), (1.0, [1.0])])
-    samples = discretize(t, 0.4, 1.0)
-    assert [s.time for s in samples] == pytest.approx([0.0, 0.4, 0.8, 1.0])
+    ts, _ = discretize(t, 0.4, 1.0)
+    assert ts == pytest.approx([0.0, 0.4, 0.8, 1.0])
 
 
 def test_discretize_held_past_duration():
     t = traj([(0.0, [0.0]), (0.3, [3.0])])
-    samples = discretize(t, 0.5, 1.0)
-    assert [s.time for s in samples] == pytest.approx([0.0, 0.5, 1.0])
-    assert samples[1].state.positions[0] == pytest.approx(3.0)
-    assert samples[2].state.positions[0] == pytest.approx(3.0)
+    ts, qs = discretize(t, 0.5, 1.0)
+    assert ts == pytest.approx([0.0, 0.5, 1.0])
+    assert qs[1, 0] == pytest.approx(3.0)
+    assert qs[2, 0] == pytest.approx(3.0)
 
 
 def test_discretize_matches_state_at(rng):
     t = traj([(0.0, [0, 0]), (1.0, [1, -1]), (3.0, [1, 3])])
-    for s in discretize(t, 0.17, 4.0):
-        assert np.allclose(s.state.positions, state_at(t, s.time).positions)
+    for time, q in zip(*discretize(t, 0.17, 4.0)):
+        assert np.allclose(q, state_at(t, time).positions)
 
 
 def test_discretize_rejects_bad_step():
