@@ -30,7 +30,6 @@ from .geometry import (
     Clearance,
     PlacedPrimitive,
     Sphere,
-    broadphase_pairs,
     primitive_clearance,
     segment_segment_distance,
 )

@@ -4,11 +4,19 @@ New submissions enter a continuous queue. On every tick the manager, in fixed
 order: completes finished trajectories, moves backlog entries whose blockers
 terminated back into the queue unless their deadline has come, aborts backlog
 entries at or past their deadline,
-drains the queue through the collision gate (admit or backlog), and runs the
+drains the queue through the collision gate (admit or backlog; a new
+submission whose timeout ran out before its first tick aborts), and runs the
 periodic composite-state monitor. Admission may fail against a running
 trajectory (blocker = its id), against another arm parked in the way
 (blocker "idle:<group>", re-checked when that arm's posture changes), or
 against a static obstacle (blocker "static", which only a timeout clears).
+
+Each group keeps a chain: its unfinished entries in submission order. Only
+the head of a chain may run; any later entry that reaches the gate is
+backlogged behind the head, so a group's tasks never overtake each other.
+An entry leaves its chain when it ends, whichever way it ends, and the run
+is over when every chain is empty. An arm leaves the running set, by
+completion, cancel or halt, parked where its trajectory has it.
 
 The clock is simulated: controllers track trajectories perfectly and the
 clock advances only through tick(). Identical inputs produce byte-identical
@@ -160,6 +168,7 @@ class ExecutionManager:
         self._entries: dict[str, _Entry] = {}
         self._queue: deque[_Entry] = deque()
         self._backlog: list[_Entry] = []
+        self._chains: dict[str, deque[_Entry]] = {g: deque() for g in scene.robots}
         self._running: dict[str, tuple[_Entry, RunningRecord]] = {}
         self._postures: dict[str, JointState] = dict(scene.idle_postures)
         self._posture_version: dict[str, int] = {g: 0 for g in scene.robots}
@@ -208,7 +217,7 @@ class ExecutionManager:
 
     def all_terminal(self) -> bool:
         with self._lock:
-            return all(e.status.terminal for e in self._entries.values())
+            return not any(self._chains.values())
 
     def current_states(self) -> dict[str, JointState]:
         """Consolidated state: running groups interpolated, others held."""
@@ -246,6 +255,7 @@ class ExecutionManager:
             )
             self._seq += 1
             self._entries[handle.id] = entry
+            self._chains[traj.group_id].append(entry)
             self._queue.append(entry)
             self._event("SUBMITTED", entry, f"group={traj.group_id};timeout={timeout:.6f}")
             return handle
@@ -260,19 +270,15 @@ class ExecutionManager:
             entry = self._lookup(handle)
             if entry.status.terminal:
                 return entry.status
-            g = entry.handle.group_id
             start_time = entry.status.start_time
             if entry.status.kind is StatusKind.RUNNING:
-                _, rec = self._running.pop(g)
-                frozen = state_at(rec.trajectory, max(0.0, self.clock - rec.start_time))
-                self._postures[g] = frozen
-                self._posture_version[g] += 1
+                self._stop(entry.handle.group_id, self.clock - start_time)
             elif entry.status.kind is StatusKind.PENDING:
                 self._queue.remove(entry)
             elif entry.status.kind is StatusKind.BACKLOGGED:
                 self._backlog.remove(entry)
-            entry.status = ExecStatus(StatusKind.CANCELLED, start_time=start_time)
-            self._event("CANCELLED", entry, "reason=user")
+            self._finish(entry, "CANCELLED", "reason=user", StatusKind.CANCELLED,
+                         start_time=start_time)
             return entry.status
 
     def tick(self) -> list[Event]:
@@ -293,13 +299,9 @@ class ExecutionManager:
         for g in list(self._running):
             entry, rec = self._running[g]
             if rec.start_time + rec.trajectory.duration <= clock + _CLOCK_EPS:
-                del self._running[g]
-                self._postures[g] = JointState(g, rec.trajectory.positions[-1])
-                self._posture_version[g] += 1
-                entry.status = ExecStatus(
-                    StatusKind.SUCCEEDED, start_time=rec.start_time, finish=clock
-                )
-                self._event("COMPLETED", entry, f"finish={clock:.6f}")
+                self._stop(g, rec.trajectory.duration)
+                self._finish(entry, "COMPLETED", f"finish={clock:.6f}", StatusKind.SUCCEEDED,
+                             start_time=rec.start_time, finish=clock)
 
         # 2) re-queue backlog entries whose blockers went away; an entry at
         # or past its deadline stays for step 3 to abort
@@ -321,8 +323,7 @@ class ExecutionManager:
         for entry in list(self._backlog):
             if clock + _CLOCK_EPS >= entry.deadline:
                 self._backlog.remove(entry)
-                entry.status = ExecStatus(StatusKind.ABORTED_TIMEOUT, at=clock)
-                self._event("TIMEOUT_ABORT", entry, f"deadline={entry.deadline:.6f}")
+                self._timeout(entry, clock)
 
         # 4) drain the continuous queue through the collision gate
         while self._queue:
@@ -336,18 +337,10 @@ class ExecutionManager:
             if report.colliding:
                 witness = f"{owner_str(report.witness[0])}|{owner_str(report.witness[1])}"
                 detail = f"witness={witness};clearance={report.min_clearance_seen:.9f}"
-                for g in list(self._running):
-                    entry, rec = self._running.pop(g)
-                    frozen = state_at(rec.trajectory, max(0.0, clock - rec.start_time))
-                    self._postures[g] = frozen
-                    self._posture_version[g] += 1
-                    entry.status = ExecStatus(
-                        StatusKind.ABORTED_COLLISION,
-                        start_time=rec.start_time,
-                        at=clock,
-                        witness=report.witness,
-                    )
-                    self._event("COLLISION_HALT", entry, detail)
+                for g, (entry, rec) in list(self._running.items()):
+                    self._stop(g, clock - rec.start_time)
+                    self._finish(entry, "COLLISION_HALT", detail, StatusKind.ABORTED_COLLISION,
+                                 start_time=rec.start_time, at=clock, witness=report.witness)
 
         return self.events[first_new:]
 
@@ -364,17 +357,17 @@ class ExecutionManager:
             Event(clock=self.clock, kind=kind, trajectory_id=entry.trajectory.id, detail=detail)
         )
 
-    def _earlier_active(self, entry: _Entry) -> _Entry | None:
-        """Oldest non-terminal same-group entry submitted before this one."""
-        for other in self._entries.values():
-            if (
-                other.seq < entry.seq
-                and other.handle.group_id == entry.handle.group_id
-                and not other.status.terminal
-                and other is not entry
-            ):
-                return other
-        return None
+    def _stop(self, g: str, elapsed: float):
+        """Take group g off the running set, parked `elapsed` s into its trajectory."""
+        _, rec = self._running.pop(g)
+        self._postures[g] = state_at(rec.trajectory, elapsed)
+        self._posture_version[g] += 1
+
+    def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
+        """The one terminal transition: final status, out of the chain, logged."""
+        entry.status = ExecStatus(kind, **status)
+        self._chains[entry.handle.group_id].remove(entry)
+        self._event(event, entry, detail)
 
     def _requeue_trigger(self, entry: _Entry) -> str | None:
         for token in entry.blocker_tokens:
@@ -398,15 +391,25 @@ class ExecutionManager:
             f";checks={checks};states={states}",
         )
 
+    def _timeout(self, entry: _Entry, clock: float):
+        self._finish(entry, "TIMEOUT_ABORT", f"deadline={entry.deadline:.6f}",
+                     StatusKind.ABORTED_TIMEOUT, at=clock)
+
     def _try_admit(self, entry: _Entry, clock: float):
         g = entry.handle.group_id
 
+        # step 2 requeues only entries before their deadline, so this is a
+        # new submission with a timeout shorter than the wait for its tick
+        if clock + _CLOCK_EPS >= entry.deadline:
+            self._timeout(entry, clock)
+            return
+
         # one controller per group, in per-group submission order: an entry
-        # is blocked by the oldest unfinished same-group entry (running or
-        # not), so later submissions never overtake a group's task chain
-        predecessor = self._earlier_active(entry)
-        if predecessor is not None:
-            self._to_backlog(entry, (("traj", predecessor),), 0, 0)
+        # is blocked by the head of its group's chain (running or not), so
+        # later submissions never overtake a group's task chain
+        head = self._chains[g][0]
+        if head is not entry:
+            self._to_backlog(entry, (("traj", head),), 0, 0)
             return
         # synchronous baseline: anything running blocks admission
         if self.serialized and self._running:
@@ -418,8 +421,7 @@ class ExecutionManager:
         # and the trajectory needs replanning
         hold = self._postures[g].positions
         if np.max(np.abs(entry.trajectory.positions[0] - hold)) > _START_TOL:
-            entry.status = ExecStatus(StatusKind.CANCELLED)
-            self._event("CANCELLED", entry, "reason=mismatched_start")
+            self._finish(entry, "CANCELLED", "reason=mismatched_start", StatusKind.CANCELLED)
             return
 
         # one sweep against every running arm, then the obstacles and parked

@@ -190,20 +190,3 @@ def pair_clearances(p0, p1, radii, ii, jj, margin: float) -> np.ndarray:
         dist = segment_distance(p0[t, a], p1[t, a], p0[t, b], p1[t, b])
         clear[t, k] = dist - radii[a] - radii[b]
     return clear
-
-
-def broadphase_pairs(
-    set_a: list[PlacedPrimitive], set_b: list[PlacedPrimitive], margin: float
-) -> list[tuple[int, int]]:
-    """Index pairs whose AABBs, each inflated by margin/2, overlap.
-
-    Guaranteed superset of the pairs whose signed clearance is <= margin: if
-    surfaces come within `margin`, the midpoint between the closest surface
-    points lies inside both inflated boxes.
-    """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    p0, p1, radii = segments_of(set_a + set_b)
-    ii, jj = np.divmod(np.arange(len(set_a) * len(set_b)), max(1, len(set_b)))
-    near = np.isfinite(pair_clearances(p0[None], p1[None], radii, ii, jj + len(set_a), margin)[0])
-    return [(int(i), int(j)) for i, j in zip(ii[near], jj[near])]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .collision import CheckParams, Scene, pair_clearances
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
-from .executor import Event, ExecutionManager, ExecStatus, ExecHandle
+from .executor import ExecutionManager, ExecStatus, ExecHandle
 from .geometry import Capsule, PlacedPrimitive, Sphere
 from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, pose, within_limits
 from .trajectory import JointTrajectory, states_at, time_grid
@@ -101,7 +101,6 @@ class Metrics:
 @dataclass(eq=False)
 class RunResult:
     metrics: Metrics
-    events: list[Event]
     lines: list[str]
     trajectories: dict[str, JointTrajectory]
     statuses: dict[str, ExecStatus]
@@ -204,7 +203,6 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     statuses = {h.id: mgr.status(h) for h in handles}
     return RunResult(
         metrics=metrics_from_events(lines, mode),
-        events=list(mgr.events),
         lines=lines,
         trajectories={t.id: t for t in trajectories},
         statuses=statuses,
@@ -228,7 +226,7 @@ def metrics_from_events(lines, mode: str) -> Metrics:
     The per-group execution lower bound (for the overhead column) uses
     admitted-to-completed spans, so everything derives from the log.
     """
-    parsed = [parse_event_line(l) if isinstance(l, str) else parse_event_line(l.line()) for l in lines]
+    parsed = [parse_event_line(line) for line in lines]
     submitted: dict[str, float] = {}
     groups: dict[str, str] = {}
     admitted: dict[str, float] = {}

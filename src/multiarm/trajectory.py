@@ -30,12 +30,11 @@ def _next_id() -> str:
 
 @dataclass(eq=False)
 class JointTrajectory:
-    """Waypoints (time_from_start, positions[, velocities]) for one group."""
+    """Waypoints (time_from_start, positions) for one group."""
 
     group_id: str
     times: np.ndarray
     positions: np.ndarray
-    velocities: np.ndarray | None = None
     id: str = field(default_factory=_next_id)
 
     def __post_init__(self):
@@ -45,22 +44,14 @@ class JointTrajectory:
             raise ValueError("positions must be (n_waypoints, n_joints)")
         if len(self.times) == 0:
             raise ValueError("a trajectory needs at least one waypoint")
-        if self.velocities is not None:
-            self.velocities = np.asarray(self.velocities, dtype=float)
-            if self.velocities.shape != self.positions.shape:
-                raise ValueError("velocities must match positions shape")
 
     @classmethod
     def from_waypoints(cls, group_id: str, waypoints, traj_id: str | None = None):
-        """Build from [(time, positions), ...] or [(time, positions, velocities), ...]."""
+        """Build from [(time, positions), ...]."""
         times = [w[0] for w in waypoints]
         positions = [w[1] for w in waypoints]
-        velocities = None
-        if waypoints and len(waypoints[0]) > 2:
-            velocities = [w[2] for w in waypoints]
         kwargs = {} if traj_id is None else {"id": traj_id}
-        return cls(group_id=group_id, times=times, positions=positions,
-                   velocities=velocities, **kwargs)
+        return cls(group_id=group_id, times=times, positions=positions, **kwargs)
 
     @property
     def duration(self) -> float:

@@ -140,6 +140,18 @@ def test_no_admission_at_or_past_deadline_when_blocker_completes_on_that_tick():
     assert not any(e.kind in ("REQUEUED", "ADMITTED") and e.trajectory_id == "second" for e in mgr.events)
 
 
+def test_timeout_shorter_than_a_tick_aborts_before_admission():
+    left, right, scene = disjoint_setup()
+    mgr = manager(scene, tick_length=0.05)
+    h = mgr.submit(sweep_traj(left, [0, 0], [1, 0], "t"), timeout=0.02)
+    mgr.tick()
+    st = mgr.status(h)
+    assert st.kind is StatusKind.ABORTED_TIMEOUT
+    assert st.at == pytest.approx(0.05)
+    assert [e.kind for e in mgr.events] == ["SUBMITTED", "TIMEOUT_ABORT"]
+    assert mgr.all_terminal()
+
+
 def test_cancel_backlogged_and_terminal():
     left, right, scene, tl, tr = crossing_setup()
     mgr = manager(scene)
@@ -206,6 +218,42 @@ def test_chained_tasks_defer_to_predecessor():
     tick_until(mgr, lambda: mgr.all_terminal())
     assert mgr.status(h2).kind is StatusKind.SUCCEEDED
     assert mgr.status(h2).start_time >= mgr.status(h1).finish
+
+
+@pytest.mark.parametrize("leave", ["cancel", "timeout"])
+def test_chain_head_blocks_a_later_entry_after_the_middle_one_left(leave):
+    left, right, scene = disjoint_setup()
+    mgr = manager(scene)
+    h1 = mgr.submit(sweep_traj(left, [0, 0], [1, 0], "head"), timeout=30.0)
+    middle_timeout = 0.5 if leave == "timeout" else 30.0
+    h2 = mgr.submit(sweep_traj(left, [1, 0], [2, 0], "middle"), timeout=middle_timeout)
+    mgr.tick()
+    assert mgr.status(h2).kind is StatusKind.BACKLOGGED
+    if leave == "cancel":
+        mgr.cancel(h2)
+        assert mgr.status(h2).kind is StatusKind.CANCELLED
+    else:
+        tick_until(mgr, lambda: mgr.status(h2).terminal)
+        assert mgr.status(h2).kind is StatusKind.ABORTED_TIMEOUT
+    assert mgr.status(h1).kind is StatusKind.RUNNING
+    h3 = mgr.submit(sweep_traj(left, [1, 0], [0, 0], "last"), timeout=30.0)
+    mgr.tick()
+    assert mgr.status(h3).blockers == frozenset({"head"})
+
+    handles = (h1, h2, h3)
+    while True:
+        assert not mgr.all_terminal()
+        mgr.tick()
+        ended = all(mgr.status(h).terminal for h in handles)
+        assert mgr.all_terminal() == ended
+        if ended:
+            break
+        assert mgr.tick_index < 1000
+    assert mgr.status(h3).kind is StatusKind.SUCCEEDED
+    assert mgr.status(h3).finish == mgr.clock
+    requeues = [(e.clock, e.detail) for e in mgr.events
+                if e.kind == "REQUEUED" and e.trajectory_id == "last"]
+    assert requeues == [(mgr.status(h1).finish, "trigger=head")]
 
 
 def hub_and_pokes_setup():

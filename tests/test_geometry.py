@@ -6,7 +6,7 @@ from multiarm import (
     NonFiniteInput,
     PlacedPrimitive,
     Sphere,
-    broadphase_pairs,
+    pair_clearances,
     primitive_clearance,
     segment_segment_distance,
 )
@@ -124,12 +124,20 @@ def test_grid_oracle_agreement(rng):
     assert np.max(np.abs(got - want)) < 1e-4
 
 
+def cross_clearances(set_a, set_b, margin):
+    """The kernel over every (a, b) pair of two primitive sets, shape (|a|, |b|)."""
+    p0, p1, radii = segments_of(set_a + set_b)
+    ii, jj = np.divmod(np.arange(len(set_a) * len(set_b)), len(set_b))
+    clear = pair_clearances(p0[None], p1[None], radii, ii, jj + len(set_a), margin)
+    return clear.reshape(len(set_a), len(set_b))
+
+
 def test_broadphase_trivial():
     far_a = [PlacedPrimitive(Sphere((0, 0, 0), 0.1), ("a", 0))]
     far_b = [PlacedPrimitive(Sphere((10, 0, 0), 0.1), ("b", 0))]
-    assert broadphase_pairs(far_a, far_b, 0.01) == []
+    assert cross_clearances(far_a, far_b, 0.01)[0, 0] == np.inf
     near_b = [PlacedPrimitive(Sphere((0.05, 0, 0), 0.1), ("b", 0))]
-    assert broadphase_pairs(far_a, near_b, 0.01) == [(0, 0)]
+    assert cross_clearances(far_a, near_b, 0.01)[0, 0] == pytest.approx(-0.15)
 
 
 def test_broadphase_superset_of_close_pairs(rng):
@@ -137,14 +145,9 @@ def test_broadphase_superset_of_close_pairs(rng):
         set_a = [random_primitive(rng, owner=("a", i)) for i in range(n)]
         set_b = [random_primitive(rng, owner=("b", i)) for i in range(n)]
         margin = 0.05
-        reported = set(broadphase_pairs(set_a, set_b, margin))
-        for pair in exhaustive_close_pairs(set_a, set_b, margin):
-            assert pair in reported
-
-
-def test_broadphase_rejects_negative_margin():
-    with pytest.raises(ValueError):
-        broadphase_pairs([], [], -0.1)
+        clear = cross_clearances(set_a, set_b, margin)
+        for i, j in exhaustive_close_pairs(set_a, set_b, margin):
+            assert np.isfinite(clear[i, j])
 
 
 def test_aabb_covers_capsule():

@@ -183,12 +183,3 @@ def test_trajectory_shape_validation():
         JointTrajectory("arm", [0.0, 1.0], [[0.0, 0.0]])
     with pytest.raises(ValueError):
         JointTrajectory("arm", [], np.zeros((0, 2)))
-
-
-def test_velocities_carried_but_optional():
-    t = traj([(0.0, [0.0], [0.5]), (1.0, [0.5], [0.5])])
-    assert t.velocities.shape == (2, 1)
-    # interpolation stays piecewise linear regardless of stored velocities
-    assert state_at(t, 0.5).positions[0] == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        JointTrajectory("arm", [0.0, 1.0], [[0.0], [1.0]], velocities=[[0.0]])
