@@ -7,11 +7,15 @@ cancellation), 3 if the online monitor halted execution.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .errors import MultiArmError
+from .errors import MultiArmError, ScenarioInvalid
 from .executor import StatusKind
-from .harness import load_scenario, run, with_overrides, write_events, write_metrics
+from .harness import Scenario, run, scenario_from_dict, write_events, write_metrics
+
+# scenario params keys, each overridden by the option whose argparse dest it is
+PARAMS = ("time_step", "tick", "margin", "default_timeout", "monitor_period")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collision-check discretization step [s]")
     runp.add_argument("--tick", type=float, default=None, help="simulation tick length [s]")
     runp.add_argument("--margin", type=float, default=None, help="clearance margin [m]")
-    runp.add_argument("--backlog-timeout", type=float, default=None,
+    runp.add_argument("--backlog-timeout", dest="default_timeout", type=float, default=None,
                       help="default backlog timeout for tasks without one [s]")
     runp.add_argument("--monitor-period", type=int, default=None,
                       help="online monitor period [ticks]")
@@ -35,19 +39,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def read_scenario(args) -> Scenario:
+    """The scenario file, with the params given as options written into its
+    params mapping, so that one loader validates file and options alike."""
+    with open(args.scenario) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ScenarioInvalid(f"{args.scenario} is not a JSON document: {exc}") from exc
+    given = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
+    if given and isinstance(data, dict) and isinstance(data.get("params", {}), dict):
+        data["params"] = {**data.get("params", {}), **given}
+    return scenario_from_dict(data)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        scenario = with_overrides(
-            scenario,
-            time_step=args.time_step,
-            tick=args.tick,
-            margin=args.margin,
-            backlog_timeout=args.backlog_timeout,
-            monitor_period=args.monitor_period,
-        )
-        result = run(scenario, mode=args.mode)
+        result = run(read_scenario(args), mode=args.mode)
     except (MultiArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -118,8 +118,9 @@ def _report(times, clear, owners, ii, jj, margin) -> CollisionReport:
 class Layout:
     """Flat segment layout of a set of arms and the static obstacles.
 
-    Rows are the arms' links, arm by arm in sorted group order, then the
-    static obstacles. Arms that share joint count and link frames are placed
+    Rows are the arms' links, arm by arm in sorted group order (`rows[g]`),
+    then the static obstacles (`static_rows`); `owners` and `radii` cover
+    every row. Arms that share joint count and link frames are placed
     together by one ArmStack. The monitor's pair list is fixed here, in the
     order that defines its witness: the self pairs of each arm not exempted
     by allowed_pairs (arms in sorted order), then the cross pairs of arms
@@ -137,12 +138,15 @@ class Layout:
         for members in by_structure.values():
             stack = ArmStack([robots[g] for g in members])
             self._slot.update((g, (stack, i)) for i, g in enumerate(members))
-        self.statics = segments_of(static_obstacles)
-        self.static_owners = [p.owner for p in static_obstacles]
-        self.owners = self.owners_of(self.groups) + self.static_owners
-        self.radii = np.concatenate([self.radii_of(self.groups), self.statics[2]])
         starts = np.cumsum([0] + [robots[g].n_links for g in self.groups])
-        rows = [range(a, b) for a, b in zip(starts, starts[1:])]
+        self.rows = {g: range(a, b) for g, a, b in zip(self.groups, starts, starts[1:])}
+        self.static_rows = range(starts[-1], starts[-1] + len(static_obstacles))
+        s0, s1, sr = segments_of(static_obstacles)
+        self._static_ends = s0, s1
+        self.owners = [o for g in self.groups for o in robots[g].owners()]
+        self.owners += [p.owner for p in static_obstacles]
+        self.radii = np.concatenate([robots[g]._radii for g in self.groups] + [sr])
+        rows = [self.rows[g] for g in self.groups]
         pairs = [
             (r[i], r[j])
             for g, r in zip(self.groups, rows)
@@ -152,60 +156,42 @@ class Layout:
         ]
         self.n_self = len(pairs)
         pairs += [(i, j) for a, ra in enumerate(rows) for rb in rows[a + 1 :] for i in ra for j in rb]
-        pairs += [(i, j) for r in rows for i in r for j in range(starts[-1], len(self.owners))]
+        pairs += [(i, j) for r in rows for i in r for j in self.static_rows]
         self.ii, self.jj = np.array(pairs, dtype=int).reshape(-1, 2).T
 
-    def owners_of(self, groups) -> list[Owner]:
-        return [o for g in groups for o in self.robots[g].owners()]
+    def place(self, q: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """World endpoints (n, S, 3) of every row at n samples.
 
-    def radii_of(self, groups) -> np.ndarray:
-        return np.concatenate([np.zeros(0)] + [self.robots[g]._radii for g in groups])
-
-    def place_arms(self, groups, q) -> tuple[np.ndarray, np.ndarray]:
-        """World endpoints (n, S, 3) of the links of `groups`, arm by arm in that order.
-
-        q[k] is an (n, J) batch of configurations of groups[k]; each must fit
-        its arm's joint count and limits (with the rounding slack that
-        interpolated states need).
+        q[g] is an (n, J) batch of configurations of arm g, or a (1, J)
+        configuration held at every sample; each must fit the arm's joint
+        count and limits (with the rounding slack that interpolated states
+        need). The static rows are filled at every sample. The rows of arms
+        not in q stay NaN, so a check must not pair them.
         """
-        members: dict[ArmStack, list[int]] = {}
-        for k, g in enumerate(groups):
+        batches: dict[tuple[ArmStack, int], list[str]] = {}
+        for g, qg in q.items():
             if g not in self.robots:
                 raise UnknownGroup(f"no robot model for group '{g}'")
-            if np.shape(q[k])[-1] != self.robots[g].n_joints:
+            if np.shape(qg)[-1] != self.robots[g].n_joints:
                 raise DimensionMismatch(f"{g}: expected {self.robots[g].n_joints} joint values")
-            members.setdefault(self._slot[g][0], []).append(k)
-        starts = np.cumsum([0] + [self.robots[g].n_links for g in groups])
-        n = len(q[0]) if groups else 1
-        p0 = np.empty((n, starts[-1], 3))
-        p1 = np.empty((n, starts[-1], 3))
-        for stack, ks in members.items():
-            arms = [self._slot[groups[k]][1] for k in ks]
-            qs = np.stack([q[k] for k in ks])
+            batches.setdefault((self._slot[g][0], len(qg)), []).append(g)
+        n = max((len(qg) for qg in q.values()), default=1)
+        p0 = np.full((n, len(self.owners), 3), np.nan)
+        p1 = np.full((n, len(self.owners), 3), np.nan)
+        p0[:, self.static_rows], p1[:, self.static_rows] = self._static_ends
+        for (stack, length), groups in batches.items():
+            arms = [self._slot[g][1] for g in groups]
+            qs = np.stack([q[g] for g in groups])
             lo, hi = (stack.arrays[name][arms][:, None] for name in ("_lo", "_hi"))
             fits = (qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK)
             bad = np.nonzero(~np.all(fits, axis=(1, 2)))[0]
             if bad.size:
-                raise JointLimitViolation(f"{groups[ks[bad[0]]]}: state outside joint limits")
+                raise JointLimitViolation(f"{groups[bad[0]]}: state outside joint limits")
             a0, a1 = stack.place(qs, arms)
-            rows = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in ks])
-            p0[:, rows] = a0.swapaxes(0, 1).reshape(n, -1, 3)
-            p1[:, rows] = a1.swapaxes(0, 1).reshape(n, -1, 3)
+            rows = [i for g in groups for i in self.rows[g]]
+            p0[:, rows] = a0.swapaxes(0, 1).reshape(length, -1, 3)
+            p1[:, rows] = a1.swapaxes(0, 1).reshape(length, -1, 3)
         return p0, p1
-
-    def place(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """(n, S, 3) endpoints of every row, arm k at the (n, J) batch q[k]."""
-        p0, p1 = self.place_arms(self.groups, q)
-        s0, s1, _ = self.statics
-        return _held(p0, s0[None]), _held(p1, s1[None])
-
-
-def _held(rows: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """(n, S, 3) rows followed by the (1, F, 3) fixed rows, repeated at every sample."""
-    out = np.empty((rows.shape[0], rows.shape[1] + fixed.shape[1], 3))
-    out[:, : rows.shape[1]] = rows
-    out[:, rows.shape[1] :] = fixed
-    return out
 
 
 def candidate_sweep(
@@ -230,37 +216,31 @@ def candidate_sweep(
     is None, one for the static obstacles and the parked arms together.
     Times in the reports are relative to the candidate start.
     """
-    if any(r.trajectory.group_id == candidate.group_id or r.start_time > now + 1e-9 for r in running):
-        raise ValueError("running records must be of other groups and started by `now`")
+    fixed = sorted(parked or ())
+    groups = [candidate.group_id] + [rec.trajectory.group_id for rec in running] + fixed
+    if len(set(groups)) < len(groups) or any(rec.start_time > now + 1e-9 for rec in running):
+        raise ValueError("the candidate, running and parked arms must be distinct groups, "
+                         "and running records must have started by `now`")
     offsets = [max(0.0, now - rec.start_time) for rec in running]
     remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
-    moving = [candidate.group_id] + [rec.trajectory.group_id for rec in running]
-    q = [states_at(candidate, times)]
-    q += [states_at(rec.trajectory, o + times) for rec, o in zip(running, offsets)]
-    p0, p1 = layout.place_arms(moving, q)
-    owners, radii = layout.owners_of(moving), layout.radii_of(moving)
-    blocks = [[layout.robots[g].n_links] for g in moving[1:]]  # row counts of each block's bodies
+    q = {candidate.group_id: states_at(candidate, times)}
+    q.update((rec.trajectory.group_id, states_at(rec.trajectory, o + times))
+             for rec, o in zip(running, offsets))
+    q.update((g, parked[g].positions[None]) for g in fixed)
+    p0, p1 = layout.place(q)
+    blocks = [[layout.rows[rec.trajectory.group_id]] for rec in running]
     if parked is not None:
-        fixed = sorted(parked)
-        f0, f1 = layout.place_arms(fixed, [parked[g].positions[None] for g in fixed])
-        s0, s1, sr = layout.statics
-        p0 = _held(p0, np.concatenate([s0[None], f0], axis=1))
-        p1 = _held(p1, np.concatenate([s1[None], f1], axis=1))
-        owners += layout.static_owners + layout.owners_of(fixed)
-        radii = np.concatenate([radii, sr, layout.radii_of(fixed)])
-        blocks.append([len(sr)] + [layout.robots[g].n_links for g in fixed])
-    n_c = layout.robots[candidate.group_id].n_links
-    pairs, bounds, row = [], [0], n_c
+        blocks.append([layout.static_rows] + [layout.rows[g] for g in fixed])
+    own = layout.rows[candidate.group_id]
+    pairs, bounds = [], [0]
     for block in blocks:
-        for size in block:
-            pairs += [(i, j) for i in range(n_c) for j in range(row, row + size)]
-            row += size
+        pairs += [(i, j) for body in block for i in own for j in body]
         bounds.append(len(pairs))
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    clear = pair_clearances(p0, p1, radii, ii, jj, params.margin)
+    clear = pair_clearances(p0, p1, layout.radii, ii, jj, params.margin)
     return [
-        _report(times, clear[:, a:b], owners, ii[a:b], jj[a:b], params.margin)
+        _report(times, clear[:, a:b], layout.owners, ii[a:b], jj[a:b], params.margin)
         for a, b in zip(bounds, bounds[1:])
     ]
 
@@ -283,6 +263,6 @@ def composite_state_check(
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
     layout = scene.layout
-    p0, p1 = layout.place([states[g].positions[None] for g in layout.groups])
+    p0, p1 = layout.place({g: states[g].positions[None] for g in layout.groups})
     clear = pair_clearances(p0, p1, layout.radii, layout.ii, layout.jj, margin)
     return _report(np.zeros(1), clear, layout.owners, layout.ii, layout.jj, margin)

@@ -89,7 +89,6 @@ class ExecStatus:
     kind: StatusKind
     start_time: float | None = None
     blockers: frozenset[str] = frozenset()
-    deadline: float | None = None
     finish: float | None = None
     at: float | None = None
     witness: tuple[Owner, Owner] | None = None
@@ -122,7 +121,6 @@ class _Entry:
     handle: ExecHandle
     trajectory: JointTrajectory
     seq: int
-    submit_clock: float
     deadline: float
     status: ExecStatus
     blocker_tokens: tuple = ()
@@ -211,10 +209,6 @@ class ExecutionManager:
         with self._lock:
             return [e.line() for e in self.events]
 
-    def handles(self) -> list[ExecHandle]:
-        with self._lock:
-            return [e.handle for e in self._entries.values()]
-
     def all_terminal(self) -> bool:
         with self._lock:
             return not any(self._chains.values())
@@ -249,7 +243,6 @@ class ExecutionManager:
                 handle=handle,
                 trajectory=traj,
                 seq=self._seq,
-                submit_clock=self.clock,
                 deadline=self.clock + timeout,
                 status=ExecStatus(StatusKind.PENDING),
             )
@@ -380,9 +373,7 @@ class ExecutionManager:
     def _to_backlog(self, entry: _Entry, tokens: tuple, checks: int, states: int):
         labels = [_token_label(t) for t in tokens]
         entry.blocker_tokens = tokens
-        entry.status = ExecStatus(
-            StatusKind.BACKLOGGED, blockers=frozenset(labels), deadline=entry.deadline
-        )
+        entry.status = ExecStatus(StatusKind.BACKLOGGED, blockers=frozenset(labels))
         self._backlog.append(entry)
         self._event(
             "BACKLOGGED",

@@ -12,7 +12,6 @@ log, so emitted numbers are reproducible from the log alone.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import numbers
@@ -104,7 +103,6 @@ class RunResult:
     lines: list[str]
     trajectories: dict[str, JointTrajectory]
     statuses: dict[str, ExecStatus]
-    handles: list[ExecHandle]
 
 
 def plan_joint_line(
@@ -139,6 +137,8 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioInvalid(f"monitor_period must be an integer >= 1, got {period!r}")
     if not 0.0 < p.default_timeout < math.inf:
         raise ScenarioInvalid("default_timeout must be finite and > 0")
+    if not isinstance(p.check_static, bool):
+        raise ScenarioInvalid(f"check_static must be true or false, got {p.check_static!r}")
     for g, q in scenario.scene.idle_postures.items():
         if not within_limits(scenario.scene.robots[g], q):
             raise ScenarioInvalid(f"idle posture of '{g}' outside joint limits")
@@ -146,6 +146,8 @@ def validate_scenario(scenario: Scenario) -> None:
         if task.group_id not in scenario.scene.robots:
             raise ScenarioInvalid(f"task {i} references unknown group '{task.group_id}'")
         model = scenario.scene.robots[task.group_id]
+        if task.goal.positions.shape != (model.n_joints,):
+            raise ScenarioInvalid(f"task {i} goal needs {model.n_joints} joint values")
         if not within_limits(model, task.goal):
             raise ScenarioInvalid(f"task {i} goal outside joint limits")
         if not 0.0 <= task.submit_time < math.inf:
@@ -206,7 +208,6 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
         lines=lines,
         trajectories={t.id: t for t in trajectories},
         statuses=statuses,
-        handles=handles,
     )
 
 
@@ -341,7 +342,7 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
     step = max(1, _REPLAY_PAIR_SAMPLES // max(1, len(ii)))
     best = float("inf")
     for lo in range(0, len(ts), step):
-        p0, p1 = layout.place([motions[g][lo : lo + step] for g in layout.groups])
+        p0, p1 = layout.place({g: motions[g][lo : lo + step] for g in layout.groups})
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
         if clear.size:
             best = min(best, float(clear.min()))
@@ -374,7 +375,7 @@ def robot_from_dict(d: dict) -> tuple[RobotModel, JointState]:
             )
         )
         vlimits.append(float(j["velocity_limit"]))
-    links = [LinkGeometry(frame=int(l["joint"]), shape=_shape_from_dict(l)) for l in d["links"]]
+    links = [LinkGeometry(frame=l["joint"], shape=_shape_from_dict(l)) for l in d["links"]]
     base = d.get("base_pose", {})
     model = RobotModel(
         group_id=d["group_id"],
@@ -390,6 +391,8 @@ def robot_from_dict(d: dict) -> tuple[RobotModel, JointState]:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
+        if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+            raise ScenarioInvalid("a scenario and its params must be JSON objects")
         robots = {}
         idles = {}
         for rd in data["robots"]:
@@ -420,7 +423,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             tick_length=float(pd.get("tick", 0.01)),
             monitor_period=pd.get("monitor_period", 5),
             default_timeout=float(pd.get("default_timeout", 30.0)),
-            check_static=bool(pd.get("check_static", True)),
+            check_static=pd.get("check_static", True),
         )
         scenario = Scenario(scene=scene, tasks=tasks, seed=int(data.get("seed", 0)), params=params)
     except ScenarioInvalid:
@@ -440,30 +443,3 @@ def load_scenario(path) -> Scenario:
 def fixture_path(name: str) -> Path:
     """Path of one of the shipped scenario files (see FIXTURES)."""
     return Path(str(resources.files("multiarm").joinpath("scenarios", name)))
-
-
-def with_overrides(
-    scenario: Scenario,
-    time_step: float | None = None,
-    tick: float | None = None,
-    margin: float | None = None,
-    backlog_timeout: float | None = None,
-    monitor_period: int | None = None,
-) -> Scenario:
-    """Scenario copy with CLI-style parameter overrides applied."""
-    p = scenario.params
-    try:
-        check = CheckParams(
-            dt=p.check.dt if time_step is None else time_step,
-            margin=p.check.margin if margin is None else margin,
-        )
-    except ValueError as exc:
-        raise ScenarioInvalid(str(exc)) from exc
-    params = dataclasses.replace(
-        p,
-        check=check,
-        tick_length=p.tick_length if tick is None else tick,
-        monitor_period=p.monitor_period if monitor_period is None else monitor_period,
-        default_timeout=p.default_timeout if backlog_timeout is None else backlog_timeout,
-    )
-    return dataclasses.replace(scenario, params=params)

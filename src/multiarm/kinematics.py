@@ -9,6 +9,8 @@ API wraps the batch path.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,8 @@ def _skew(a) -> np.ndarray:
 def rpy_matrix(rpy) -> np.ndarray:
     """Rotation from roll-pitch-yaw (extrinsic x-y-z, i.e. Rz @ Ry @ Rx)."""
     r, p, y = (float(v) for v in rpy)
+    if not all(math.isfinite(v) for v in (r, p, y)):
+        raise ValueError("roll-pitch-yaw angles must be finite")
     rx = rotation_about_axis([1.0, 0.0, 0.0], r)
     ry = rotation_about_axis([0.0, 1.0, 0.0], p)
     rz = rotation_about_axis([0.0, 0.0, 1.0], y)
@@ -69,14 +73,14 @@ class JointSpec:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,):
             raise ValueError("joint axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
             raise ValueError("joint axis must have unit norm")
         origin = np.asarray(self.origin_offset, dtype=float)
-        if origin.shape != (4, 4):
-            raise ValueError("origin_offset must be a 4x4 transform")
+        if origin.shape != (4, 4) or not np.all(np.isfinite(origin)):
+            raise ValueError("origin_offset must be a finite 4x4 transform")
         lo, hi = (float(v) for v in self.position_limits)
-        if lo > hi:
-            raise ValueError("position limits must satisfy lo <= hi")
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError("position limits must be finite and satisfy lo <= hi")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "origin_offset", origin)
         object.__setattr__(self, "position_limits", (lo, hi))
@@ -129,16 +133,19 @@ class RobotModel:
 
     def __post_init__(self):
         self.base_pose = np.asarray(self.base_pose, dtype=float)
-        if self.base_pose.shape != (4, 4):
-            raise ValueError("base_pose must be a 4x4 transform")
+        if self.base_pose.shape != (4, 4) or not np.all(np.isfinite(self.base_pose)):
+            raise ValueError("base_pose must be a finite 4x4 transform")
         self.joint_velocity_limits = np.asarray(self.joint_velocity_limits, dtype=float).reshape(-1)
         if len(self.joint_velocity_limits) != len(self.joints):
             raise ValueError("need one velocity limit per joint")
         if not np.all((self.joint_velocity_limits > 0.0) & np.isfinite(self.joint_velocity_limits)):
             raise ValueError("velocity limits must be finite and > 0")
         for link in self.links:
-            if not 0 <= link.frame < len(self.joints):
-                raise ValueError(f"link frame {link.frame} out of range")
+            frame = link.frame
+            if isinstance(frame, bool) or not isinstance(frame, numbers.Integral):
+                raise ValueError(f"link frame must be a joint index, got {frame!r}")
+            if not 0 <= frame < len(self.joints):
+                raise ValueError(f"link frame {frame} out of range")
 
         self.allowed_pairs = {tuple(sorted(p)) for p in self.allowed_pairs}
         for i, j in self.allowed_pairs:
@@ -261,22 +268,13 @@ class ArmStack:
         return p0, p1
 
 
-def placed_segments(model: RobotModel, q_batch: np.ndarray):
-    """World endpoints of every link primitive for a batch of configurations.
-
-    Returns (p0, p1, radii) with shapes (n, L, 3), (n, L, 3), (L,). No limit
-    checking happens here; callers validate states first.
-    """
-    p0, p1 = ArmStack([model]).place(np.asarray(q_batch, dtype=float)[None])
-    return p0[0], p1[0], model._radii
-
-
 def forward_kinematics(model: RobotModel, q: JointState) -> list[PlacedPrimitive]:
     """World-frame placement of every link primitive at configuration q."""
     positions = _check_dimension(model, q)
     if not within_limits(model, q, tol=_LIMIT_SLACK):
         raise JointLimitViolation(f"{model.group_id}: configuration outside joint limits")
-    p0, p1, radii = placed_segments(model, positions[None, :])
+    (p0,), (p1,) = ArmStack([model]).place(positions[None, None])
+    radii = model._radii
     placed = []
     for i, link in enumerate(model.links):
         if isinstance(link.shape, Sphere):

@@ -111,7 +111,7 @@ def dense_running_sweep(candidate, running, now, models, step):
     (times relative to candidate start, min clearance at each time).
     """
     from multiarm.geometry import segment_distance
-    from multiarm.kinematics import placed_segments
+    from multiarm.kinematics import ArmStack
     from multiarm.trajectory import states_at
 
     model_c = models[candidate.group_id]
@@ -121,10 +121,10 @@ def dense_running_sweep(candidate, running, now, models, step):
     horizon = max(horizon, 0.0)
     n = int(np.ceil(horizon / step)) if horizon > 0 else 0
     ts = np.minimum(np.arange(n + 1) * step, horizon)
-    a0, a1, ra = placed_segments(model_c, states_at(candidate, ts))
-    b0, b1, rb = placed_segments(model_r, states_at(running.trajectory, offset + ts))
+    (a0,), (a1,) = ArmStack([model_c]).place(states_at(candidate, ts)[None])
+    (b0,), (b1,) = ArmStack([model_r]).place(states_at(running.trajectory, offset + ts)[None])
     d = segment_distance(a0[:, :, None, :], a1[:, :, None, :], b0[:, None, :, :], b1[:, None, :, :])
-    clear = d - ra[:, None] - rb[None, :]
+    clear = d - model_c._radii[:, None] - model_r._radii[None, :]
     return ts, clear.reshape(len(ts), -1).min(axis=1)
 
 
@@ -156,12 +156,12 @@ def loop_placed_segments(model, q_batch):
 
 def finite_difference_speeds(model, q, qdot, h=1e-6):
     """Endpoint speeds of every link primitive via finite differences."""
-    from multiarm.kinematics import placed_segments
+    from multiarm.kinematics import ArmStack
 
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    p0a, p1a, _ = placed_segments(model, q[None, :])
-    p0b, p1b, _ = placed_segments(model, (q + h * qdot)[None, :])
+    (p0a,), (p1a,) = ArmStack([model]).place(q[None, None])
+    (p0b,), (p1b,) = ArmStack([model]).place((q + h * qdot)[None, None])
     v0 = np.linalg.norm(p0b - p0a, axis=-1) / h
     v1 = np.linalg.norm(p1b - p1a, axis=-1) / h
     return np.maximum(v0, v1)[0]

@@ -90,6 +90,21 @@ def test_bad_scenario_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("content", ["{bad", "[1]"])
+def test_scenario_that_is_not_a_json_object_exits_one(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option", [["--margin", "nan"], ["--time-step", "0"]])
+def test_bad_parameter_override_exits_one(tmp_path, capsys, option):
+    code, _, _ = run_cli(tmp_path, "crossing.json", *option)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_collision_halt_exit_three(tmp_path):
     # park the idle left arm across the corridor and disable the
     # static-admission gate: the right arm's sweep is admitted blind and
@@ -130,6 +145,54 @@ def _idle_posture_out_of_limits(data):
     data["robots"][0]["idle_posture"] = [9.0, 0.0]
 
 
+def _base_xyz_nan(data):
+    data["robots"][1]["base_pose"]["xyz"] = [math.nan, 0.75, 0.0]
+
+
+def _base_rpy_inf(data):
+    data["robots"][1]["base_pose"]["rpy"] = [0.0, 0.0, math.inf]
+
+
+def _joint_axis_nan(data):
+    data["robots"][1]["joints"][0]["axis"] = [0.0, 0.0, math.nan]
+
+
+def _joint_origin_nan(data):
+    data["robots"][1]["joints"][1]["origin_xyz"] = [math.nan, 0.0, 0.0]
+
+
+def _position_limits_inf(data):
+    data["robots"][1]["joints"][0]["position_limits"] = [-math.inf, math.inf]
+
+
+def _capsule_end_nan(data):
+    data["robots"][1]["links"][0]["capsule"]["p1"] = [math.nan, 0.0, 0.0]
+
+
+def _obstacle_centre_nan(data):
+    data["obstacles"] = [{"sphere": {"center": [math.nan, 0.0, 0.0], "radius": 0.1}}]
+
+
+def _link_joint_fractional(data):
+    data["robots"][1]["links"][1]["joint"] = 1.5
+
+
+def _link_joint_bool(data):
+    data["robots"][1]["links"][1]["joint"] = True
+
+
+def _check_static_string(data):
+    data["params"]["check_static"] = "false"
+
+
+def _goal_wrong_length(data):
+    data["tasks"][0]["goal"] = [0.0]
+
+
+def _params_not_an_object(data):
+    data["params"] = []
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -139,6 +202,18 @@ def _idle_posture_out_of_limits(data):
         _fractional_monitor_period,
         _velocity_limit_inf,
         _idle_posture_out_of_limits,
+        _base_xyz_nan,
+        _base_rpy_inf,
+        _joint_axis_nan,
+        _joint_origin_nan,
+        _position_limits_inf,
+        _capsule_end_nan,
+        _obstacle_centre_nan,
+        _link_joint_fractional,
+        _link_joint_bool,
+        _check_static_string,
+        _goal_wrong_length,
+        _params_not_an_object,
     ],
 )
 def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):

@@ -141,6 +141,11 @@ def test_candidate_sweep_rejects_own_group_and_future_records():
         candidate_sweep(cand, now, params, layout, [RunningRecord(cand, now)])
     with pytest.raises(ValueError):
         candidate_sweep(cand, now, params, layout, [RunningRecord(running_traj, now + 1.0)])
+    running = RunningRecord(running_traj, start)
+    parked = {g: JointState(g, [0.0, 0.0]) for g in (cand.group_id, running_traj.group_id)}
+    for g, q in parked.items():
+        with pytest.raises(ValueError):
+            candidate_sweep(cand, now, params, layout, [running], {g: q})
 
 
 def static_check(candidate, scene, postures=None):

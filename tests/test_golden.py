@@ -1,12 +1,17 @@
-"""Pinned event logs of the shipped fixtures.
+"""Pinned event logs of the shipped fixtures and of one 16-arm ring.
 
-The digests were recorded before the collision checks moved onto the flat
-clearance kernel. Any change that moves a verdict, a witness, a printed
-clearance or a check count in a fixture run changes a digest; such a change
-must be a documented behaviour change, with the digests re-recorded.
+The fixture digests were recorded before the collision checks moved onto the
+flat clearance kernel, the ring's before every check placed its scene through
+`Layout.place`. Every fixture is a two-arm cell; the ring (`data/ring16_901.json`,
+16 planar arms, 80 tasks) is the one log with admissions checked against
+several running arms and against several parked arms at once. Any change that
+moves a verdict, a witness, a printed clearance or a check count changes a
+digest; such a change must be a documented behaviour change, with the digests
+re-recorded.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +28,18 @@ DIGESTS = {
     ("panda_like_shared.json", "sync"): "20fe7f416d424f8d38c5e8944a29a7c5d82ac1293fcc389437d1300d53e4b336",
 }
 
+RING16_901 = "c444fe98459147437a505c3ecaf9bd00ad8dd716108ffea30ff3713cce449b82"
+
+
+def log_digest(path, mode):
+    result = run(load_scenario(path), mode)
+    return hashlib.sha256("".join(line + "\n" for line in result.lines).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("name, mode", sorted(DIGESTS))
 def test_fixture_event_log_matches_pinned_digest(name, mode):
-    result = run(load_scenario(fixture_path(name)), mode)
-    log = "".join(line + "\n" for line in result.lines).encode()
-    assert hashlib.sha256(log).hexdigest() == DIGESTS[(name, mode)]
+    assert log_digest(fixture_path(name), mode) == DIGESTS[(name, mode)]
+
+
+def test_ring16_event_log_matches_pinned_digest():
+    assert log_digest(Path(__file__).parent / "data" / "ring16_901.json", "async") == RING16_901

@@ -186,6 +186,11 @@ def test_scenario_validation_errors():
     )
     with pytest.raises(ScenarioInvalid):
         run(unknown, "async")
+    short_goal = Scenario(
+        scene=scene, tasks=[Task("arm", JointState("arm", [0.0]))], params=RunParams()
+    )
+    with pytest.raises(ScenarioInvalid):
+        run(short_goal, "async")
     ok = Scenario(scene=scene, tasks=[], params=RunParams())
     with pytest.raises(ScenarioInvalid):
         run(ok, "both")

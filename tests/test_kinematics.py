@@ -8,15 +8,17 @@ from multiarm import (
     JointSpec,
     JointState,
     LinkGeometry,
+    PlacedPrimitive,
     RobotModel,
     Sphere,
+    UnknownGroup,
     forward_kinematics,
     pose,
     within_limits,
 )
 from multiarm import fixture_path, load_scenario
 from multiarm.collision import Layout
-from multiarm.kinematics import placed_segments, rotation_about_axis, rpy_matrix
+from multiarm.kinematics import ArmStack, rotation_about_axis, rpy_matrix
 
 from conftest import planar_arm
 from oracles import finite_difference_speeds, loop_placed_segments, planar_chain_points
@@ -84,25 +86,42 @@ def test_batched_placement_is_bit_identical_to_joint_by_joint_fk(rng):
         models[f"p{k}"] = planar_arm(f"p{k}", (k, 1.0, 0.0), base_rpy=(0.0, 0.3 * k, 0.7 * k))
     groups = ["p2", "arm_b", "p0", "arm_a", "p1"]
     q = [rng.uniform(models[g]._lo, models[g]._hi, size=(7, models[g].n_joints)) for g in groups]
-    p0, p1 = Layout(models, []).place_arms(groups, q)
-    row = 0
+    layout = Layout(models, [])
+    p0, p1 = layout.place(dict(zip(groups, q)))
     for g, qg in zip(groups, q):
         want0, want1 = loop_placed_segments(models[g], qg)
-        single0, single1, _ = placed_segments(models[g], qg)
-        n = models[g].n_links
-        for got, want in ((p0[:, row : row + n], want0), (p1[:, row : row + n], want1)):
+        (single0,), (single1,) = ArmStack([models[g]]).place(qg[None])
+        rows = layout.rows[g]
+        for got, want in ((p0[:, rows], want0), (p1[:, rows], want1)):
             assert np.array_equal(got, want)
         assert np.array_equal(single0, want0) and np.array_equal(single1, want1)
-        row += n
-    assert row == p0.shape[1]
+    assert sorted(i for g in groups for i in layout.rows[g]) == list(range(p0.shape[1]))
 
 
 def test_batched_placement_checks_states():
     layout = Layout({"a": two_link(), "b": planar_arm("b", lengths=(1.0,))}, [])
     with pytest.raises(DimensionMismatch):
-        layout.place_arms(["a", "b"], [np.zeros((1, 2)), np.zeros((1, 2))])
+        layout.place({"a": np.zeros((1, 2)), "b": np.zeros((1, 2))})
     with pytest.raises(JointLimitViolation, match="^a:"):
-        layout.place_arms(["b", "a"], [np.zeros((1, 1)), np.array([[3.3, 0.0]])])
+        layout.place({"b": np.zeros((1, 1)), "a": np.array([[3.3, 0.0]])})
+    with pytest.raises(UnknownGroup):
+        layout.place({"c": np.zeros((1, 2))})
+
+
+def test_placement_holds_single_configurations_and_leaves_absent_arms_unplaced(rng):
+    # three arms of one structure: a batch, a held configuration, an absent arm
+    models = {g: planar_arm(g, (float(k), 0.0, 0.0)) for k, g in enumerate("abc")}
+    layout = Layout(models, [PlacedPrimitive(Sphere((0.0, 2.0, 0.0), 0.1), ("static", 0))])
+    held = np.array([[0.3, -0.2]])
+    p0, p1 = layout.place({"a": rng.uniform(-1.0, 1.0, size=(5, 2)), "c": held})
+    assert p0.shape == p1.shape == (5, 7, 3)
+    (want0,), (want1,) = ArmStack([models["c"]]).place(held[None])
+    assert np.array_equal(p0[:, layout.rows["c"]], np.broadcast_to(want0, (5, 2, 3)))
+    assert np.array_equal(p1[:, layout.rows["c"]], np.broadcast_to(want1, (5, 2, 3)))
+    assert np.isnan(p0[:, layout.rows["b"]]).all() and np.isnan(p1[:, layout.rows["b"]]).all()
+    for ends in (p0, p1):
+        assert np.array_equal(ends[:, layout.static_rows], np.broadcast_to([0.0, 2.0, 0.0], (5, 1, 3)))
+    assert layout.owners[layout.static_rows[0]] == ("static", 0)
 
 
 def test_rigid_body_consistency(rng):
@@ -125,7 +144,7 @@ def test_rigid_body_consistency(rng):
     gaps = []
     for _ in range(100):
         q = rng.uniform(-3.2, 3.2, 2)
-        p0, p1, _ = placed_segments(model, q[None, :])
+        (p0,), (p1,) = ArmStack([model]).place(q[None, None])
         centre_a = 0.5 * (p0[0, 0] + p1[0, 0])
         centre_b = p0[0, 1]
         gaps.append(np.linalg.norm(centre_a - centre_b))
