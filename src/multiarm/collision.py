@@ -8,9 +8,19 @@ radii) of every pair at every sample. A pair whose AABBs, inflated by
 margin/2, do not overlap is reported as infinitely clear, which is sound
 because such a pair's clearance exceeds the margin.
 
+Before any placement, a broadphase that holds at every configuration culls
+whole pairs: every row of the layout lies within a fixed sphere (an arm's
+links around its first joint origin, an obstacle around its midpoint), so
+the gap between two spheres bounds the pair's clearance from below. A pair
+whose gap exceeds the margin is never paired, and an arm that can reach
+nothing in a check is never placed. Such pairs are reported as `FAR`, as
+pairs the AABB test prunes are.
+
 A configuration is *colliding* when the minimum clearance is <= margin. The
 witness of a colliding check is the first pair, in the check's pair order,
-that attains the minimum at the first colliding sample.
+that attains the minimum at the first colliding sample. Culling keeps the
+pair order and drops only pairs whose clearance exceeds the margin, so it
+changes neither verdicts nor witnesses, nor the minimum of a colliding check.
 """
 
 from __future__ import annotations
@@ -115,6 +125,22 @@ def _report(times, clear, owners, ii, jj, margin) -> CollisionReport:
     return CollisionReport(True, float(times[k]), (owners[ii[j]], owners[jj[j]]), min_seen)
 
 
+@dataclass(frozen=True, eq=False)
+class Cull:
+    """A layout's pairs that can come within one margin.
+
+    `ii`, `jj` is the monitor's pair list cut to those pairs, in its order,
+    and `placed` the arms they involve. `arms[g]` are the other arms, and
+    `statics[g]` the static rows, that arm g can reach.
+    """
+
+    ii: np.ndarray
+    jj: np.ndarray
+    placed: list[str]
+    arms: dict[str, frozenset[str]]
+    statics: dict[str, list[int]]
+
+
 class Layout:
     """Flat segment layout of a set of arms and the static obstacles.
 
@@ -126,6 +152,12 @@ class Layout:
     by allowed_pairs (arms in sorted order), then the cross pairs of arms
     gi < gj (links of gi major), then each arm's links against every
     obstacle. The first `n_self` pairs are the self pairs.
+
+    `gap[i, j]` is a lower bound on the clearance of rows i and j at any
+    configuration: each row lies within `reach` of a fixed centre (an arm's
+    first joint origin, or an obstacle's midpoint), so the rows are at least
+    the centres' distance minus both reaches apart. `cull(margin)` keeps,
+    once per margin, what can come within it; everything else is `FAR`.
     """
 
     def __init__(self, robots: dict[str, RobotModel], static_obstacles: list[PlacedPrimitive]):
@@ -158,6 +190,45 @@ class Layout:
         pairs += [(i, j) for a, ra in enumerate(rows) for rb in rows[a + 1 :] for i in ra for j in rb]
         pairs += [(i, j) for r in rows for i in r for j in self.static_rows]
         self.ii, self.jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+
+        # a link of frame f lies within the offsets of joints 1..f, plus its
+        # farthest surface point, of its arm's first joint origin (the bound
+        # of RobotModel._speed_bound for joint 0); an obstacle within half its
+        # length plus its radius of its midpoint
+        centres, reach = [], []
+        for g in self.groups:
+            m = robots[g]
+            if m.links:
+                chain = np.append(0.0, np.cumsum(np.linalg.norm(m._t_off[1:], axis=1)))
+                origin = (m.base_pose @ m.joints[0].origin_offset)[:3, 3]
+                centres.append(np.tile(origin, (m.n_links, 1)))
+                reach.append(chain[m._frames] + m._far)
+        centres.append((s0 + s1) / 2.0)
+        reach.append(np.linalg.norm(s1 - s0, axis=1) / 2.0 + sr)
+        centres, reach = np.concatenate(centres), np.concatenate(reach)
+        distance = np.linalg.norm(centres[:, None] - centres[None], axis=-1)
+        self.gap = distance - reach[:, None] - reach[None]
+        self._culls: dict[float, Cull] = {}
+
+    def cull(self, margin: float) -> Cull:
+        """What can come within `margin` of what, memoised per margin."""
+        cull = self._culls.get(margin)
+        if cull is None:
+            near = self.gap <= margin + 1e-9
+            keep = near[self.ii, self.jj]
+            ii, jj = self.ii[keep], self.jj[keep]
+            paired = np.zeros(len(self.owners), dtype=bool)
+            paired[ii] = paired[jj] = True
+            reached = {g: near[rows].any(axis=0) for g, rows in self.rows.items()}
+            cull = self._culls[margin] = Cull(
+                ii,
+                jj,
+                placed=[g for g, rows in self.rows.items() if paired[rows].any()],
+                arms={g: frozenset(h for h in self.groups if h != g and reached[g][self.rows[h]].any())
+                      for g in self.groups},
+                statics={g: [j for j in self.static_rows if reached[g][j]] for g in self.groups},
+            )
+        return cull
 
     def place(self, q: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """World endpoints (n, S, 3) of every row at n samples.
@@ -208,30 +279,40 @@ def candidate_sweep(
     one grid over the longest horizon (the candidate's duration or a running
     trajectory's remaining motion); past either end the held final state
     applies, so a shorter check's extra samples repeat its endpoint. The
-    candidate's links are paired with the links of every running arm, then
-    with the static obstacles and the `parked` arms (in sorted group order),
-    and one kernel call gives all clearances.
+    candidate's links are paired with the links of every running arm it can
+    reach, then with the static obstacles and the `parked` arms (in sorted
+    group order) it can reach, and one kernel call gives all clearances.
+    Running and parked arms out of reach are not placed.
 
     Returns one report per running record, in order, then, unless `parked`
-    is None, one for the static obstacles and the parked arms together.
-    Times in the reports are relative to the candidate start.
+    is None, one for the static obstacles and the parked arms together; a
+    running arm out of reach is reported clear at `FAR`. Times in the reports
+    are relative to the candidate start.
     """
     fixed = sorted(parked or ())
     groups = [candidate.group_id] + [rec.trajectory.group_id for rec in running] + fixed
     if len(set(groups)) < len(groups) or any(rec.start_time > now + 1e-9 for rec in running):
         raise ValueError("the candidate, running and parked arms must be distinct groups, "
                          "and running records must have started by `now`")
+    unknown = set(groups) - set(layout.robots)
+    if unknown:
+        raise UnknownGroup(f"no robot model for groups {sorted(unknown)}")
+    cull = layout.cull(params.margin)
+    reach = cull.arms[candidate.group_id]
     offsets = [max(0.0, now - rec.start_time) for rec in running]
     remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
+    # the grid spans every running arm, in reach or not, so that it does not
+    # depend on what the cull left out
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
     q = {candidate.group_id: states_at(candidate, times)}
     q.update((rec.trajectory.group_id, states_at(rec.trajectory, o + times))
-             for rec, o in zip(running, offsets))
+             for rec, o in zip(running, offsets) if rec.trajectory.group_id in reach)
+    fixed = [g for g in fixed if g in reach]
     q.update((g, parked[g].positions[None]) for g in fixed)
     p0, p1 = layout.place(q)
-    blocks = [[layout.rows[rec.trajectory.group_id]] for rec in running]
+    blocks = [[layout.rows[g]] if g in reach else [] for g in groups[1 : len(running) + 1]]
     if parked is not None:
-        blocks.append([layout.static_rows] + [layout.rows[g] for g in fixed])
+        blocks.append([cull.statics[candidate.group_id]] + [layout.rows[g] for g in fixed])
     own = layout.rows[candidate.group_id]
     pairs, bounds = [], [0]
     for block in blocks:
@@ -253,8 +334,11 @@ def composite_state_check(
     Covers within-robot pairs not exempted by allowed_pairs, every
     cross-robot pair, and every robot-vs-static pair, as one kernel call over
     the scene's layout (see Layout for the pair order, which fixes the
-    witness). Needs exactly one state per robot group. first_collision_time
-    is 0.0 when colliding (the checked horizon is the single instant).
+    witness). Pairs out of reach at the margin are culled, and arms in no
+    remaining pair are not placed, so their states are not checked against
+    their limits. Needs exactly one state per robot group.
+    first_collision_time is 0.0 when colliding (the checked horizon is the
+    single instant).
     """
     missing = set(scene.robots) - set(states)
     if missing:
@@ -263,6 +347,7 @@ def composite_state_check(
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
     layout = scene.layout
-    p0, p1 = layout.place({g: states[g].positions[None] for g in layout.groups})
-    clear = pair_clearances(p0, p1, layout.radii, layout.ii, layout.jj, margin)
-    return _report(np.zeros(1), clear, layout.owners, layout.ii, layout.jj, margin)
+    cull = layout.cull(margin)
+    p0, p1 = layout.place({g: states[g].positions[None] for g in cull.placed})
+    clear = pair_clearances(p0, p1, layout.radii, cull.ii, cull.jj, margin)
+    return _report(np.zeros(1), clear, layout.owners, cull.ii, cull.jj, margin)

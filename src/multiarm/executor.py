@@ -170,6 +170,9 @@ class ExecutionManager:
         self._running: dict[str, tuple[_Entry, RunningRecord]] = {}
         self._postures: dict[str, JointState] = dict(scene.idle_postures)
         self._posture_version: dict[str, int] = {g: 0 for g in scene.robots}
+        # a requeue trigger can fire only after an entry ended or a posture
+        # changed; set by _finish, _stop and admission, cleared by step 2
+        self._requeue_due = False
         self.events: list[Event] = []
         # serializes external callers (submit/cancel/status) against tick()
         self._lock = threading.Lock()
@@ -297,20 +300,24 @@ class ExecutionManager:
                              start_time=rec.start_time, finish=clock)
 
         # 2) re-queue backlog entries whose blockers went away; an entry at
-        # or past its deadline stays for step 3 to abort
-        triggered = []
-        for entry in self._backlog:
-            if clock + _CLOCK_EPS >= entry.deadline:
-                continue
-            trigger = self._requeue_trigger(entry)
-            if trigger is not None:
-                triggered.append((entry.seq, entry, trigger))
-        for _, entry, trigger in sorted(triggered, key=lambda item: item[0]):
-            self._backlog.remove(entry)
-            entry.status = ExecStatus(StatusKind.PENDING)
-            entry.blocker_tokens = ()
-            self._queue.append(entry)
-            self._event("REQUEUED", entry, f"trigger={trigger}")
+        # or past its deadline stays for step 3 to abort. No blocker can have
+        # gone away unless an entry ended or a posture changed since the
+        # last sweep.
+        if self._requeue_due:
+            self._requeue_due = False
+            triggered = []
+            for entry in self._backlog:
+                if clock + _CLOCK_EPS >= entry.deadline:
+                    continue
+                trigger = self._requeue_trigger(entry)
+                if trigger is not None:
+                    triggered.append((entry.seq, entry, trigger))
+            for _, entry, trigger in sorted(triggered, key=lambda item: item[0]):
+                self._backlog.remove(entry)
+                entry.status = ExecStatus(StatusKind.PENDING)
+                entry.blocker_tokens = ()
+                self._queue.append(entry)
+                self._event("REQUEUED", entry, f"trigger={trigger}")
 
         # 3) abort backlog entries past their deadline
         for entry in list(self._backlog):
@@ -355,11 +362,13 @@ class ExecutionManager:
         _, rec = self._running.pop(g)
         self._postures[g] = state_at(rec.trajectory, elapsed)
         self._posture_version[g] += 1
+        self._requeue_due = True
 
     def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
         """The one terminal transition: final status, out of the chain, logged."""
         entry.status = ExecStatus(kind, **status)
         self._chains[entry.handle.group_id].remove(entry)
+        self._requeue_due = True
         self._event(event, entry, detail)
 
     def _requeue_trigger(self, entry: _Entry) -> str | None:
@@ -449,5 +458,6 @@ class ExecutionManager:
         rec = RunningRecord(trajectory=entry.trajectory, start_time=clock)
         self._running[g] = (entry, rec)
         self._posture_version[g] += 1
+        self._requeue_due = True
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
         self._event("ADMITTED", entry, f"start={clock:.6f};checks={checks};states={states}")

@@ -40,8 +40,8 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center))
-        if not self.radius > 0.0:
-            raise ValueError("sphere radius must be > 0")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +55,8 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "p0", _vec3(self.p0))
         object.__setattr__(self, "p1", _vec3(self.p1))
-        if not self.radius > 0.0:
-            raise ValueError("capsule radius must be > 0")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("capsule radius must be finite and > 0")
 
 
 Shape = Sphere | Capsule

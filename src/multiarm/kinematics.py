@@ -166,6 +166,10 @@ class RobotModel:
         self._local_p1 = np.array([s[1] for s in segs]).reshape(-1, 3)
         self._radii = np.array([s[2] for s in segs]).reshape(-1)
         self._frames = np.array([link.frame for link in self.links], dtype=int)
+        # farthest surface point of each link from its frame origin
+        self._far = np.maximum(
+            np.linalg.norm(self._local_p0, axis=1), np.linalg.norm(self._local_p1, axis=1)
+        ) + self._radii
 
         self.max_cartesian_speed_bound = self._speed_bound()
 
@@ -183,9 +187,6 @@ class RobotModel:
     def _speed_bound(self) -> float:
         if not self.links:
             return 0.0
-        far = np.maximum(
-            np.linalg.norm(self._local_p0, axis=1), np.linalg.norm(self._local_p1, axis=1)
-        ) + self._radii
         offsets = np.linalg.norm(self._t_off, axis=1)
         bound = 0.0
         for j in range(len(self.joints)):
@@ -193,7 +194,7 @@ class RobotModel:
             for k, link in enumerate(self.links):
                 if link.frame < j:
                     continue
-                reach = max(reach, offsets[j + 1 : link.frame + 1].sum() + far[k])
+                reach = max(reach, offsets[j + 1 : link.frame + 1].sum() + self._far[k])
             bound += float(self.joint_velocity_limits[j]) * reach
         return float(bound)
 

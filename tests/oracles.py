@@ -165,3 +165,52 @@ def finite_difference_speeds(model, q, qdot, h=1e-6):
     v0 = np.linalg.norm(p0b - p0a, axis=-1) / h
     v1 = np.linalg.norm(p1b - p1a, axis=-1) / h
     return np.maximum(v0, v1)[0]
+
+
+def first_hit(times, clear, owners, ii, jj, margin):
+    """(colliding, first time, witness, minimum) of a (T, P) clearance block:
+    the witness is the first pair, in pair order, at the minimum of the first
+    sample at or below the margin."""
+    if clear.size == 0 or clear.min() > margin:
+        return False, None, None, float(clear.min()) if clear.size else np.inf
+    k = int(np.nonzero(clear.min(axis=1) <= margin)[0][0])
+    j = int(np.argmin(clear[k]))
+    return True, float(times[k]), (owners[ii[j]], owners[jj[j]]), float(clear.min())
+
+
+def unculled_monitor(states, scene, margin):
+    """The composite check over the layout's full pair list, every arm placed."""
+    from multiarm.geometry import pair_clearances
+
+    layout = scene.layout
+    p0, p1 = layout.place({g: states[g].positions[None] for g in layout.groups})
+    clear = pair_clearances(p0, p1, layout.radii, layout.ii, layout.jj, margin)
+    return first_hit(np.zeros(1), clear, layout.owners, layout.ii, layout.jj, margin)
+
+
+def unculled_sweep(candidate, now, params, layout, running, parked):
+    """The admission sweep with every running and parked arm and every obstacle
+    placed and paired: one block per running record, in order, then the
+    obstacles followed by the parked arms in sorted order."""
+    from multiarm.geometry import pair_clearances
+    from multiarm.trajectory import states_at, time_grid
+
+    offsets = [max(0.0, now - rec.start_time) for rec in running]
+    remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
+    times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
+    q = {candidate.group_id: states_at(candidate, times)}
+    for rec, o in zip(running, offsets):
+        q[rec.trajectory.group_id] = states_at(rec.trajectory, o + times)
+    for g in sorted(parked):
+        q[g] = parked[g].positions[None]
+    p0, p1 = layout.place(q)
+    own = layout.rows[candidate.group_id]
+    blocks = [[layout.rows[rec.trajectory.group_id]] for rec in running]
+    blocks.append([layout.static_rows] + [layout.rows[g] for g in sorted(parked)])
+    reports = []
+    for block in blocks:
+        pairs = [(i, j) for body in block for i in own for j in body]
+        ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+        clear = pair_clearances(p0, p1, layout.radii, ii, jj, params.margin)
+        reports.append(first_hit(times, clear, layout.owners, ii, jj, params.margin))
+    return reports

@@ -193,6 +193,10 @@ def _params_not_an_object(data):
     data["params"] = []
 
 
+def _capsule_radius_inf(data):
+    data["robots"][1]["links"][0]["capsule"]["radius"] = math.inf
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -214,6 +218,7 @@ def _params_not_an_object(data):
         _check_static_string,
         _goal_wrong_length,
         _params_not_an_object,
+        _capsule_radius_inf,
     ],
 )
 def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):

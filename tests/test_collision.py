@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from multiarm import (
+    Capsule,
     CheckParams,
+    CollisionReport,
+    JointSpec,
     JointState,
+    LinkGeometry,
     MissingGroupState,
     PlacedPrimitive,
+    RobotModel,
     RunningRecord,
     Scene,
     Sphere,
@@ -15,12 +20,16 @@ from multiarm import (
     fixture_path,
     forward_kinematics,
     load_scenario,
+    pose,
     primitive_clearance,
     required_margin,
+    run,
 )
+from multiarm.collision import Layout
+from multiarm.geometry import FAR
 
 from conftest import crossing_case, facing_pair, planar_arm, running_check, scene_of, sweep_traj
-from oracles import dense_running_sweep
+from oracles import dense_running_sweep, unculled_monitor, unculled_sweep
 
 
 def cross_check(left, qa, right, qb, margin):
@@ -457,3 +466,136 @@ def test_candidate_sweep_matches_separate_checks(rng):
         assert reports[2] == want
         hits += reports[0].colliding + reports[2].colliding
     assert hits >= 4
+
+
+def skewed_arm(rng, group, base_xyz):
+    """A 3-D arm with offset joints, tilted axes, a turned base, and shapes
+    off their frame origins, several on one frame. Its random shapes would
+    touch each other in most states, so it has no self pairs."""
+    joints = []
+    for _ in range(3):
+        axis = rng.normal(size=3)
+        joints.append(JointSpec.from_xyz_rpy(
+            axis=axis / np.linalg.norm(axis), xyz=rng.uniform(-0.3, 0.3, 3),
+            rpy=rng.uniform(-np.pi, np.pi, 3), limits=(-2.5, 2.5),
+        ))
+    links = [
+        LinkGeometry(f, Capsule(rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.3, 0.3, 3), 0.03))
+        for f in (0, 1, 1, 2)
+    ]
+    links.append(LinkGeometry(2, Sphere(rng.uniform(-0.2, 0.2, 3), 0.05)))
+    base = pose(base_xyz, rng.uniform(-np.pi, np.pi, 3))
+    every = {(i, j) for i in range(len(links)) for j in range(i + 1, len(links))}
+    return RobotModel(group, base, joints, links, [1.0, 1.0, 1.0], allowed_pairs=every)
+
+
+def skewed_cell(rng):
+    arms = [skewed_arm(rng, f"s{k}", (1.0 * k, 0.2 * k, 0.0)) for k in range(3)]
+    obstacles = [
+        PlacedPrimitive(Capsule((0.3, -0.5, 0.0), (1.0, 0.6, 0.2), 0.05), ("static", 0)),
+        PlacedPrimitive(Sphere((0.4, 0.3, 0.3), 0.1), ("static", 1)),
+    ]
+    return scene_of(arms, [[0.0, 0.0, 0.0]] * 3, obstacles)
+
+
+@pytest.mark.parametrize("name", ["panda_like_shared", "ring16", "skewed"])
+def test_gap_bounds_every_row_pair_clearance(name, rng):
+    if name == "ring16":
+        scene = planar_ring()
+    elif name == "skewed":
+        scene = skewed_cell(rng)
+    else:
+        scene = load_scenario(fixture_path(f"{name}.json")).scene
+    gap = scene.layout.gap
+    assert np.all(np.isfinite(gap))
+    for k in range(6):
+        states = random_states(scene, rng, spread=(0.5, 1.0)[k % 2])
+        rows = [p for g in sorted(scene.robots) for p in forward_kinematics(scene.robots[g], states[g])]
+        rows += scene.static_obstacles
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                assert gap[i, j] <= primitive_clearance(rows[i], rows[j]).signed_distance + 1e-9
+
+
+def gapped_ring():
+    """The planar ring with small obstacles in some of the gaps between arms,
+    which two neighbours can reach, besides the central one no arm can."""
+    scene = planar_ring()
+    for k in range(0, 16, 3):
+        angle = 2.0 * np.pi * (k + 0.5) / 16
+        centre = (1.75 * np.cos(angle), 1.75 * np.sin(angle), 0.0)
+        scene.static_obstacles.append(PlacedPrimitive(Sphere(centre, 0.05), ("static", k + 1)))
+    return scene
+
+
+def same_verdict(got, want):
+    colliding, time, witness, minimum = want
+    assert (got.colliding, got.first_collision_time, got.witness) == (colliding, time, witness)
+    if colliding:
+        assert got.min_clearance_seen == minimum
+    return colliding
+
+
+@pytest.mark.parametrize("margin", [0.02, 0.05])
+def test_culled_monitor_matches_the_full_pair_list(margin, rng):
+    for scene in (gapped_ring(), skewed_cell(rng)):
+        seen = {True: 0, False: 0}
+        for k in range(30):
+            states = random_states(scene, rng, spread=(0.1, 0.3, 1.0)[k % 3])
+            report = composite_state_check(states, scene, margin)
+            seen[same_verdict(report, unculled_monitor(states, scene, margin))] += 1
+        assert seen[True] and seen[False]
+    assert len(planar_ring().layout.cull(0.05).ii) == 208  # of 1096 pairs
+
+
+@pytest.mark.parametrize("margin", [0.02, 0.05])
+def test_culled_sweep_matches_the_full_pair_list(margin, rng):
+    scene = gapped_ring()
+    params = CheckParams(dt=0.05, margin=margin)
+    groups = sorted(scene.robots)
+    seen = {True: 0, False: 0}
+    for _ in range(12):
+        order = [str(g) for g in rng.permutation(groups)]
+        cand_g, running_g, parked_g = order[0], order[1:7], order[7:]
+        start = random_states(scene, rng)
+        goal = random_states(scene, rng)
+        trajs = {g: sweep_traj(scene.robots[g], start[g].positions, goal[g].positions, g)
+                 for g in order[:7]}
+        now = 1.0
+        running = [RunningRecord(trajs[g], float(rng.uniform(0.0, now))) for g in running_g]
+        parked = {g: start[g] for g in parked_g}
+        got = candidate_sweep(trajs[cand_g], now, params, scene.layout, running, parked)
+        want = unculled_sweep(trajs[cand_g], now, params, scene.layout, running, parked)
+        assert len(got) == len(want) == len(running) + 1
+        for report, reference in zip(got, want):
+            seen[same_verdict(report, reference)] += 1
+    assert seen[True] and seen[False]
+
+
+def test_far_arms_are_never_placed(monkeypatch):
+    placed = []
+    place = Layout.place
+
+    def spy(self, q):
+        placed.append(sorted(q))
+        return place(self, q)
+
+    monkeypatch.setattr(Layout, "place", spy)
+    # disjoint's arms stand 10 m apart: the monitor places neither, and each
+    # admission places its candidate alone, not the other, parked or running
+    scenario = load_scenario(fixture_path("disjoint.json"))
+    run(scenario, "async")
+    assert ["left"] in placed and ["right"] in placed
+    assert all(len(groups) <= 1 for groups in placed)
+    placed.clear()
+    clear = CollisionReport(False, None, None, FAR)
+    assert composite_state_check(scenario.scene.idle_postures, scenario.scene, 0.02) == clear
+    assert all(groups == [] for groups in placed)
+    # a sweep against a running arm 4 m away places the candidate only
+    cand, _, _, now, params, models = crossing_case(np.random.default_rng(5))
+    far = planar_arm("far", (4.0, 0.0, 0.0), lengths=(0.5, 0.5))
+    layout = Layout({cand.group_id: models[cand.group_id], "far": far}, [])
+    placed.clear()
+    running = RunningRecord(sweep_traj(far, [0.0, 0.0], [1.0, 0.0], "far"), 0.0)
+    assert candidate_sweep(cand, now, params, layout, [running]) == [clear]
+    assert placed == [[cand.group_id]]

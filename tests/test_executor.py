@@ -256,6 +256,29 @@ def test_chain_head_blocks_a_later_entry_after_the_middle_one_left(leave):
     assert requeues == [(mgr.status(h1).finish, "trigger=head")]
 
 
+@pytest.mark.parametrize("leave", ["cancel", "timeout"])
+def test_a_head_that_ends_without_running_requeues_the_next_tick(leave):
+    # the head never runs, so no arm moves when it ends; its end alone must
+    # requeue the entry behind it, on the next tick
+    left, right, scene, tl, tr = crossing_setup()
+    mgr = manager(scene)
+    mgr.submit(tr, timeout=30.0)
+    head = mgr.submit(tl, timeout=30.0 if leave == "cancel" else 0.5)
+    mgr.submit(sweep_traj(left, tl.positions[0], [np.pi / 2, 0.0], "next"), timeout=30.0)
+    mgr.tick()
+    assert mgr.status(head).blockers == frozenset({"tr"})
+    mgr.tick()  # a tick on which nothing ends or moves
+    if leave == "cancel":
+        mgr.cancel(head)
+    else:
+        tick_until(mgr, lambda: mgr.status(head).terminal)
+    ended = mgr.clock
+    mgr.tick()
+    requeues = [(e.clock, e.detail) for e in mgr.events
+                if e.kind == "REQUEUED" and e.trajectory_id == "next"]
+    assert requeues == [(ended + mgr.tick_length, "trigger=tl")]
+
+
 def hub_and_pokes_setup():
     """A hub arm sweeps the centre while two side arms wait to poke into it.
 

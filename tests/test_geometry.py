@@ -162,3 +162,8 @@ def test_invalid_shapes_rejected():
         Sphere((0, 0, 0), 0.0)
     with pytest.raises(ValueError):
         Capsule((0, 0, 0), (1, 0, 0), -0.1)
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Sphere((0, 0, 0), radius)
+        with pytest.raises(ValueError):
+            Capsule((0, 0, 0), (1, 0, 0), radius)

@@ -1,10 +1,14 @@
-"""Pinned event logs of the shipped fixtures and of one 16-arm ring.
+"""Pinned event logs of the shipped fixtures, of one 16-arm ring and of one batch.
 
 The fixture digests were recorded before the collision checks moved onto the
 flat clearance kernel, the ring's before every check placed its scene through
-`Layout.place`. Every fixture is a two-arm cell; the ring (`data/ring16_901.json`,
-16 planar arms, 80 tasks) is the one log with admissions checked against
-several running arms and against several parked arms at once. Any change that
+`Layout.place`, the batch's before the reach-sphere cull and the requeue
+sweep that runs only after a change. Every fixture is a two-arm cell; the
+ring (`data/ring16_901.json`, 16 planar arms, 80 tasks) is the one log with
+admissions checked against several running arms and against several parked
+arms at once. The batch (`data/batch_small.json`, the `disjoint` arms with 20
+tasks each at t=0, each moving joint 0 by 0.5 rad) backlogs and requeues every
+task behind its group's chain head, 380 times in all. Any change that
 moves a verdict, a witness, a printed clearance or a check count changes a
 digest; such a change must be a documented behaviour change, with the digests
 re-recorded.
@@ -29,6 +33,7 @@ DIGESTS = {
 }
 
 RING16_901 = "c444fe98459147437a505c3ecaf9bd00ad8dd716108ffea30ff3713cce449b82"
+BATCH_SMALL = "d620ccaad308e7c1f2dd85b5e5749257737960585cb03236f1c1a1c23fe6d257"
 
 
 def log_digest(path, mode):
@@ -43,3 +48,7 @@ def test_fixture_event_log_matches_pinned_digest(name, mode):
 
 def test_ring16_event_log_matches_pinned_digest():
     assert log_digest(Path(__file__).parent / "data" / "ring16_901.json", "async") == RING16_901
+
+
+def test_batch_event_log_matches_pinned_digest():
+    assert log_digest(Path(__file__).parent / "data" / "batch_small.json", "async") == BATCH_SMALL
