@@ -16,7 +16,6 @@ from .errors import (
     MissingGroupState,
     MultiArmError,
     NegativeTime,
-    NonFiniteInput,
     NonPositiveStep,
     ScenarioInvalid,
     TickBudgetExceeded,
@@ -25,14 +24,7 @@ from .errors import (
     ValidationFailed,
 )
 from .executor import EVENT_KINDS, Event, ExecHandle, ExecStatus, ExecutionManager, StatusKind
-from .geometry import (
-    Capsule,
-    Clearance,
-    PlacedPrimitive,
-    Sphere,
-    primitive_clearance,
-    segment_segment_distance,
-)
+from .geometry import Capsule, PlacedPrimitive, Sphere
 from .harness import (
     Metrics,
     RunParams,
@@ -52,7 +44,6 @@ from .kinematics import (
     JointState,
     LinkGeometry,
     RobotModel,
-    forward_kinematics,
     pose,
     within_limits,
 )

@@ -21,6 +21,14 @@ witness of a colliding check is the first pair, in the check's pair order,
 that attains the minimum at the first colliding sample. Culling keeps the
 pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
+
+The periodic `Monitor` also skips pairs over time. No point of a moving arm
+is faster than its cartesian speed bound v, and parked arms and obstacles do
+not move, so a pair at clearance c > margin at time t stays above the margin
+until t + (c - margin)/(v_a + v_b) (Schwarzer, Saha & Latombe, T-RO 2005). A
+check measures only the pairs whose such time has come. The others are above
+the margin, and the measured ones keep the pair order, so the verdict, the
+witness and a colliding minimum are those of a check of every pair.
 """
 
 from __future__ import annotations
@@ -129,14 +137,13 @@ def _report(times, clear, owners, ii, jj, margin) -> CollisionReport:
 class Cull:
     """A layout's pairs that can come within one margin.
 
-    `ii`, `jj` is the monitor's pair list cut to those pairs, in its order,
-    and `placed` the arms they involve. `arms[g]` are the other arms, and
-    `statics[g]` the static rows, that arm g can reach.
+    `ii`, `jj` is the monitor's pair list cut to those pairs, in its order.
+    `arms[g]` are the other arms, and `statics[g]` the static rows, that arm
+    g can reach.
     """
 
     ii: np.ndarray
     jj: np.ndarray
-    placed: list[str]
     arms: dict[str, frozenset[str]]
     statics: dict[str, list[int]]
 
@@ -216,14 +223,10 @@ class Layout:
         if cull is None:
             near = self.gap <= margin + 1e-9
             keep = near[self.ii, self.jj]
-            ii, jj = self.ii[keep], self.jj[keep]
-            paired = np.zeros(len(self.owners), dtype=bool)
-            paired[ii] = paired[jj] = True
             reached = {g: near[rows].any(axis=0) for g, rows in self.rows.items()}
             cull = self._culls[margin] = Cull(
-                ii,
-                jj,
-                placed=[g for g, rows in self.rows.items() if paired[rows].any()],
+                self.ii[keep],
+                self.jj[keep],
                 arms={g: frozenset(h for h in self.groups if h != g and reached[g][self.rows[h]].any())
                       for g in self.groups},
                 statics={g: [j for j in self.static_rows if reached[g][j]] for g in self.groups},
@@ -326,28 +329,73 @@ def candidate_sweep(
     ]
 
 
+class Monitor:
+    """The composite-state check of a layout at one margin, over time.
+
+    Keeps a `safe_until` time for each pair in reach (the Cull's, in order),
+    and a speed per arm: from `start(g)`, when g starts a motion, its speed
+    bound plus room for the slack `validate` allows; from `stop(g)`, 0.
+    `start(g)` also makes g's pairs due. A pair at or below the margin stays
+    due. A new monitor has every pair due.
+    """
+
+    def __init__(self, layout: Layout, margin: float):
+        cull = layout.cull(margin)
+        self.layout, self.margin, self.ii, self.jj = layout, margin, cull.ii, cull.jj
+        # each row's arm, by index into layout.groups; obstacles get the last
+        # index, whose speed stays 0
+        arm = np.full(len(layout.owners), len(layout.groups))
+        for k, g in enumerate(layout.groups):
+            arm[layout.rows[g]] = k
+        self._a, self._b = arm[self.ii], arm[self.jj]
+        self._arm = {g: k for k, g in enumerate(layout.groups)}
+        self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
+                       for g, k in self._arm.items()}
+        self._speed = np.zeros(len(layout.groups) + 1)
+        self.safe_until = np.full(len(self.ii), -math.inf)
+
+    def start(self, g: str):
+        self._speed[self._arm[g]] = self.layout.robots[g].max_cartesian_speed_bound * (1.0 + 1e-6)
+        self.safe_until[self._pairs[g]] = -math.inf
+
+    def stop(self, g: str):
+        self._speed[self._arm[g]] = 0.0
+
+    def check(self, clock: float, states_of) -> CollisionReport:
+        """One check at `clock`; `states_of(groups)` gives those arms' states.
+
+        Places (and checks the limits of) only the arms of due pairs, and
+        measures those pairs exactly (an infinite margin prunes nothing) for
+        their next safe-until times; a clear report's minimum covers them only.
+        """
+        due = np.flatnonzero(self.safe_until <= clock)
+        if not due.size:
+            return CollisionReport(False, None, None, FAR)
+        a, b = self._a[due], self._b[due]
+        involved = np.zeros(len(self._speed), dtype=bool)
+        involved[a] = involved[b] = True
+        groups = [g for g, m in zip(self.layout.groups, involved.tolist()) if m]
+        states = states_of(groups)
+        layout, ii, jj = self.layout, self.ii[due], self.jj[due]
+        p0, p1 = layout.place({g: states[g].positions[None] for g in groups})
+        clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
+        above = clear[0] - self.margin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wait = above / (self._speed[a] + self._speed[b])  # inf if neither arm moves
+        self.safe_until[due] = np.where(above > 0.0, clock + wait, -math.inf)
+        return _report(np.zeros(1), clear, layout.owners, ii, jj, self.margin)
+
+
 def composite_state_check(
     states: dict[str, JointState], scene: Scene, margin: float
 ) -> CollisionReport:
-    """One discrete check of the consolidated multi-robot state.
-
-    Covers within-robot pairs not exempted by allowed_pairs, every
-    cross-robot pair, and every robot-vs-static pair, as one kernel call over
-    the scene's layout (see Layout for the pair order, which fixes the
-    witness). Pairs out of reach at the margin are culled, and arms in no
-    remaining pair are not placed, so their states are not checked against
-    their limits. Needs exactly one state per robot group.
-    first_collision_time is 0.0 when colliding (the checked horizon is the
-    single instant).
-    """
+    """One discrete check of the consolidated multi-robot state: a new
+    `Monitor`, every pair due. Needs one state per robot group; a colliding
+    report's first_collision_time is 0.0."""
     missing = set(scene.robots) - set(states)
     if missing:
         raise MissingGroupState(f"missing states for groups: {sorted(missing)}")
     extra = set(states) - set(scene.robots)
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
-    layout = scene.layout
-    cull = layout.cull(margin)
-    p0, p1 = layout.place({g: states[g].positions[None] for g in cull.placed})
-    clear = pair_clearances(p0, p1, layout.radii, cull.ii, cull.jj, margin)
-    return _report(np.zeros(1), clear, layout.owners, cull.ii, cull.jj, margin)
+    return Monitor(scene.layout, margin).check(0.0, lambda groups: states)

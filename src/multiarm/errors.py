@@ -13,10 +13,6 @@ class JointLimitViolation(MultiArmError):
     """A joint position lies outside its closed limit interval."""
 
 
-class NonFiniteInput(MultiArmError):
-    """A geometric input contains NaN or infinity."""
-
-
 class NegativeTime(MultiArmError):
     """A trajectory was queried at a negative time."""
 

@@ -3,13 +3,16 @@
 New submissions enter a continuous queue. On every tick the manager, in fixed
 order: completes finished trajectories, moves backlog entries whose blockers
 terminated back into the queue unless their deadline has come, aborts backlog
-entries at or past their deadline,
-drains the queue through the collision gate (admit or backlog; a new
-submission whose timeout ran out before its first tick aborts), and runs the
-periodic composite-state monitor. Admission may fail against a running
-trajectory (blocker = its id), against another arm parked in the way
-(blocker "idle:<group>", re-checked when that arm's posture changes), or
-against a static obstacle (blocker "static", which only a timeout clears).
+entries at or past their deadline, drains the queue through the collision
+gate (admit or backlog; a new submission whose timeout ran out before its
+first tick aborts), and runs the periodic composite-state monitor. The
+monitor re-measures only the pairs that may have come within the margin
+since they were last measured (`collision.Monitor`): admission makes every
+pair of the admitted arm due, and a stopped arm's speed is 0. Admission may
+fail against a running trajectory (blocker = its id), against another arm
+parked in the way (blocker "idle:<group>", re-checked when that arm's posture
+changes), or against a static obstacle (blocker "static", which only a
+timeout clears).
 
 Each group keeps a chain: its unfinished entries in submission order. Only
 the head of a chain may run; any later entry that reaches the gate is
@@ -33,8 +36,10 @@ from enum import Enum
 
 import numpy as np
 
+# composite_state_check is not called here, but perfbench's tests look it up here
 from .collision import (
     CheckParams,
+    Monitor,
     RunningRecord,
     Scene,
     candidate_sweep,
@@ -173,6 +178,7 @@ class ExecutionManager:
         # a requeue trigger can fire only after an entry ended or a posture
         # changed; set by _finish, _stop and admission, cleared by step 2
         self._requeue_due = False
+        self._monitor = Monitor(scene.layout, self.params.margin)
         self.events: list[Event] = []
         # serializes external callers (submit/cancel/status) against tick()
         self._lock = threading.Lock()
@@ -221,9 +227,9 @@ class ExecutionManager:
         with self._lock:
             return self._consolidated_states()
 
-    def _consolidated_states(self) -> dict[str, JointState]:
+    def _consolidated_states(self, groups=None) -> dict[str, JointState]:
         states = {}
-        for g in self.scene.robots:
+        for g in self.scene.robots if groups is None else groups:
             if g in self._running:
                 _, rec = self._running[g]
                 states[g] = state_at(rec.trajectory, max(0.0, self.clock - rec.start_time))
@@ -331,9 +337,7 @@ class ExecutionManager:
 
         # 5) periodic composite-state monitor
         if self._running and self._tick_index % self.monitor_period == 0:
-            report = composite_state_check(
-                self._consolidated_states(), self.scene, self.params.margin
-            )
+            report = self._monitor.check(clock, self._consolidated_states)
             if report.colliding:
                 witness = f"{owner_str(report.witness[0])}|{owner_str(report.witness[1])}"
                 detail = f"witness={witness};clearance={report.min_clearance_seen:.9f}"
@@ -363,6 +367,7 @@ class ExecutionManager:
         self._postures[g] = state_at(rec.trajectory, elapsed)
         self._posture_version[g] += 1
         self._requeue_due = True
+        self._monitor.stop(g)
 
     def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
         """The one terminal transition: final status, out of the chain, logged."""
@@ -459,5 +464,6 @@ class ExecutionManager:
         self._running[g] = (entry, rec)
         self._posture_version[g] += 1
         self._requeue_due = True
+        self._monitor.start(g)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
         self._event("ADMITTED", entry, f"start={clock:.6f};checks={checks};states={states}")

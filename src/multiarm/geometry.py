@@ -2,7 +2,7 @@
 
 Every primitive is reduced internally to a segment with a radius (a sphere is
 a degenerate capsule), so a single segment-segment distance kernel covers all
-shape combinations. The kernel is vectorized; scalar entry points wrap it.
+shape combinations. The kernel is vectorized over pairs and samples.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonFiniteInput
 
 # Owner tag of a placed primitive: (group id or "static", link index).
 Owner = tuple[str, int]
@@ -68,14 +66,6 @@ class PlacedPrimitive:
 
     shape: Shape
     owner: Owner
-
-
-@dataclass(frozen=True)
-class Clearance:
-    """Signed surface-to-surface distance; negative means penetration."""
-
-    signed_distance: float
-    witness: tuple[Owner, Owner] | None = None
 
 
 def owner_str(owner: Owner) -> str:
@@ -136,36 +126,6 @@ def segment_distance(p0, p1, q0, q1) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", diff, diff))
 
 
-def segment_segment_distance(a0, a1, b0, b1) -> float:
-    """Scalar entry point with finiteness checking."""
-    pts = np.array([a0, a1, b0, b1], dtype=float)
-    if pts.shape != (4, 3):
-        raise ValueError("segment endpoints must be 3-vectors")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteInput("segment endpoints must be finite")
-    return float(segment_distance(pts[0], pts[1], pts[2], pts[3]))
-
-
-def _canonical_key(shape: Shape) -> tuple:
-    p0, p1, r = segment_of(shape)
-    return (*p0.tolist(), *p1.tolist(), r)
-
-
-def primitive_clearance(a: PlacedPrimitive, b: PlacedPrimitive) -> Clearance:
-    """Signed surface-to-surface clearance between two placed primitives.
-
-    The operand order is canonicalized before the distance computation so that
-    primitive_clearance(a, b) and primitive_clearance(b, a) are bit-identical.
-    """
-    pa, pb = a.shape, b.shape
-    if _canonical_key(pb) < _canonical_key(pa):
-        pa, pb = pb, pa
-    a0, a1, ra = segment_of(pa)
-    b0, b1, rb = segment_of(pb)
-    axis = segment_segment_distance(a0, a1, b0, b1)
-    return Clearance(signed_distance=axis - ra - rb, witness=(a.owner, b.owner))
-
-
 def segment_aabbs(p0: np.ndarray, p1: np.ndarray, radii: np.ndarray, inflate: float = 0.0):
     """Axis-aligned bounds of capsules given as endpoint/radius arrays."""
     pad = (radii + inflate)[..., None]
@@ -181,8 +141,11 @@ def pair_clearances(p0, p1, radii, ii, jj, margin: float) -> np.ndarray:
     times and `radii` their (S,) radii; pair k is (ii[k], jj[k]). Returns
     (T, P) signed clearances, segment distance minus both radii, where the
     two AABBs inflated by margin/2 overlap, and +inf where they do not.
-    Segment distances are computed for overlapping pairs only, if any.
+    Segment distances are computed for overlapping pairs only, if any; at an
+    infinite margin every pair overlaps, and the boxes are not built.
     """
+    if margin == math.inf:
+        return segment_distance(p0[:, ii], p1[:, ii], p0[:, jj], p1[:, jj]) - radii[ii] - radii[jj]
     lo, hi = segment_aabbs(p0, p1, radii, margin / 2.0)
     near = np.all(lo[:, ii] <= hi[:, jj], axis=-1) & np.all(lo[:, jj] <= hi[:, ii], axis=-1)
     clear = np.full(near.shape, np.inf)

@@ -45,6 +45,8 @@ FIXTURES = ("disjoint.json", "crossing.json", "timeout.json", "panda_like_shared
 # pair-samples per kernel call in the replay audit, to bound its memory
 _REPLAY_PAIR_SAMPLES = 100_000
 
+_MAX_GRID = 10_000  # samples per check of an arm's longest move (a joint's range at its limit)
+
 
 @dataclass(frozen=True, eq=False)
 class Task:
@@ -139,11 +141,14 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioInvalid("default_timeout must be finite and > 0")
     if not isinstance(p.check_static, bool):
         raise ScenarioInvalid(f"check_static must be true or false, got {p.check_static!r}")
+    for g, m in scenario.scene.robots.items():
+        if np.max((m._hi - m._lo) / m.joint_velocity_limits, initial=0.0) > _MAX_GRID * p.check.dt:
+            raise ScenarioInvalid(f"time_step {p.check.dt} is too fine for '{g}'")
     for g, q in scenario.scene.idle_postures.items():
         if not within_limits(scenario.scene.robots[g], q):
             raise ScenarioInvalid(f"idle posture of '{g}' outside joint limits")
     for i, task in enumerate(scenario.tasks):
-        if task.group_id not in scenario.scene.robots:
+        if not isinstance(task.group_id, str) or task.group_id not in scenario.scene.robots:
             raise ScenarioInvalid(f"task {i} references unknown group '{task.group_id}'")
         model = scenario.scene.robots[task.group_id]
         if task.goal.positions.shape != (model.n_joints,):
@@ -352,13 +357,20 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
 # scenario (de)serialization
 
 
+def _number(value, what: str) -> float:
+    """A JSON number, which a boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioInvalid(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _shape_from_dict(d: dict):
     if "capsule" in d:
         c = d["capsule"]
-        return Capsule(p0=c["p0"], p1=c["p1"], radius=float(c["radius"]))
+        return Capsule(p0=c["p0"], p1=c["p1"], radius=_number(c["radius"], "radius"))
     if "sphere" in d:
         s = d["sphere"]
-        return Sphere(center=s["center"], radius=float(s["radius"]))
+        return Sphere(center=s["center"], radius=_number(s["radius"], "radius"))
     raise ScenarioInvalid(f"shape must be 'capsule' or 'sphere', got keys {sorted(d)}")
 
 
@@ -374,7 +386,7 @@ def robot_from_dict(d: dict) -> tuple[RobotModel, JointState]:
                 limits=j.get("position_limits", (-np.pi, np.pi)),
             )
         )
-        vlimits.append(float(j["velocity_limit"]))
+        vlimits.append(_number(j["velocity_limit"], "velocity_limit"))
     links = [LinkGeometry(frame=l["joint"], shape=_shape_from_dict(l)) for l in d["links"]]
     base = d.get("base_pose", {})
     model = RobotModel(
@@ -385,7 +397,7 @@ def robot_from_dict(d: dict) -> tuple[RobotModel, JointState]:
         joint_velocity_limits=vlimits,
         allowed_pairs={tuple(p) for p in d.get("allowed_pairs", [])},
     )
-    idle = JointState(d["group_id"], d["idle_posture"])
+    idle = JointState(d["group_id"], [_number(v, "idle_posture") for v in d["idle_posture"]])
     return model, idle
 
 
@@ -397,8 +409,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         idles = {}
         for rd in data["robots"]:
             model, idle = robot_from_dict(rd)
-            if model.group_id in robots:
-                raise ScenarioInvalid(f"duplicate group_id '{model.group_id}'")
+            if not isinstance(model.group_id, str) or model.group_id in robots:
+                raise ScenarioInvalid(f"group_id {model.group_id!r} is not a new string")
             robots[model.group_id] = model
             idles[model.group_id] = idle
         obstacles = [
@@ -409,26 +421,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         tasks = [
             Task(
                 group_id=td["group_id"],
-                goal=JointState(td["group_id"], td["goal"]),
-                submit_time=float(td.get("submit_time", 0.0)),
-                timeout=float(td["timeout"]) if "timeout" in td else None,
+                goal=JointState(td["group_id"], [_number(v, "goal") for v in td["goal"]]),
+                submit_time=_number(td.get("submit_time", 0.0), "submit_time"),
+                timeout=_number(td["timeout"], "timeout") if "timeout" in td else None,
             )
             for td in data.get("tasks", [])
         ]
         pd = data.get("params", {})
         params = RunParams(
             check=CheckParams(
-                dt=float(pd.get("time_step", 0.05)), margin=float(pd.get("margin", 0.02))
+                dt=_number(pd.get("time_step", 0.05), "time_step"),
+                margin=_number(pd.get("margin", 0.02), "margin"),
             ),
-            tick_length=float(pd.get("tick", 0.01)),
+            tick_length=_number(pd.get("tick", 0.01), "tick"),
             monitor_period=pd.get("monitor_period", 5),
-            default_timeout=float(pd.get("default_timeout", 30.0)),
+            default_timeout=_number(pd.get("default_timeout", 30.0), "default_timeout"),
             check_static=pd.get("check_static", True),
         )
         scenario = Scenario(scene=scene, tasks=tasks, seed=int(data.get("seed", 0)), params=params)
     except ScenarioInvalid:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioInvalid(f"malformed scenario: {exc}") from exc
     validate_scenario(scenario)
     return scenario

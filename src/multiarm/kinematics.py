@@ -3,8 +3,7 @@
 A robot is a base pose followed by revolute joints, each defined by a fixed
 rigid offset from its parent frame and a rotation axis. Collision geometry
 (capsules or spheres) is attached to joint frames and placed by forward
-kinematics. All placement code is batched over configurations; the scalar
-API wraps the batch path.
+kinematics, batched over configurations and over arms of one structure.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, JointLimitViolation
-from .geometry import Capsule, PlacedPrimitive, Shape, Sphere, segment_of
+from .errors import DimensionMismatch
+from .geometry import Shape, segment_of
 
 # Interpolated states may overshoot a limit by rounding; FK tolerates this much.
 _LIMIT_SLACK = 1e-9
@@ -210,18 +209,13 @@ class RobotModel:
         return [(self.group_id, i) for i in range(len(self.links))]
 
 
-def _check_dimension(model: RobotModel, q: JointState) -> np.ndarray:
+def within_limits(model: RobotModel, q: JointState, tol: float = 0.0) -> bool:
+    """True iff every coordinate lies in its closed limit interval."""
     positions = q.positions
     if positions.shape != (model.n_joints,):
         raise DimensionMismatch(
             f"{model.group_id}: expected {model.n_joints} joint values, got {positions.shape}"
         )
-    return positions
-
-
-def within_limits(model: RobotModel, q: JointState, tol: float = 0.0) -> bool:
-    """True iff every coordinate lies in its closed limit interval."""
-    positions = _check_dimension(model, q)
     return bool(np.all(positions >= model._lo - tol) and np.all(positions <= model._hi + tol))
 
 
@@ -267,20 +261,3 @@ class ArmStack:
         p0 = t + np.einsum("...lij,...lj->...li", r, local_p0)
         p1 = t + np.einsum("...lij,...lj->...li", r, local_p1)
         return p0, p1
-
-
-def forward_kinematics(model: RobotModel, q: JointState) -> list[PlacedPrimitive]:
-    """World-frame placement of every link primitive at configuration q."""
-    positions = _check_dimension(model, q)
-    if not within_limits(model, q, tol=_LIMIT_SLACK):
-        raise JointLimitViolation(f"{model.group_id}: configuration outside joint limits")
-    (p0,), (p1,) = ArmStack([model]).place(positions[None, None])
-    radii = model._radii
-    placed = []
-    for i, link in enumerate(model.links):
-        if isinstance(link.shape, Sphere):
-            shape: Shape = Sphere(center=p0[0, i], radius=float(radii[i]))
-        else:
-            shape = Capsule(p0=p0[0, i], p1=p1[0, i], radius=float(radii[i]))
-        placed.append(PlacedPrimitive(shape=shape, owner=(model.group_id, i)))
-    return placed

@@ -45,21 +45,9 @@ class JointTrajectory:
         if len(self.times) == 0:
             raise ValueError("a trajectory needs at least one waypoint")
 
-    @classmethod
-    def from_waypoints(cls, group_id: str, waypoints, traj_id: str | None = None):
-        """Build from [(time, positions), ...]."""
-        times = [w[0] for w in waypoints]
-        positions = [w[1] for w in waypoints]
-        kwargs = {} if traj_id is None else {"id": traj_id}
-        return cls(group_id=group_id, times=times, positions=positions, **kwargs)
-
     @property
     def duration(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def n_waypoints(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -124,8 +112,16 @@ def states_at(traj: JointTrajectory, times) -> np.ndarray:
 
 
 def state_at(traj: JointTrajectory, t: float) -> JointState:
-    """Linear interpolation between bracketing waypoints; held state past the end."""
-    return JointState(group_id=traj.group_id, positions=states_at(traj, [t])[0])
+    """`states_at` at one time: np.interp's arithmetic, for all joints at once."""
+    if not t >= 0.0:
+        raise NegativeTime(f"trajectory queried at time {t}")
+    times, positions = traj.times, traj.positions
+    k = int(np.searchsorted(times, t, side="right"))  # times[k - 1] <= t < times[k]
+    j = max(k - 1, 0)
+    if k in (0, len(times)) or times[j] == t:
+        return JointState(traj.group_id, positions[j])
+    slope = (positions[k] - positions[j]) / (times[k] - times[j])
+    return JointState(traj.group_id, slope * (t - times[j]) + positions[j])
 
 
 def grid_size(horizon: float, dt: float) -> int:

@@ -1,6 +1,8 @@
 """Shared builders for planar test arms and randomized scenarios."""
 
 import logging
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +19,12 @@ from multiarm import (
     Scene,
     Task,
     candidate_sweep,
+    composite_state_check,
+    executor,
     plan_joint_line,
     pose,
 )
-from multiarm.collision import Layout
+from multiarm.collision import Layout, Monitor
 
 # The shipped fixture parameters deliberately violate the margin/dt soundness
 # bound (they rely on large true clearances instead); silence the warning in
@@ -142,3 +146,31 @@ def random_scenario(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def monitor_oracle(scene):
+    """Check every monitor check of the managers built on `scene` inside the
+    block against composite_state_check of every arm's state: the same
+    verdict, and the same witness, time and minimum when colliding.
+
+    Yields counts of the checks, of those that measured nothing because no
+    pair was due, and of the colliding ones.
+    """
+    counts = {"checks": 0, "skipped": 0, "colliding": 0}
+
+    class CheckedMonitor(Monitor):
+        def check(self, clock, states_of):
+            skipped = not np.any(self.safe_until <= clock)
+            report = super().check(clock, states_of)
+            full = composite_state_check(states_of(sorted(scene.robots)), scene, self.margin)
+            assert report.colliding == full.colliding, clock
+            if full.colliding:
+                assert report == full, clock
+            counts["checks"] += 1
+            counts["skipped"] += skipped
+            counts["colliding"] += full.colliding
+            return report
+
+    with mock.patch.object(executor, "Monitor", CheckedMonitor):
+        yield counts

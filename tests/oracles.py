@@ -1,13 +1,81 @@
-"""Independent oracles the tests check the library against.
+"""Independent oracles the tests check the library against, and the scalar
+per-primitive views of its kernels that only the tests use.
 
-Nothing here reuses the library's closest-point construction: segment
+The oracles do not reuse the library's closest-point construction: segment
 distances come from brute-force grid refinement over the two segment
 parameters (the distance is convex in (s, t), so the refined grid converges
 to the true minimum), and planar kinematics comes from the textbook
-cumulative-angle formula.
+cumulative-angle formula. `segment_segment_distance`, `primitive_clearance`
+and `forward_kinematics` are thin scalar wrappers of the library's batched
+kernels (`segment_distance`, `ArmStack.place`), so that tests can compare one
+pair or one arm against the oracles.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from multiarm.errors import JointLimitViolation, MultiArmError
+from multiarm.geometry import Capsule, PlacedPrimitive, Sphere, segment_distance, segment_of
+from multiarm.kinematics import _LIMIT_SLACK, ArmStack, within_limits
+
+
+class NonFiniteInput(MultiArmError):
+    """A geometric input contains NaN or infinity."""
+
+
+@dataclass(frozen=True)
+class Clearance:
+    """Signed surface-to-surface distance; negative means penetration."""
+
+    signed_distance: float
+    witness: tuple | None = None
+
+
+def segment_segment_distance(a0, a1, b0, b1) -> float:
+    """The library's segment distance for one pair, with finiteness checking."""
+    pts = np.array([a0, a1, b0, b1], dtype=float)
+    if pts.shape != (4, 3):
+        raise ValueError("segment endpoints must be 3-vectors")
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteInput("segment endpoints must be finite")
+    return float(segment_distance(pts[0], pts[1], pts[2], pts[3]))
+
+
+def _canonical_key(shape) -> tuple:
+    p0, p1, r = segment_of(shape)
+    return (*p0.tolist(), *p1.tolist(), r)
+
+
+def primitive_clearance(a: PlacedPrimitive, b: PlacedPrimitive) -> Clearance:
+    """Signed surface-to-surface clearance between two placed primitives.
+
+    The operand order is canonicalized before the distance computation so that
+    primitive_clearance(a, b) and primitive_clearance(b, a) are bit-identical.
+    """
+    pa, pb = a.shape, b.shape
+    if _canonical_key(pb) < _canonical_key(pa):
+        pa, pb = pb, pa
+    a0, a1, ra = segment_of(pa)
+    b0, b1, rb = segment_of(pb)
+    axis = segment_segment_distance(a0, a1, b0, b1)
+    return Clearance(signed_distance=axis - ra - rb, witness=(a.owner, b.owner))
+
+
+def forward_kinematics(model, q) -> list[PlacedPrimitive]:
+    """World-frame placement of every link primitive of one arm at configuration q."""
+    if not within_limits(model, q, tol=_LIMIT_SLACK):
+        raise JointLimitViolation(f"{model.group_id}: configuration outside joint limits")
+    (p0,), (p1,) = ArmStack([model]).place(q.positions[None, None])
+    placed = []
+    for i, link in enumerate(model.links):
+        radius = float(model._radii[i])
+        if isinstance(link.shape, Sphere):
+            shape = Sphere(center=p0[0, i], radius=radius)
+        else:
+            shape = Capsule(p0=p0[0, i], p1=p1[0, i], radius=radius)
+        placed.append(PlacedPrimitive(shape=shape, owner=(model.group_id, i)))
+    return placed
 
 
 def grid_segment_distance(a0, a1, b0, b1, n=33, rounds=6):

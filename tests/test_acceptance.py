@@ -14,10 +14,8 @@ from multiarm import (
     RunningRecord,
     StatusKind,
     fixture_path,
-    forward_kinematics,
     load_scenario,
     metrics_from_events,
-    primitive_clearance,
     replay_min_clearance,
     run,
     write_metrics,
@@ -29,8 +27,10 @@ from conftest import crossing_case, planar_arm, random_scenario, running_check
 from oracles import (
     dense_running_sweep,
     finite_difference_speeds,
+    forward_kinematics,
     grid_segment_distance_batch,
     planar_chain_points,
+    primitive_clearance,
 )
 
 _T0 = time.monotonic()

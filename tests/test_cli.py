@@ -98,7 +98,9 @@ def test_scenario_that_is_not_a_json_object_exits_one(tmp_path, capsys, content)
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("option", [["--margin", "nan"], ["--time-step", "0"]])
+@pytest.mark.parametrize(
+    "option", [["--margin", "nan"], ["--time-step", "0"], ["--time-step", "1e-300"]]
+)
 def test_bad_parameter_override_exits_one(tmp_path, capsys, option):
     code, _, _ = run_cli(tmp_path, "crossing.json", *option)
     assert code == 1
@@ -197,6 +199,22 @@ def _capsule_radius_inf(data):
     data["robots"][1]["links"][0]["capsule"]["radius"] = math.inf
 
 
+def _goal_nested(data):
+    data["tasks"][0]["goal"] = [[2.57, 0.0]]
+
+
+def _submit_time_bool(data):
+    data["tasks"][0]["submit_time"] = True
+
+
+def _base_pose_null(data):
+    data["robots"][0]["base_pose"] = None
+
+
+def _task_group_list(data):
+    data["tasks"][1]["group_id"] = []
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -219,6 +237,10 @@ def _capsule_radius_inf(data):
         _goal_wrong_length,
         _params_not_an_object,
         _capsule_radius_inf,
+        _goal_nested,
+        _submit_time_bool,
+        _base_pose_null,
+        _task_group_list,
     ],
 )
 def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):

@@ -18,10 +18,8 @@ from multiarm import (
     candidate_sweep,
     composite_state_check,
     fixture_path,
-    forward_kinematics,
     load_scenario,
     pose,
-    primitive_clearance,
     required_margin,
     run,
 )
@@ -29,7 +27,13 @@ from multiarm.collision import Layout
 from multiarm.geometry import FAR
 
 from conftest import crossing_case, facing_pair, planar_arm, running_check, scene_of, sweep_traj
-from oracles import dense_running_sweep, unculled_monitor, unculled_sweep
+from oracles import (
+    dense_running_sweep,
+    forward_kinematics,
+    primitive_clearance,
+    unculled_monitor,
+    unculled_sweep,
+)
 
 
 def cross_check(left, qa, right, qb, margin):

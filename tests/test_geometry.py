@@ -3,16 +3,20 @@ import pytest
 
 from multiarm import (
     Capsule,
-    NonFiniteInput,
     PlacedPrimitive,
     Sphere,
     pair_clearances,
-    primitive_clearance,
-    segment_segment_distance,
 )
 from multiarm.geometry import segment_aabbs, segment_of, segments_of
 
-from oracles import exhaustive_close_pairs, grid_segment_distance, grid_segment_distance_dense
+from oracles import (
+    NonFiniteInput,
+    exhaustive_close_pairs,
+    grid_segment_distance,
+    grid_segment_distance_dense,
+    primitive_clearance,
+    segment_segment_distance,
+)
 
 
 def random_primitive(rng, span=2.0, owner=("x", 0)):

@@ -8,18 +8,24 @@ ring (`data/ring16_901.json`, 16 planar arms, 80 tasks) is the one log with
 admissions checked against several running arms and against several parked
 arms at once. The batch (`data/batch_small.json`, the `disjoint` arms with 20
 tasks each at t=0, each moving joint 0 by 0.5 rad) backlogs and requeues every
-task behind its group's chain head, 380 times in all. Any change that
-moves a verdict, a witness, a printed clearance or a check count changes a
-digest; such a change must be a documented behaviour change, with the digests
-re-recorded.
+task behind its group's chain head, 380 times in all. No shipped log halts,
+so the ring is also run with the check against parked arms off, at monitor
+periods 1 and 5: arms then drive into parked neighbours and the monitor
+halts them, 16 times in 184 lines each; these digests were recorded before
+the monitor skipped pairs that cannot have come within the margin. Any
+change that moves a verdict, a witness, a printed clearance or a check count
+changes a digest; such a change must be a documented behaviour change, with
+the digests re-recorded.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from multiarm import fixture_path, load_scenario, run
+from multiarm.harness import scenario_from_dict
 
 DIGESTS = {
     ("disjoint.json", "async"): "9656a6cd909545bde0935daa4ab139104f43e3d5adde33c11872b6df2b279e13",
@@ -34,11 +40,21 @@ DIGESTS = {
 
 RING16_901 = "c444fe98459147437a505c3ecaf9bd00ad8dd716108ffea30ff3713cce449b82"
 BATCH_SMALL = "d620ccaad308e7c1f2dd85b5e5749257737960585cb03236f1c1a1c23fe6d257"
+# the ring with check_static false, by monitor period
+RING16_901_HALTING = {
+    1: "646e83073b1e3bfe119d8c14b9877804869990c75a8f032443384cfda62be93f",
+    5: "fae932818b77a49510c4f9e628afac91972b9983f3d24f79b59e172627be8cf0",
+}
+
+DATA = Path(__file__).parent / "data"
+
+
+def digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
 def log_digest(path, mode):
-    result = run(load_scenario(path), mode)
-    return hashlib.sha256("".join(line + "\n" for line in result.lines).encode()).hexdigest()
+    return digest(run(load_scenario(path), mode).lines)
 
 
 @pytest.mark.parametrize("name, mode", sorted(DIGESTS))
@@ -47,8 +63,17 @@ def test_fixture_event_log_matches_pinned_digest(name, mode):
 
 
 def test_ring16_event_log_matches_pinned_digest():
-    assert log_digest(Path(__file__).parent / "data" / "ring16_901.json", "async") == RING16_901
+    assert log_digest(DATA / "ring16_901.json", "async") == RING16_901
 
 
 def test_batch_event_log_matches_pinned_digest():
-    assert log_digest(Path(__file__).parent / "data" / "batch_small.json", "async") == BATCH_SMALL
+    assert log_digest(DATA / "batch_small.json", "async") == BATCH_SMALL
+
+
+@pytest.mark.parametrize("period", sorted(RING16_901_HALTING))
+def test_halting_ring16_event_log_matches_pinned_digest(period):
+    data = json.loads((DATA / "ring16_901.json").read_text())
+    data["params"].update(check_static=False, monitor_period=period)
+    lines = run(scenario_from_dict(data), "async").lines
+    assert sum(line.split("\t")[1] == "COLLISION_HALT" for line in lines) == 16
+    assert digest(lines) == RING16_901_HALTING[period]

@@ -31,7 +31,7 @@ def tick():
 def test_plan_zero_move_is_single_waypoint():
     arm = planar_arm("arm")
     t = plan_joint_line(arm, JointState("arm", [0.3, -0.2]), JointState("arm", [0.3, -0.2]))
-    assert t.n_waypoints == 1
+    assert len(t.times) == 1
     assert t.duration == 0.0
 
 

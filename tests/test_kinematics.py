@@ -12,7 +12,6 @@ from multiarm import (
     RobotModel,
     Sphere,
     UnknownGroup,
-    forward_kinematics,
     pose,
     within_limits,
 )
@@ -21,7 +20,12 @@ from multiarm.collision import Layout
 from multiarm.kinematics import ArmStack, rotation_about_axis, rpy_matrix
 
 from conftest import planar_arm
-from oracles import finite_difference_speeds, loop_placed_segments, planar_chain_points
+from oracles import (
+    finite_difference_speeds,
+    forward_kinematics,
+    loop_placed_segments,
+    planar_chain_points,
+)
 
 
 def two_link(lengths=(1.0, 1.0)):

@@ -5,7 +5,8 @@ and block each other while parked. With the check against parked arms off,
 the monitor halts arms that drive into each other instead. Tasks are
 chained per group like the harness plans them; a cancel or abort upstream
 breaks the chain, so later tasks of that group end as mismatched starts.
-Timeouts include values below one tick.
+Timeouts include values below one tick. Cancels park arms mid-motion, so
+every monitor check is also compared with a check of every pair.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from multiarm import CheckParams, ExecutionManager, StatusKind
 
-from conftest import facing_pair, scene_of, sweep_traj
+from conftest import facing_pair, monitor_oracle, scene_of, sweep_traj
 
 TICK = 0.05
 IDLE = {"left": [np.pi / 2 - 1.0, 0.0], "right": [-np.pi / 2, 0.0]}
@@ -54,6 +55,12 @@ def check_live_invariants(mgr, handles):
 def test_random_submit_cancel_tick_sequences_keep_scheduler_invariants(check_static, sequence):
     models = facing_pair(gap=1.2)
     scene = scene_of(models, [IDLE["left"], IDLE["right"]])
+    with monitor_oracle(scene):
+        drive(scene, check_static, sequence)
+
+
+def drive(scene, check_static, sequence):
+    """Run one generated sequence, checking the scheduler invariants as it goes."""
     mgr = ExecutionManager(
         scene,
         params=CheckParams(dt=TICK, margin=0.02),
