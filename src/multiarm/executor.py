@@ -36,7 +36,11 @@ from enum import Enum
 
 import numpy as np
 
-# composite_state_check is not called here, but perfbench's tests look it up here
+# composite_state_check is not called here: the monitor runs Monitor.check.
+# It stays imported only because perfbench's tests look it up here. The
+# benchmark's collision.composite_state_check trace site and its run_share
+# metric are stale: they read 0 because they wrap a function the monitor no
+# longer calls, not because the monitor got cheaper.
 from .collision import (
     CheckParams,
     Monitor,

@@ -141,11 +141,8 @@ def pair_clearances(p0, p1, radii, ii, jj, margin: float) -> np.ndarray:
     times and `radii` their (S,) radii; pair k is (ii[k], jj[k]). Returns
     (T, P) signed clearances, segment distance minus both radii, where the
     two AABBs inflated by margin/2 overlap, and +inf where they do not.
-    Segment distances are computed for overlapping pairs only, if any; at an
-    infinite margin every pair overlaps, and the boxes are not built.
+    Segment distances are computed for overlapping pairs only, if any.
     """
-    if margin == math.inf:
-        return segment_distance(p0[:, ii], p1[:, ii], p0[:, jj], p1[:, jj]) - radii[ii] - radii[jj]
     lo, hi = segment_aabbs(p0, p1, radii, margin / 2.0)
     near = np.all(lo[:, ii] <= hi[:, jj], axis=-1) & np.all(lo[:, jj] <= hi[:, ii], axis=-1)
     clear = np.full(near.shape, np.inf)

@@ -112,16 +112,8 @@ def states_at(traj: JointTrajectory, times) -> np.ndarray:
 
 
 def state_at(traj: JointTrajectory, t: float) -> JointState:
-    """`states_at` at one time: np.interp's arithmetic, for all joints at once."""
-    if not t >= 0.0:
-        raise NegativeTime(f"trajectory queried at time {t}")
-    times, positions = traj.times, traj.positions
-    k = int(np.searchsorted(times, t, side="right"))  # times[k - 1] <= t < times[k]
-    j = max(k - 1, 0)
-    if k in (0, len(times)) or times[j] == t:
-        return JointState(traj.group_id, positions[j])
-    slope = (positions[k] - positions[j]) / (times[k] - times[j])
-    return JointState(traj.group_id, slope * (t - times[j]) + positions[j])
+    """Linear interpolation between bracketing waypoints; held state past the end."""
+    return JointState(group_id=traj.group_id, positions=states_at(traj, [t])[0])
 
 
 def grid_size(horizon: float, dt: float) -> int:

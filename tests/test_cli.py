@@ -107,6 +107,14 @@ def test_bad_parameter_override_exits_one(tmp_path, capsys, option):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_fine_but_workable_time_step_runs(tmp_path):
+    # 2 500 samples per check of timeout.json's 10 s task, although a joint's
+    # full range at its speed limit would take 48 s
+    code, _, events = run_cli(tmp_path, "timeout.json", "--time-step", "0.004")
+    assert code == 2
+    assert "TIMEOUT_ABORT" in events.read_text()
+
+
 def test_collision_halt_exit_three(tmp_path):
     # park the idle left arm across the corridor and disable the
     # static-admission gate: the right arm's sweep is admitted blind and

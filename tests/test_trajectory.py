@@ -180,24 +180,6 @@ def test_states_at_batch_matches_scalar(rng):
         assert np.array_equal(batch[k], state_at(t, float(at)).positions)
 
 
-def test_state_at_is_bit_identical_to_np_interp(rng):
-    """state_at interpolates every joint at once; states_at calls np.interp per
-    joint. Both must agree bit for bit, at waypoint times, between them,
-    before a late first waypoint and past the end, so that the monitor's
-    states do not depend on which one computed them."""
-    for _ in range(40):
-        n, joints = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-        shift = 0.0 if rng.random() < 0.7 else 0.5
-        times = np.unique(np.maximum(np.cumsum(rng.uniform(0.001, 2.0, n)) - shift, 0.0))
-        t = JointTrajectory("arm", times, rng.uniform(-3.0, 3.0, (len(times), joints)))
-        queries = np.concatenate([t.times, rng.uniform(0.0, t.duration + 1.0, 20), [0.0]])
-        batch = states_at(t, queries)
-        for k, at in enumerate(queries):
-            assert np.array_equal(state_at(t, float(at)).positions, batch[k])
-    with pytest.raises(NegativeTime):
-        state_at(t, float("nan"))
-
-
 def test_trajectory_shape_validation():
     with pytest.raises(ValueError):
         JointTrajectory("arm", [0.0, 1.0], [[0.0, 0.0]])
