@@ -87,16 +87,21 @@ def segments_of(prims: list[PlacedPrimitive]) -> tuple[np.ndarray, np.ndarray, n
     return np.array(p0s, dtype=float), np.array(p1s, dtype=float), np.array(radii, dtype=float)
 
 
-def _safe_div(num, den, fallback=0.0):
-    ok = den > _EPS2
-    return np.where(ok, num / np.where(ok, den, 1.0), fallback)
+def _dot(x, y):
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _clamp01(x):
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def segment_distance(p0, p1, q0, q1) -> np.ndarray:
     """Distance between closest points of segments [p0,p1] and [q0,q1].
 
     Broadcasts over leading dimensions; handles parallel and degenerate
-    (point) segments via the clamped closest-point construction.
+    (point) segments via the clamped closest-point construction. A quotient
+    whose denominator is ~0 is replaced where it is used, so each
+    denominator is guarded once.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -105,25 +110,23 @@ def segment_distance(p0, p1, q0, q1) -> np.ndarray:
     d1 = p1 - p0
     d2 = q1 - q0
     r = p0 - q0
-    a = np.einsum("...i,...i->...", d1, d1)
-    e = np.einsum("...i,...i->...", d2, d2)
-    f = np.einsum("...i,...i->...", d2, r)
-    c = np.einsum("...i,...i->...", d1, r)
-    b = np.einsum("...i,...i->...", d1, d2)
+    a, e, f, c, b = _dot(d1, d1), _dot(d2, d2), _dot(d2, r), _dot(d1, r), _dot(d1, d2)
+    a_ok, e_ok = a > _EPS2, e > _EPS2
+    a_safe = np.where(a_ok, a, 1.0)  # s is 0 wherever a is ~0 (last step below)
 
     denom = a * e - b * b
-    s = np.where(denom > _EPS2, np.clip(_safe_div(b * f - c * e, denom), 0.0, 1.0), 0.0)
-    t = _safe_div(b * s + f, e)
-    tc = np.clip(t, 0.0, 1.0)
+    d_ok = denom > _EPS2
+    s = np.where(d_ok, _clamp01((b * f - c * e) / np.where(d_ok, denom, 1.0)), 0.0)
+    t = np.where(e_ok, (b * s + f) / np.where(e_ok, e, 1.0), 0.0)
+    tc = _clamp01(t)
     # closest point moved onto the q-segment boundary: recompute s for that edge
-    s = np.where(t == tc, s, np.clip(_safe_div(b * tc - c, a), 0.0, 1.0))
-    # degenerate q-segment: project q0 onto the p-segment instead
-    s = np.where(e > _EPS2, s, np.clip(_safe_div(-c, a), 0.0, 1.0))
-    s = np.where(a > _EPS2, s, 0.0)
-    t = np.where(e > _EPS2, tc, 0.0)
+    s = np.where(t == tc, s, _clamp01((b * tc - c) / a_safe))
+    # degenerate q-segment (t is 0): project q0 onto the p-segment instead
+    s = np.where(e_ok, s, _clamp01(-c / a_safe))
+    s = np.where(a_ok, s, 0.0)
 
-    diff = (p0 + s[..., None] * d1) - (q0 + t[..., None] * d2)
-    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    diff = (p0 + s[..., None] * d1) - (q0 + tc[..., None] * d2)
+    return np.sqrt(_dot(diff, diff))
 
 
 def segment_aabbs(p0: np.ndarray, p1: np.ndarray, radii: np.ndarray, inflate: float = 0.0):
