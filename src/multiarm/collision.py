@@ -22,13 +22,21 @@ that attains the minimum at the first colliding sample. Culling keeps the
 pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
 
-The periodic `Monitor` also skips pairs over time. No point of a moving arm
-is faster than its cartesian speed bound v, and parked arms and obstacles do
-not move, so a pair at clearance c > margin at time t stays above the margin
-until t + (c - margin)/(v_a + v_b) (Schwarzer, Saha & Latombe, T-RO 2005). A
-check measures only the pairs whose such time has come. The others are above
-the margin, and the measured ones keep the pair order, so the verdict, the
-witness and a colliding minimum are those of a check of every pair.
+The periodic `Monitor` also skips pairs over time. Every trajectory is
+known, so when a check finds pairs due it measures them at every remaining
+check instant of the planned motion at once, its window, and puts each pair
+to sleep until the first instant at which it is at or below the margin. A
+pair above the margin at every instant sleeps for good if both its arms are
+still from the window's last instant on; a window cut short to bound its
+memory is covered past its end by the speed bound: no point of a moving arm
+is faster than its cartesian speed bound v, so a pair at clearance c > margin
+at time t stays above it until t + (c - margin)/(v_a + v_b) (Schwarzer, Saha
+& Latombe, T-RO 2005). A window sample is the value a live check at that
+instant computes, since interpolation, placement and the kernel act on each
+sample alone, so a sleeping pair is above the margin at every check it
+skips. The measured pairs keep the pair order, so the verdict, the witness
+and a colliding minimum are those of a check of every pair. An arm that
+leaves its plan (a new motion, or a stop before its end) wakes its pairs.
 """
 
 from __future__ import annotations
@@ -43,6 +51,10 @@ from .errors import DimensionMismatch, JointLimitViolation, MissingGroupState, U
 from .geometry import FAR, Owner, PlacedPrimitive, pair_clearances, segments_of
 from .kinematics import _LIMIT_SLACK, ArmStack, JointState, RobotModel
 from .trajectory import JointTrajectory, states_at, time_grid
+
+# pair-samples per kernel call of the monitor's window and of the replay
+# audit (and row-samples per placement of a window), to bound their memory
+PAIR_SAMPLES = 100_000
 
 
 @dataclass(eq=False)
@@ -330,20 +342,20 @@ def candidate_sweep(
 
 
 class Monitor:
-    """The composite-state check of a layout at one margin, over time.
+    """The composite-state check of a layout at one margin, over the planned motion.
 
-    Keeps a `safe_until` time for each pair in reach (the Cull's, in order),
-    and a speed per arm: from `start(g)`, when g starts a motion, its speed
-    bound plus room for the slack `validate` allows; from `stop(g)`, 0.
-    `start(g)` also makes g's pairs due. A pair at or below the margin stays
-    due. A new monitor has every pair due.
+    Keeps a `safe_until` time for each pair in reach (the Cull's, in order):
+    a pair is due at a check whose clock has reached it. `wake(g)` makes g's
+    pairs due; it is for an arm that leaves the motion the last window saw
+    (it starts a trajectory, or stops before its end). A pair at or below the
+    margin stays due. A new monitor has every pair due.
     """
 
     def __init__(self, layout: Layout, margin: float):
         cull = layout.cull(margin)
         self.layout, self.margin, self.ii, self.jj = layout, margin, cull.ii, cull.jj
         # each row's arm, by index into layout.groups; obstacles get the last
-        # index, whose speed stays 0
+        # index, whose speed is 0
         arm = np.full(len(layout.owners), len(layout.groups))
         for k, g in enumerate(layout.groups):
             arm[layout.rows[g]] = k
@@ -351,22 +363,27 @@ class Monitor:
         self._arm = {g: k for k, g in enumerate(layout.groups)}
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
                        for g, k in self._arm.items()}
-        self._speed = np.zeros(len(layout.groups) + 1)
+        # each arm's speed bound, with room for the slack `validate` allows
+        self._speed = np.array([layout.robots[g].max_cartesian_speed_bound * (1.0 + 1e-6)
+                                for g in layout.groups] + [0.0])
         self.safe_until = np.full(len(self.ii), -math.inf)
 
-    def start(self, g: str):
-        self._speed[self._arm[g]] = self.layout.robots[g].max_cartesian_speed_bound * (1.0 + 1e-6)
+    def wake(self, g: str):
         self.safe_until[self._pairs[g]] = -math.inf
 
-    def stop(self, g: str):
-        self._speed[self._arm[g]] = 0.0
+    def check(self, clock: float, window) -> CollisionReport:
+        """One check at `clock`, reported from the state at `clock` alone (a
+        colliding report's first_collision_time is 0.0, relative to `clock`).
 
-    def check(self, clock: float, states_of) -> CollisionReport:
-        """One check at `clock`; `states_of(groups)` gives those arms' states.
-
-        Places (and checks the limits of) only the arms of due pairs, and
-        measures those pairs exactly (an infinite margin prunes nothing) for
-        their next safe-until times; a clear report's minimum covers them only.
+        `window(groups, limit)` gives the look-ahead of the arms of the due
+        pairs: `(times, q, moving)`, at most `limit` check instants from
+        `clock` on, each arm's (n, J) positions at them (or a (1, J) posture
+        held at all), and the arms that still move after the last instant.
+        Places (and checks the limits of) only those arms, and measures the
+        due pairs exactly (an infinite margin prunes nothing) at every
+        instant in one kernel call, for their next safe-until times; a clear
+        report's minimum covers them only. The window is cut so that neither
+        the pair-samples nor the placed row-samples exceed PAIR_SAMPLES.
         """
         due = np.flatnonzero(self.safe_until <= clock)
         if not due.size:
@@ -375,27 +392,34 @@ class Monitor:
         involved = np.zeros(len(self._speed), dtype=bool)
         involved[a] = involved[b] = True
         groups = [g for g, m in zip(self.layout.groups, involved.tolist()) if m]
-        states = states_of(groups)
+        limit = max(1, PAIR_SAMPLES // max(due.size, len(self.layout.owners)))
+        times, q, moving = window(groups, limit)
         layout, ii, jj = self.layout, self.ii[due], self.jj[due]
-        p0, p1 = layout.place({g: states[g].positions[None] for g in groups})
+        p0, p1 = layout.place(q)
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
-        above = clear[0] - self.margin
+        below = clear <= self.margin
+        speed = np.zeros(len(self._speed))
+        moves = [self._arm[g] for g in moving]
+        speed[moves] = self._speed[moves]
         with np.errstate(divide="ignore", invalid="ignore"):
-            wait = above / (self._speed[a] + self._speed[b])  # inf if neither arm moves
-        self.safe_until[due] = np.where(above > 0.0, clock + wait, -math.inf)
-        return _report(np.zeros(1), clear, layout.owners, ii, jj, self.margin)
+            # past the last instant; inf if neither arm moves after it
+            tail = times[-1] + (clear[-1] - self.margin) / (speed[a] + speed[b])
+        self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)], tail)
+        return _report(np.zeros(1), clear[:1], layout.owners, ii, jj, self.margin)
 
 
 def composite_state_check(
     states: dict[str, JointState], scene: Scene, margin: float
 ) -> CollisionReport:
     """One discrete check of the consolidated multi-robot state: a new
-    `Monitor`, every pair due. Needs one state per robot group; a colliding
-    report's first_collision_time is 0.0."""
+    `Monitor`, every pair due, whose window is the one instant 0.0. Needs one
+    state per robot group; a colliding report's first_collision_time is 0.0."""
     missing = set(scene.robots) - set(states)
     if missing:
         raise MissingGroupState(f"missing states for groups: {sorted(missing)}")
     extra = set(states) - set(scene.robots)
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
-    return Monitor(scene.layout, margin).check(0.0, lambda groups: states)
+    return Monitor(scene.layout, margin).check(
+        0.0, lambda groups, limit: (np.zeros(1), {g: states[g].positions[None] for g in groups}, ())
+    )

@@ -6,9 +6,14 @@ terminated back into the queue unless their deadline has come, aborts backlog
 entries at or past their deadline, drains the queue through the collision
 gate (admit or backlog; a new submission whose timeout ran out before its
 first tick aborts), and runs the periodic composite-state monitor. The
-monitor re-measures only the pairs that may have come within the margin
-since they were last measured (`collision.Monitor`): admission makes every
-pair of the admitted arm due, and a stopped arm's speed is 0. Admission may
+monitor measures only the pairs that may have come within the margin since
+they were last measured (`collision.Monitor`). Once some pair is due, the
+manager hands it a window: the check instants from now to the first one at
+or after the last of the involved arms' motions ends, with every arm's
+planned positions at them, computed as the live checks at those instants
+would compute them. Admission makes every pair of the admitted arm due, and
+so does a stop off the plan (a cancel or a halt); a completion parks the arm
+where the window already has it. Admission may
 fail against a running trajectory (blocker = its id), against another arm
 parked in the way (blocker "idle:<group>", re-checked when that arm's posture
 changes), or against a static obstacle (blocker "static", which only a
@@ -29,6 +34,7 @@ event logs.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -53,7 +59,7 @@ from .collision import (
 from .errors import UnknownGroup, UnknownHandle, ValidationFailed
 from .geometry import Owner, owner_str
 from .kinematics import JointState
-from .trajectory import JointTrajectory, grid_size, state_at, validate
+from .trajectory import JointTrajectory, grid_size, state_at, states_at, validate
 
 log = logging.getLogger(__name__)
 
@@ -231,9 +237,9 @@ class ExecutionManager:
         with self._lock:
             return self._consolidated_states()
 
-    def _consolidated_states(self, groups=None) -> dict[str, JointState]:
+    def _consolidated_states(self) -> dict[str, JointState]:
         states = {}
-        for g in self.scene.robots if groups is None else groups:
+        for g in self.scene.robots:
             if g in self._running:
                 _, rec = self._running[g]
                 states[g] = state_at(rec.trajectory, max(0.0, self.clock - rec.start_time))
@@ -341,7 +347,7 @@ class ExecutionManager:
 
         # 5) periodic composite-state monitor
         if self._running and self._tick_index % self.monitor_period == 0:
-            report = self._monitor.check(clock, self._consolidated_states)
+            report = self._monitor.check(clock, self._window)
             if report.colliding:
                 witness = f"{owner_str(report.witness[0])}|{owner_str(report.witness[1])}"
                 detail = f"witness={witness};clearance={report.min_clearance_seen:.9f}"
@@ -366,12 +372,46 @@ class ExecutionManager:
         )
 
     def _stop(self, g: str, elapsed: float):
-        """Take group g off the running set, parked `elapsed` s into its trajectory."""
+        """Take group g off the running set, parked `elapsed` s into its trajectory.
+
+        Parked before its end, the arm left the motion the monitor's last
+        window planned for it, so its pairs are due again.
+        """
         _, rec = self._running.pop(g)
         self._postures[g] = state_at(rec.trajectory, elapsed)
         self._posture_version[g] += 1
         self._requeue_due = True
-        self._monitor.stop(g)
+        if elapsed < rec.trajectory.duration:
+            self._monitor.wake(g)
+
+    def _end_tick(self, rec: RunningRecord) -> int:
+        """The tick whose step 1 completes `rec`, which is running now."""
+        end = rec.start_time + rec.trajectory.duration
+        k = max(self._tick_index, math.floor((end - _CLOCK_EPS) / self.tick_length) - 1)
+        while end > k * self.tick_length + _CLOCK_EPS:
+            k += 1
+        return k
+
+    def _window(self, groups: list[str], limit: int):
+        """The monitor's look-ahead for `groups` (see `collision.Monitor.check`).
+
+        The check instants run from now to the first one at or after the last
+        end among the running arms of `groups`, cut to `limit`; each equals,
+        bit for bit, the clock of the live check. A running arm is sampled
+        once over them, at its final waypoint from the tick that completes
+        it, as `_stop` parks it; a parked arm is held.
+        """
+        running = {g: self._running[g][1] for g in groups if g in self._running}
+        ends = {g: self._end_tick(rec) for g, rec in running.items()}
+        k0, period = self._tick_index, self.monitor_period
+        last = k0 + -(-(max(ends.values(), default=k0) - k0) // period) * period
+        ticks = np.arange(k0, min(last, k0 + (limit - 1) * period) + 1, period)
+        times = ticks * self.tick_length
+        q = {g: self._postures[g].positions[None] for g in groups if g not in running}
+        for g, rec in running.items():
+            elapsed = np.where(ticks >= ends[g], rec.trajectory.duration, times - rec.start_time)
+            q[g] = states_at(rec.trajectory, elapsed)
+        return times, q, [g for g in running if ends[g] > ticks[-1]]
 
     def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
         """The one terminal transition: final status, out of the chain, logged."""
@@ -468,6 +508,6 @@ class ExecutionManager:
         self._running[g] = (entry, rec)
         self._posture_version[g] += 1
         self._requeue_due = True
-        self._monitor.start(g)
+        self._monitor.wake(g)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
         self._event("ADMITTED", entry, f"start={clock:.6f};checks={checks};states={states}")

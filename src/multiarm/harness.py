@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import CheckParams, Scene, pair_clearances
+from .collision import PAIR_SAMPLES, CheckParams, Scene, pair_clearances
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
 from .executor import ExecutionManager, ExecStatus, ExecHandle
 from .geometry import Capsule, PlacedPrimitive, Sphere
@@ -42,14 +42,16 @@ CSV_HEADER = [
 
 FIXTURES = ("disjoint.json", "crossing.json", "timeout.json", "panda_like_shared.json")
 
-# pair-samples per kernel call in the replay audit, to bound its memory
-_REPLAY_PAIR_SAMPLES = 100_000
-
 # samples per admission check, whose grid spans at most the longest planned
 # task: crossing.json at 100 000 samples per check (its longest, 2 s move at
 # a 2e-5 s step) runs in ~1 s and peaks at ~165 MB on a 2-vCPU x86-64 VM; a
 # finer time_step is refused before it exhausts memory
 _MAX_GRID = 100_000
+
+# ticks a run may take to reach its last submit_time: the clock advances one
+# tick per step, and 1 000 000 idle ticks take ~2 s on a 2-vCPU x86-64 VM; a
+# later submit_time or a finer tick is refused before the run starts
+_MAX_IDLE_TICKS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +188,11 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
         raise ScenarioInvalid(
             f"time_step {p.check.dt} needs over {_MAX_GRID} samples per check of a {longest:g} s task"
         )
+    last_submit = max((t.submit_time for t in scenario.tasks), default=0.0)
+    if last_submit > _MAX_IDLE_TICKS * p.tick_length:
+        raise ScenarioInvalid(
+            f"submit_time {last_submit:g} s needs over {_MAX_IDLE_TICKS} ticks of {p.tick_length:g} s"
+        )
     mgr = ExecutionManager(
         scenario.scene,
         params=p.check,
@@ -199,7 +206,7 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     idx = 0
     budget = sum(t.duration for t in trajectories)
     budget += sum(t.timeout or p.default_timeout for t in scenario.tasks)
-    budget += max((t.submit_time for t in scenario.tasks), default=0.0) + 1.0
+    budget += last_submit + 1.0
     max_ticks = int(budget / p.tick_length) + 10
     while True:
         while idx < len(order) and scenario.tasks[order[idx]].submit_time <= mgr.clock + 1e-9:
@@ -350,7 +357,7 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
     # (infinite margin), a bounded number of samples per kernel call
     layout = scenario.scene.layout
     ii, jj = layout.ii[layout.n_self :], layout.jj[layout.n_self :]
-    step = max(1, _REPLAY_PAIR_SAMPLES // max(1, len(ii)))
+    step = max(1, PAIR_SAMPLES // max(1, len(ii)))
     best = float("inf")
     for lo in range(0, len(ts), step):
         p0, p1 = layout.place({g: motions[g][lo : lo + step] for g in layout.groups})

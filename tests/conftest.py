@@ -160,10 +160,13 @@ def monitor_oracle(scene):
     counts = {"checks": 0, "skipped": 0, "colliding": 0}
 
     class CheckedMonitor(Monitor):
-        def check(self, clock, states_of):
+        def check(self, clock, window):
             skipped = not np.any(self.safe_until <= clock)
-            report = super().check(clock, states_of)
-            full = composite_state_check(states_of(sorted(scene.robots)), scene, self.margin)
+            report = super().check(clock, window)
+            groups = sorted(scene.robots)
+            _, q, _ = window(groups, 1)
+            states = {g: JointState(g, q[g][0]) for g in groups}
+            full = composite_state_check(states, scene, self.margin)
             assert report.colliding == full.colliding, clock
             if full.colliding:
                 assert report == full, clock

@@ -267,3 +267,13 @@ def test_tick_budget_overrun_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(multiarm.cli, "run", overrun)
     assert main(["run", "--scenario", str(fixture_path("disjoint.json"))]) == 1
     assert "tick budget" in capsys.readouterr().err
+
+
+def test_submit_time_beyond_a_million_ticks_exits_one(tmp_path, capsys):
+    # crossing.json ticks 0.01 s, so a task at 1e9 s would take 1e11 idle ticks
+    data = json.loads(fixture_path("crossing.json").read_text())
+    data["tasks"][0]["submit_time"] = 1e9
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert "needs over 1000000 ticks" in capsys.readouterr().err

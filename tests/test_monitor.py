@@ -1,20 +1,33 @@
 """The executor's monitor against the stateless full check, at every check.
 
-The monitor re-measures only the pairs whose safe-until time has come; a
-check of every pair must give the same verdict, and when colliding the same
-witness and minimum, at every monitor tick of every run here, including runs
-that halt with arms parked in contact.
+The monitor measures only the pairs whose safe-until time has come, each at
+every remaining check instant of the planned motion; a check of every pair
+must give the same verdict, and when colliding the same witness and minimum,
+at every monitor tick of every run here, including runs that halt with arms
+parked in contact, runs whose windows are cut short, and a cancel that parks
+an arm off its plan.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from multiarm import fixture_path, run
+from multiarm import (
+    CheckParams,
+    ExecutionManager,
+    StatusKind,
+    collision,
+    composite_state_check,
+    fixture_path,
+    run,
+)
+from multiarm.geometry import owner_str
 from multiarm.harness import FIXTURES, scenario_from_dict
 
-from conftest import monitor_oracle
+from conftest import facing_pair, monitor_oracle, scene_of, sweep_traj
+from test_golden import RING16_901_HALTING, digest
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,3 +63,63 @@ def test_monitor_skips_checks_on_the_fixtures():
     data = json.loads(fixture_path("crossing.json").read_text())
     counts, _ = run_checked(data, "async")
     assert 0 < counts["skipped"] < counts["checks"]
+
+
+def test_monitor_measures_in_few_checks_on_the_panda_cell():
+    """Every planned motion is known: on the dual-arm cell a due check puts
+    its pairs to sleep through the rest of the motion."""
+    data = json.loads(fixture_path("panda_like_shared.json").read_text())
+    counts, _ = run_checked(data, "async")
+    assert 5 * (counts["checks"] - counts["skipped"]) <= counts["checks"]
+
+
+@pytest.mark.parametrize("pair_samples", [1, 250])
+def test_a_cut_window_keeps_every_check_and_the_halting_log(monkeypatch, pair_samples):
+    """A window cut to bound its memory leaves the arms moving past its end to
+    the speed bound, and the checks and the log stay the same."""
+    cut = []
+    window = ExecutionManager._window
+
+    def spied(mgr, groups, limit):
+        times, q, moving = window(mgr, groups, limit)
+        cut.append(bool(moving))
+        return times, q, moving
+
+    monkeypatch.setattr(collision, "PAIR_SAMPLES", pair_samples)
+    monkeypatch.setattr(ExecutionManager, "_window", spied)
+    data = json.loads((DATA / "ring16_901.json").read_text())
+    counts, result = run_checked(data, "async", check_static=False)
+    assert any(cut)
+    assert counts["colliding"] == result.metrics.collision_halts == 4
+    assert digest(result.lines) == RING16_901_HALTING[5]
+
+
+def test_a_cancel_mid_motion_wakes_the_pairs_of_the_parked_arm():
+    """The right arm leaves the left arm's path before the left arm gets
+    there, so the first check puts every pair to sleep through its window.
+    Cancelled in the path, the right arm parks off its plan: its pairs must
+    wake, and the left arm halts where the full check says it collides."""
+    left, right = facing_pair(vlims=(1.0, 2.0))
+    idle_l, idle_r = [np.pi / 2 - 2.0, 0.0], [-np.pi / 2, 0.0]
+    scene = scene_of([left, right], [idle_l, idle_r])
+    with monitor_oracle(scene) as counts:
+        mgr = ExecutionManager(scene, CheckParams(dt=0.01, margin=0.02), monitor_period=5)
+        away = mgr.submit(sweep_traj(right, idle_r, [-np.pi / 2 + 1.5, 0.0], "away"), 10.0)
+        sweep = mgr.submit(sweep_traj(left, idle_l, [np.pi / 2 + 0.5, 0.0], "sweep"), 10.0)
+        for _ in range(5):
+            mgr.tick()
+        assert set(mgr.running_records()) == {"left", "right"}
+        assert np.all(mgr._monitor.safe_until == np.inf)
+        for _ in range(5):
+            mgr.tick()
+        mgr.cancel(away)
+        for _ in range(300):
+            mgr.tick()
+    assert mgr.all_terminal() and counts["colliding"] == 1
+    status = mgr.status(sweep)
+    assert status.kind is StatusKind.ABORTED_COLLISION
+    full = composite_state_check(mgr.current_states(), scene, 0.02)
+    assert full.colliding and status.witness == full.witness
+    witness = "|".join(owner_str(o) for o in full.witness)
+    assert mgr.event_lines()[-1] == (f"{status.at:.6f}\tCOLLISION_HALT\tsweep\t"
+                                     f"witness={witness};clearance={full.min_clearance_seen:.9f}")
