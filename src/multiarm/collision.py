@@ -26,17 +26,15 @@ The periodic `Monitor` also skips pairs over time. Every trajectory is
 known, so when a check finds pairs due it measures them at every remaining
 check instant of the planned motion at once, its window, and puts each pair
 to sleep until the first instant at which it is at or below the margin. A
-pair above the margin at every instant sleeps for good if both its arms are
-still from the window's last instant on; a window cut short to bound its
-memory is covered past its end by the speed bound: no point of a moving arm
-is faster than its cartesian speed bound v, so a pair at clearance c > margin
-at time t stays above it until t + (c - margin)/(v_a + v_b) (Schwarzer, Saha
-& Latombe, T-RO 2005). A window sample is the value a live check at that
-instant computes, since interpolation, placement and the kernel act on each
-sample alone, so a sleeping pair is above the margin at every check it
-skips. The measured pairs keep the pair order, so the verdict, the witness
-and a colliding minimum are those of a check of every pair. An arm that
-leaves its plan (a new motion, or a stop before its end) wakes its pairs.
+pair above the margin at every instant sleeps for good, as its arms are still
+from the window's last instant on, unless the window was cut short to bound
+its memory: then it sleeps until that last instant, and is measured again
+there. A window sample is the value a live check at that instant computes,
+since interpolation, placement and the kernel act on each sample alone, so a
+pair the monitor skips at a check was measured above the margin at exactly
+that instant. The measured pairs keep the pair order, so the verdict, the
+witness and a colliding minimum are those of a check of every pair. An arm
+that leaves its plan (a new motion, or a stop before its end) wakes its pairs.
 """
 
 from __future__ import annotations
@@ -354,18 +352,13 @@ class Monitor:
     def __init__(self, layout: Layout, margin: float):
         cull = layout.cull(margin)
         self.layout, self.margin, self.ii, self.jj = layout, margin, cull.ii, cull.jj
-        # each row's arm, by index into layout.groups; obstacles get the last
-        # index, whose speed is 0
+        # each row's arm, by index into layout.groups; obstacles get the last index
         arm = np.full(len(layout.owners), len(layout.groups))
         for k, g in enumerate(layout.groups):
             arm[layout.rows[g]] = k
         self._a, self._b = arm[self.ii], arm[self.jj]
-        self._arm = {g: k for k, g in enumerate(layout.groups)}
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
-                       for g, k in self._arm.items()}
-        # each arm's speed bound, with room for the slack `validate` allows
-        self._speed = np.array([layout.robots[g].max_cartesian_speed_bound * (1.0 + 1e-6)
-                                for g in layout.groups] + [0.0])
+                       for k, g in enumerate(layout.groups)}
         self.safe_until = np.full(len(self.ii), -math.inf)
 
     def wake(self, g: str):
@@ -376,35 +369,31 @@ class Monitor:
         colliding report's first_collision_time is 0.0, relative to `clock`).
 
         `window(groups, limit)` gives the look-ahead of the arms of the due
-        pairs: `(times, q, moving)`, at most `limit` check instants from
-        `clock` on, each arm's (n, J) positions at them (or a (1, J) posture
-        held at all), and the arms that still move after the last instant.
-        Places (and checks the limits of) only those arms, and measures the
-        due pairs exactly (an infinite margin prunes nothing) at every
-        instant in one kernel call, for their next safe-until times; a clear
-        report's minimum covers them only. The window is cut so that neither
-        the pair-samples nor the placed row-samples exceed PAIR_SAMPLES.
+        pairs: `(times, q, cut)`, at most `limit` check instants from `clock`
+        on, each arm's (n, J) positions at them (or a (1, J) posture held at
+        all), and whether the instants stop short of the end of those arms'
+        motions. Places (and checks the limits of) only those arms, and
+        measures the due pairs exactly (an infinite margin prunes nothing) at
+        every instant in one kernel call. Each sleeps until its first instant
+        at or below the margin, otherwise until the last instant if the window
+        was cut, or for good; a clear report's minimum covers them only. The
+        window is cut so that neither the pair-samples nor the placed
+        row-samples exceed PAIR_SAMPLES.
         """
         due = np.flatnonzero(self.safe_until <= clock)
         if not due.size:
             return CollisionReport(False, None, None, FAR)
-        a, b = self._a[due], self._b[due]
-        involved = np.zeros(len(self._speed), dtype=bool)
-        involved[a] = involved[b] = True
+        involved = np.zeros(len(self.layout.groups) + 1, dtype=bool)
+        involved[self._a[due]] = involved[self._b[due]] = True
         groups = [g for g, m in zip(self.layout.groups, involved.tolist()) if m]
         limit = max(1, PAIR_SAMPLES // max(due.size, len(self.layout.owners)))
-        times, q, moving = window(groups, limit)
+        times, q, cut = window(groups, limit)
         layout, ii, jj = self.layout, self.ii[due], self.jj[due]
         p0, p1 = layout.place(q)
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
         below = clear <= self.margin
-        speed = np.zeros(len(self._speed))
-        moves = [self._arm[g] for g in moving]
-        speed[moves] = self._speed[moves]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # past the last instant; inf if neither arm moves after it
-            tail = times[-1] + (clear[-1] - self.margin) / (speed[a] + speed[b])
-        self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)], tail)
+        self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)],
+                                        times[-1] if cut else math.inf)
         return _report(np.zeros(1), clear[:1], layout.owners, ii, jj, self.margin)
 
 
@@ -421,5 +410,5 @@ def composite_state_check(
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
     return Monitor(scene.layout, margin).check(
-        0.0, lambda groups, limit: (np.zeros(1), {g: states[g].positions[None] for g in groups}, ())
+        0.0, lambda groups, limit: (np.zeros(1), {g: states[g].positions[None] for g in groups}, False)
     )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -165,10 +166,11 @@ class ExecutionManager:
         check_static: bool = True,
         serialized: bool = False,
     ):
-        if tick_length <= 0.0:
-            raise ValueError("tick_length must be > 0")
-        if monitor_period < 1:
-            raise ValueError("monitor_period must be >= 1")
+        if not 0.0 < tick_length < math.inf:
+            raise ValueError("tick_length must be finite and > 0")
+        if (isinstance(monitor_period, bool) or not isinstance(monitor_period, numbers.Integral)
+                or monitor_period < 1):
+            raise ValueError("monitor_period must be an integer >= 1")
         self.scene = scene
         self.params = params or CheckParams()
         self.tick_length = float(tick_length)
@@ -235,23 +237,20 @@ class ExecutionManager:
     def current_states(self) -> dict[str, JointState]:
         """Consolidated state: running groups interpolated, others held."""
         with self._lock:
-            return self._consolidated_states()
-
-    def _consolidated_states(self) -> dict[str, JointState]:
-        states = {}
-        for g in self.scene.robots:
-            if g in self._running:
-                _, rec = self._running[g]
-                states[g] = state_at(rec.trajectory, max(0.0, self.clock - rec.start_time))
-            else:
-                states[g] = self._postures[g]
-        return states
+            states = {}
+            for g in self.scene.robots:
+                if g in self._running:
+                    _, rec = self._running[g]
+                    states[g] = state_at(rec.trajectory, max(0.0, self.clock - rec.start_time))
+                else:
+                    states[g] = self._postures[g]
+            return states
 
     def submit(self, traj: JointTrajectory, timeout: float) -> ExecHandle:
         """Queue a trajectory; it is considered for admission on the next tick."""
         if traj.group_id not in self.scene.robots:
             raise UnknownGroup(f"no robot group '{traj.group_id}' in scene")
-        if timeout <= 0.0:
+        if not timeout > 0.0:
             raise ValueError("timeout must be > 0")
         problems = validate(traj, self.scene.robots[traj.group_id])
         if problems:
@@ -396,22 +395,24 @@ class ExecutionManager:
         """The monitor's look-ahead for `groups` (see `collision.Monitor.check`).
 
         The check instants run from now to the first one at or after the last
-        end among the running arms of `groups`, cut to `limit`; each equals,
-        bit for bit, the clock of the live check. A running arm is sampled
-        once over them, at its final waypoint from the tick that completes
-        it, as `_stop` parks it; a parked arm is held.
+        end among the running arms of `groups`, cut to `limit` (the third
+        value says whether they were); each equals, bit for bit, the clock of
+        the live check. A running arm is sampled once over them, at its final
+        waypoint from the tick that completes it, as `_stop` parks it; a
+        parked arm is held.
         """
         running = {g: self._running[g][1] for g in groups if g in self._running}
         ends = {g: self._end_tick(rec) for g, rec in running.items()}
         k0, period = self._tick_index, self.monitor_period
         last = k0 + -(-(max(ends.values(), default=k0) - k0) // period) * period
-        ticks = np.arange(k0, min(last, k0 + (limit - 1) * period) + 1, period)
+        end = min(last, k0 + (limit - 1) * period)
+        ticks = np.arange(k0, end + 1, period)
         times = ticks * self.tick_length
         q = {g: self._postures[g].positions[None] for g in groups if g not in running}
         for g, rec in running.items():
             elapsed = np.where(ticks >= ends[g], rec.trajectory.duration, times - rec.start_time)
             q[g] = states_at(rec.trajectory, elapsed)
-        return times, q, [g for g in running if ends[g] > ticks[-1]]
+        return times, q, last > end
 
     def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
         """The one terminal transition: final status, out of the chain, logged."""

@@ -48,10 +48,11 @@ FIXTURES = ("disjoint.json", "crossing.json", "timeout.json", "panda_like_shared
 # finer time_step is refused before it exhausts memory
 _MAX_GRID = 100_000
 
-# ticks a run may take to reach its last submit_time: the clock advances one
-# tick per step, and 1 000 000 idle ticks take ~2 s on a 2-vCPU x86-64 VM; a
-# later submit_time or a finer tick is refused before the run starts
-_MAX_IDLE_TICKS = 1_000_000
+# ticks a run may take to cover any time it states (its last submit_time, its
+# longest planned motion, its longest timeout): the clock advances one tick
+# per step, and 1 000 000 idle ticks take ~2 s on a 2-vCPU x86-64 VM; a longer
+# stated time or a finer tick is refused before the run starts
+_MAX_TICKS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +190,13 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
             f"time_step {p.check.dt} needs over {_MAX_GRID} samples per check of a {longest:g} s task"
         )
     last_submit = max((t.submit_time for t in scenario.tasks), default=0.0)
-    if last_submit > _MAX_IDLE_TICKS * p.tick_length:
-        raise ScenarioInvalid(
-            f"submit_time {last_submit:g} s needs over {_MAX_IDLE_TICKS} ticks of {p.tick_length:g} s"
-        )
+    timeouts = [t.timeout or p.default_timeout for t in scenario.tasks]
+    for what, s in (("submit_time", last_submit), ("motion", longest),
+                    ("timeout", max(timeouts, default=0.0))):
+        if s > _MAX_TICKS * p.tick_length:
+            raise ScenarioInvalid(
+                f"{what} {s:g} s needs over {_MAX_TICKS} ticks of {p.tick_length:g} s"
+            )
     mgr = ExecutionManager(
         scenario.scene,
         params=p.check,
@@ -204,15 +208,11 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     order = sorted(range(len(scenario.tasks)), key=lambda i: scenario.tasks[i].submit_time)
     handles: list[ExecHandle] = []
     idx = 0
-    budget = sum(t.duration for t in trajectories)
-    budget += sum(t.timeout or p.default_timeout for t in scenario.tasks)
-    budget += last_submit + 1.0
+    budget = sum(t.duration for t in trajectories) + sum(timeouts) + (last_submit + 1.0)
     max_ticks = int(budget / p.tick_length) + 10
     while True:
         while idx < len(order) and scenario.tasks[order[idx]].submit_time <= mgr.clock + 1e-9:
-            task = scenario.tasks[order[idx]]
-            timeout = task.timeout if task.timeout is not None else p.default_timeout
-            handles.append(mgr.submit(trajectories[order[idx]], timeout))
+            handles.append(mgr.submit(trajectories[order[idx]], timeouts[order[idx]]))
             idx += 1
         if idx == len(order) and mgr.all_terminal():
             break

@@ -277,3 +277,17 @@ def test_submit_time_beyond_a_million_ticks_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--scenario", str(path)]) == 1
     assert "needs over 1000000 ticks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        # crossing.json's 2 s moves alone would take 2e6 ticks of 1e-6 s
+        (["--tick", "0.000001"], "motion 2 s needs over 1000000 ticks of 1e-06 s"),
+        (["--backlog-timeout", "1e5"], "timeout 100000 s needs over 1000000 ticks of 0.01 s"),
+    ],
+)
+def test_stated_time_beyond_a_million_ticks_exits_one(tmp_path, capsys, option, message):
+    code, _, _ = run_cli(tmp_path, "crossing.json", *option)
+    assert code == 1
+    assert message in capsys.readouterr().err

@@ -189,8 +189,14 @@ def test_submit_validation_errors():
     bad = JointTrajectory("left", [0.0, 1.0, 1.0], [[0, 0], [1, 0], [2, 0]])
     with pytest.raises(ValidationFailed):
         mgr.submit(bad, timeout=5.0)
-    with pytest.raises(ValueError):
-        mgr.submit(sweep_traj(left, [0, 0], [1, 0]), timeout=0.0)
+    for timeout in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            mgr.submit(sweep_traj(left, [0, 0], [1, 0]), timeout=timeout)
+    for bad in ({"tick_length": 0.0}, {"tick_length": float("nan")},
+                {"tick_length": float("inf")}, {"monitor_period": 0},
+                {"monitor_period": 2.7}, {"monitor_period": True}):
+        with pytest.raises(ValueError):
+            manager(scene, **bad)
     with pytest.raises(UnknownHandle):
         from multiarm import ExecHandle
 

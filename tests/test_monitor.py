@@ -23,7 +23,8 @@ from multiarm import (
     fixture_path,
     run,
 )
-from multiarm.geometry import owner_str
+from multiarm.collision import CollisionReport, Layout, Monitor
+from multiarm.geometry import FAR, owner_str
 from multiarm.harness import FIXTURES, scenario_from_dict
 
 from conftest import facing_pair, monitor_oracle, scene_of, sweep_traj
@@ -75,23 +76,65 @@ def test_monitor_measures_in_few_checks_on_the_panda_cell():
 
 @pytest.mark.parametrize("pair_samples", [1, 250])
 def test_a_cut_window_keeps_every_check_and_the_halting_log(monkeypatch, pair_samples):
-    """A window cut to bound its memory leaves the arms moving past its end to
-    the speed bound, and the checks and the log stay the same."""
-    cut = []
+    """A window cut to bound its memory puts its clear pairs to sleep only
+    until its last instant, and the checks and the log stay the same."""
+    cuts = []
     window = ExecutionManager._window
 
     def spied(mgr, groups, limit):
-        times, q, moving = window(mgr, groups, limit)
-        cut.append(bool(moving))
-        return times, q, moving
+        times, q, cut = window(mgr, groups, limit)
+        cuts.append(cut)
+        return times, q, cut
 
     monkeypatch.setattr(collision, "PAIR_SAMPLES", pair_samples)
     monkeypatch.setattr(ExecutionManager, "_window", spied)
     data = json.loads((DATA / "ring16_901.json").read_text())
     counts, result = run_checked(data, "async", check_static=False)
-    assert any(cut)
+    assert any(cuts)
     assert counts["colliding"] == result.metrics.collision_halts == 4
     assert digest(result.lines) == RING16_901_HALTING[5]
+
+
+@pytest.mark.parametrize("pair_samples", [1, 250])
+def test_cut_windows_need_no_speed_bound(monkeypatch, pair_samples):
+    """With every arm's cartesian speed bound at 0, the checks and the log
+    stay the same: the monitor's sleeps rest on measurements alone."""
+    monkeypatch.setattr(collision, "PAIR_SAMPLES", pair_samples)
+    data = json.loads((DATA / "ring16_901.json").read_text())
+    data["params"]["check_static"] = False
+    scenario = scenario_from_dict(data)
+    for model in scenario.scene.robots.values():
+        model.max_cartesian_speed_bound = 0.0
+    with monitor_oracle(scenario.scene) as counts:
+        result = run(scenario, "async")
+    assert counts["colliding"] == result.metrics.collision_halts == 4
+    assert digest(result.lines) == RING16_901_HALTING[5]
+
+
+@pytest.mark.parametrize(
+    "angles, cut, safe_until",
+    [
+        ([0.0, 0.3, np.pi / 2, np.pi / 2], False, 2.0),
+        ([0.0, 0.3, np.pi / 2, np.pi / 2], True, 2.0),
+        ([0.0, 0.3, 0.3, 0.3], True, 3.0),
+        ([0.0, 0.3, 0.3, 0.3], False, np.inf),
+    ],
+)
+def test_a_due_pair_sleeps_until_its_first_instant_at_or_below_the_margin(angles, cut, safe_until):
+    """Clear at every instant, it sleeps until the last instant of a cut
+    window, or for good; a check before its wake-up measures nothing."""
+    left, right = facing_pair(gap=1.0, lengths=(0.5,))
+    monitor = Monitor(Layout({"left": left, "right": right}, []), 0.02)
+    assert monitor.ii.size == 1
+
+    def window(groups, limit):
+        assert groups == ["left", "right"] and limit >= 4
+        q = {"left": np.array(angles)[:, None], "right": np.array([[-np.pi / 2]])}
+        return np.arange(4.0), q, cut
+
+    assert not monitor.check(0.0, window).colliding
+    assert monitor.safe_until.tolist() == [safe_until]
+    assert monitor.check(1.0, None) == CollisionReport(False, None, None, FAR)
 
 
 def test_a_cancel_mid_motion_wakes_the_pairs_of_the_parked_arm():
