@@ -24,8 +24,9 @@ changes neither verdicts nor witnesses, nor the minimum of a colliding check.
 
 The periodic `Monitor` also skips pairs over time. Every trajectory is
 known, so when a check finds pairs due it measures them at every remaining
-check instant of the planned motion at once, its window, and puts each pair
-to sleep until the first instant at which it is at or below the margin. A
+check instant of the planned motion at once, its window, at its margin (a
+pair the AABB test prunes at an instant is above the margin there), and puts
+each pair to sleep until the first instant at which it is at or below it. A
 pair above the margin at every instant sleeps for good, as its arms are still
 from the window's last instant on, unless the window was cut short to bound
 its memory: then it sleeps until that last instant, and is measured again
@@ -208,18 +209,16 @@ class Layout:
         pairs += [(i, j) for r in rows for i in r for j in self.static_rows]
         self.ii, self.jj = np.array(pairs, dtype=int).reshape(-1, 2).T
 
-        # a link of frame f lies within the offsets of joints 1..f, plus its
-        # farthest surface point, of its arm's first joint origin (the bound
-        # of RobotModel._speed_bound for joint 0); an obstacle within half its
-        # length plus its radius of its midpoint
+        # a link lies within its model's `_reach` of its arm's first joint
+        # origin; an obstacle within half its length plus its radius of its
+        # midpoint
         centres, reach = [], []
         for g in self.groups:
             m = robots[g]
             if m.links:
-                chain = np.append(0.0, np.cumsum(np.linalg.norm(m._t_off[1:], axis=1)))
                 origin = (m.base_pose @ m.joints[0].origin_offset)[:3, 3]
                 centres.append(np.tile(origin, (m.n_links, 1)))
-                reach.append(chain[m._frames] + m._far)
+                reach.append(m._reach)
         centres.append((s0 + s1) / 2.0)
         reach.append(np.linalg.norm(s1 - s0, axis=1) / 2.0 + sr)
         centres, reach = np.concatenate(centres), np.concatenate(reach)
@@ -373,10 +372,11 @@ class Monitor:
         on, each arm's (n, J) positions at them (or a (1, J) posture held at
         all), and whether the instants stop short of the end of those arms'
         motions. Places (and checks the limits of) only those arms, and
-        measures the due pairs exactly (an infinite margin prunes nothing) at
-        every instant in one kernel call. Each sleeps until its first instant
-        at or below the margin, otherwise until the last instant if the window
-        was cut, or for good; a clear report's minimum covers them only. The
+        measures the due pairs at every instant in one kernel call at the
+        margin, whose AABB test reads a pair it prunes as `FAR`, above the
+        margin. Each sleeps until its first instant at or below the margin,
+        otherwise until the last instant if the window was cut, or for good;
+        a clear report's minimum covers the pairs the AABB test kept only. The
         window is cut so that neither the pair-samples nor the placed
         row-samples exceed PAIR_SAMPLES.
         """
@@ -390,7 +390,7 @@ class Monitor:
         times, q, cut = window(groups, limit)
         layout, ii, jj = self.layout, self.ii[due], self.jj[due]
         p0, p1 = layout.place(q)
-        clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
+        clear = pair_clearances(p0, p1, layout.radii, ii, jj, self.margin)
         below = clear <= self.margin
         self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)],
                                         times[-1] if cut else math.inf)

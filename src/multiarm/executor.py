@@ -195,7 +195,11 @@ class ExecutionManager:
         # serializes external callers (submit/cancel/status) against tick()
         self._lock = threading.Lock()
 
-        self.margin_bound = self._soundness_bound()
+        # the largest required_margin of any arm or pair of arms: that of the
+        # two fastest arms (or of the only arm)
+        fastest = sorted(scene.robots.values(), key=lambda m: m.max_cartesian_speed_bound, reverse=True)
+        a, b = (fastest + [None, None])[:2]
+        self.margin_bound = 0.0 if a is None else required_margin(a, b, self.params.dt)
         if self.params.margin < self.margin_bound - 1e-12:
             log.warning(
                 "margin %.4f m is below the discrete-check soundness bound %.4f m "
@@ -204,15 +208,6 @@ class ExecutionManager:
                 self.margin_bound,
                 self.params.dt,
             )
-
-    def _soundness_bound(self) -> float:
-        models = sorted(self.scene.robots.values(), key=lambda m: m.group_id)
-        worst = 0.0
-        for i, a in enumerate(models):
-            worst = max(worst, required_margin(a, None, self.params.dt))
-            for b in models[i + 1 :]:
-                worst = max(worst, required_margin(a, b, self.params.dt))
-        return worst
 
     @property
     def clock(self) -> float:

@@ -377,13 +377,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _numbers(values, what: str) -> list[float]:
+    """A JSON array of numbers."""
+    return [_number(v, what) for v in values]
+
+
 def _shape_from_dict(d: dict):
     if "capsule" in d:
         c = d["capsule"]
-        return Capsule(p0=c["p0"], p1=c["p1"], radius=_number(c["radius"], "radius"))
+        return Capsule(p0=_numbers(c["p0"], "p0"), p1=_numbers(c["p1"], "p1"),
+                       radius=_number(c["radius"], "radius"))
     if "sphere" in d:
         s = d["sphere"]
-        return Sphere(center=s["center"], radius=_number(s["radius"], "radius"))
+        return Sphere(center=_numbers(s["center"], "center"), radius=_number(s["radius"], "radius"))
     raise ScenarioInvalid(f"shape must be 'capsule' or 'sphere', got keys {sorted(d)}")
 
 
@@ -393,10 +399,10 @@ def robot_from_dict(d: dict) -> tuple[RobotModel, JointState]:
     for j in d["joints"]:
         joints.append(
             JointSpec.from_xyz_rpy(
-                axis=j["axis"],
-                xyz=j.get("origin_xyz", (0.0, 0.0, 0.0)),
-                rpy=j.get("origin_rpy", (0.0, 0.0, 0.0)),
-                limits=j.get("position_limits", (-np.pi, np.pi)),
+                axis=_numbers(j["axis"], "axis"),
+                xyz=_numbers(j.get("origin_xyz", (0.0, 0.0, 0.0)), "origin_xyz"),
+                rpy=_numbers(j.get("origin_rpy", (0.0, 0.0, 0.0)), "origin_rpy"),
+                limits=_numbers(j.get("position_limits", (-np.pi, np.pi)), "position_limits"),
             )
         )
         vlimits.append(_number(j["velocity_limit"], "velocity_limit"))
@@ -404,13 +410,14 @@ def robot_from_dict(d: dict) -> tuple[RobotModel, JointState]:
     base = d.get("base_pose", {})
     model = RobotModel(
         group_id=d["group_id"],
-        base_pose=pose(base.get("xyz", (0, 0, 0)), base.get("rpy", (0, 0, 0))),
+        base_pose=pose(_numbers(base.get("xyz", (0, 0, 0)), "base_pose.xyz"),
+                       _numbers(base.get("rpy", (0, 0, 0)), "base_pose.rpy")),
         joints=joints,
         links=links,
         joint_velocity_limits=vlimits,
         allowed_pairs={tuple(p) for p in d.get("allowed_pairs", [])},
     )
-    idle = JointState(d["group_id"], [_number(v, "idle_posture") for v in d["idle_posture"]])
+    idle = JointState(d["group_id"], _numbers(d["idle_posture"], "idle_posture"))
     return model, idle
 
 
@@ -434,7 +441,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         tasks = [
             Task(
                 group_id=td["group_id"],
-                goal=JointState(td["group_id"], [_number(v, "goal") for v in td["goal"]]),
+                goal=JointState(td["group_id"], _numbers(td["goal"], "goal")),
                 submit_time=_number(td.get("submit_time", 0.0), "submit_time"),
                 timeout=_number(td["timeout"], "timeout") if "timeout" in td else None,
             )

@@ -37,6 +37,11 @@ def _rodrigues(k, outer, angle) -> np.ndarray:
     return c * _EYE + s * k + (1.0 - c) * outer
 
 
+def _is_index(value) -> bool:
+    """An integer, which a boolean is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _skew(a) -> np.ndarray:
     return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
 
@@ -117,9 +122,12 @@ class RobotModel:
 
     `max_cartesian_speed_bound` is a conservative upper bound on the speed of
     any point of any placed primitive while every joint respects its velocity
-    limit. It is computed as sum_j vlim_j * reach_j with reach_j a triangle
-    -inequality bound on the distance from joint j's origin to the farthest
-    distal surface point.
+    limit: sum_j vlim_j * reach_j, where reach_j bounds, by the triangle
+    inequality, how far a surface point of a link that joint j moves can be
+    from joint j's origin. Both come from one offset chain: `chain[f]` sums the
+    norms of the offsets of joints 1..f, so a link of frame f lies within
+    `chain[f]` plus its farthest surface point (`_reach`) of joint 0's origin,
+    and within `chain[f] - chain[j]` plus the same of joint j's origin.
     """
 
     group_id: str
@@ -141,15 +149,15 @@ class RobotModel:
             raise ValueError("velocity limits must be finite and > 0")
         for link in self.links:
             frame = link.frame
-            if isinstance(frame, bool) or not isinstance(frame, numbers.Integral):
+            if not _is_index(frame):
                 raise ValueError(f"link frame must be a joint index, got {frame!r}")
             if not 0 <= frame < len(self.joints):
                 raise ValueError(f"link frame {frame} out of range")
 
         self.allowed_pairs = {tuple(sorted(p)) for p in self.allowed_pairs}
-        for i, j in self.allowed_pairs:
-            if not (0 <= i < len(self.links) and 0 <= j < len(self.links)):
-                raise ValueError(f"allowed pair ({i},{j}) out of range")
+        for pair in self.allowed_pairs:
+            if len(pair) != 2 or not all(_is_index(k) and 0 <= k < len(self.links) for k in pair):
+                raise ValueError(f"allowed pair {pair!r} is not two link indices in range")
         self.allowed_pairs |= self._adjacent_pairs()
 
         # cached arrays for the batch FK path
@@ -166,11 +174,14 @@ class RobotModel:
         self._radii = np.array([s[2] for s in segs]).reshape(-1)
         self._frames = np.array([link.frame for link in self.links], dtype=int)
         # farthest surface point of each link from its frame origin
-        self._far = np.maximum(
+        far = np.maximum(
             np.linalg.norm(self._local_p0, axis=1), np.linalg.norm(self._local_p1, axis=1)
         ) + self._radii
-
-        self.max_cartesian_speed_bound = self._speed_bound()
+        chain = np.append(0.0, np.cumsum(np.linalg.norm(self._t_off[1:], axis=1)))
+        self._reach = chain[self._frames] + far
+        moved = self._frames >= np.arange(len(self.joints))[:, None]  # (J, L)
+        reach = np.where(moved, chain[self._frames] - chain[:, None] + far, 0.0).max(axis=1, initial=0.0)
+        self.max_cartesian_speed_bound = float(self.joint_velocity_limits @ reach)
 
     def _adjacent_pairs(self) -> set[tuple[int, int]]:
         pairs = set()
@@ -182,20 +193,6 @@ class RobotModel:
                 if self.links[i].frame == self.links[j].frame:
                     pairs.add((i, j))
         return pairs
-
-    def _speed_bound(self) -> float:
-        if not self.links:
-            return 0.0
-        offsets = np.linalg.norm(self._t_off, axis=1)
-        bound = 0.0
-        for j in range(len(self.joints)):
-            reach = 0.0
-            for k, link in enumerate(self.links):
-                if link.frame < j:
-                    continue
-                reach = max(reach, offsets[j + 1 : link.frame + 1].sum() + self._far[k])
-            bound += float(self.joint_velocity_limits[j]) * reach
-        return float(bound)
 
     @property
     def n_joints(self) -> int:

@@ -222,6 +222,39 @@ def loop_placed_segments(model, q_batch):
     return p0, p1
 
 
+def loop_speed_bound(model) -> float:
+    """The speed bound sum_j vlim_j * reach_j by a joint x link double loop:
+    reach_j is the largest, over the links of a frame f >= j, of the offset
+    norms of joints j+1..f summed plus the link's farthest surface point."""
+    if not model.links:
+        return 0.0
+    offsets = np.linalg.norm(model._t_off, axis=1)
+    far = np.maximum(
+        np.linalg.norm(model._local_p0, axis=1), np.linalg.norm(model._local_p1, axis=1)
+    ) + model._radii
+    bound = 0.0
+    for j in range(len(model.joints)):
+        reach = 0.0
+        for k, link in enumerate(model.links):
+            if link.frame >= j:
+                reach = max(reach, offsets[j + 1 : link.frame + 1].sum() + far[k])
+        bound += float(model.joint_velocity_limits[j]) * reach
+    return float(bound)
+
+
+def all_pairs_margin_bound(models, dt) -> float:
+    """The largest required_margin of any arm alone or any pair of arms."""
+    from multiarm import required_margin
+
+    models = sorted(models, key=lambda m: m.group_id)
+    worst = 0.0
+    for i, a in enumerate(models):
+        worst = max(worst, required_margin(a, None, dt))
+        for b in models[i + 1 :]:
+            worst = max(worst, required_margin(a, b, dt))
+    return worst
+
+
 def finite_difference_speeds(model, q, qdot, h=1e-6):
     """Endpoint speeds of every link primitive via finite differences."""
     from multiarm.kinematics import ArmStack

@@ -223,6 +223,34 @@ def _task_group_list(data):
     data["tasks"][1]["group_id"] = []
 
 
+def _joint_axis_bools(data):
+    data["robots"][1]["joints"][0]["axis"] = [False, False, True]
+
+
+def _base_xyz_bool(data):
+    data["robots"][1]["base_pose"]["xyz"] = [True, 0, 0]
+
+
+def _capsule_end_bool(data):
+    data["robots"][1]["links"][0]["capsule"]["p1"] = [True, 0, 0]
+
+
+def _position_limits_bool(data):
+    data["robots"][1]["joints"][0]["position_limits"] = [-3.2, True]
+
+
+def _obstacle_centre_bool(data):
+    data["obstacles"] = [{"sphere": {"center": [True, 0.0, 0.0], "radius": 0.1}}]
+
+
+def _allowed_pair_fractional(data):
+    data["robots"][1]["allowed_pairs"] = [[0.5, 1]]
+
+
+def _allowed_pair_bool(data):
+    data["robots"][1]["allowed_pairs"] = [[True, 0]]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -249,6 +277,13 @@ def _task_group_list(data):
         _submit_time_bool,
         _base_pose_null,
         _task_group_list,
+        _joint_axis_bools,
+        _base_xyz_bool,
+        _capsule_end_bool,
+        _position_limits_bool,
+        _obstacle_centre_bool,
+        _allowed_pair_fractional,
+        _allowed_pair_bool,
     ],
 )
 def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):

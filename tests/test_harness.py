@@ -19,7 +19,7 @@ from multiarm import (
     validate,
     write_metrics,
 )
-from multiarm.harness import CSV_HEADER, FIXTURES, parse_event_line, write_events
+from multiarm.harness import CSV_HEADER, FIXTURES, parse_event_line, scenario_from_dict, write_events
 
 from conftest import planar_arm, random_scenario, scene_of
 
@@ -237,6 +237,23 @@ def test_scenario_with_sphere_links_and_obstacle(tmp_path):
     # the obstacle surface starts at 0.55 m, so the run completes clean
     assert all(s.kind is StatusKind.SUCCEEDED for s in result.statuses.values())
     assert replay_min_clearance(sc, result) > 0.0
+
+
+def test_static_obstacle_blocks_until_the_timeout():
+    # a sphere on both crossing arms' paths: each admission sweep hits it,
+    # and only a timeout clears a "static" blocker, so nothing is requeued
+    data = json.loads(fixture_path("crossing.json").read_text())
+    data["obstacles"] = [{"sphere": {"center": [0, -0.05, 0], "radius": 0.05}}]
+    data["tasks"][0]["timeout"], data["tasks"][1]["timeout"] = 0.5, 1.0
+    sc = scenario_from_dict(data)
+    result = run(sc, "async")
+    assert result.lines[2:] == [
+        "0.010000\tBACKLOGGED\tt0\tblockers=static;deadline=0.500000;checks=1;states=41",
+        "0.010000\tBACKLOGGED\tt1\tblockers=static;deadline=1.000000;checks=1;states=41",
+        "0.500000\tTIMEOUT_ABORT\tt0\tdeadline=0.500000",
+        "1.000000\tTIMEOUT_ABORT\tt1\tdeadline=1.000000",
+    ]
+    assert replay_min_clearance(sc, result) == pytest.approx(0.319, abs=5e-4)
 
 
 def test_staggered_submission():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,17 +18,21 @@ from multiarm import (
     pose,
     within_limits,
 )
-from multiarm import fixture_path, load_scenario
+from multiarm import CheckParams, ExecutionManager, fixture_path, load_scenario
 from multiarm.collision import Layout
+from multiarm.harness import FIXTURES, scenario_from_dict
 from multiarm.kinematics import ArmStack, rotation_about_axis, rpy_matrix
 
 from conftest import planar_arm
 from oracles import (
+    all_pairs_margin_bound,
     finite_difference_speeds,
     forward_kinematics,
     loop_placed_segments,
+    loop_speed_bound,
     planar_chain_points,
 )
+from test_collision import skewed_arm, skewed_cell
 
 
 def two_link(lengths=(1.0, 1.0)):
@@ -184,6 +191,37 @@ def test_speed_bound_is_reasonably_tight():
     # straight arm spinning at both limits comes close to the bound
     speeds = finite_difference_speeds(model, [0.0, 0.0], [1.0, 1.0])
     assert np.max(speeds) > 0.85 * model.max_cartesian_speed_bound / 1.6
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "ring16_901.json"])
+def test_bounds_equal_the_loops_on_every_shipped_arm(name):
+    if name in FIXTURES:
+        scenario = load_scenario(fixture_path(name))
+    else:
+        data = Path(__file__).parent / "data" / name
+        scenario = scenario_from_dict(json.loads(data.read_text()))
+    models = scenario.scene.robots.values()
+    for model in models:
+        assert model.max_cartesian_speed_bound == loop_speed_bound(model)
+    manager = ExecutionManager(scenario.scene, scenario.params.check)
+    assert manager.margin_bound == all_pairs_margin_bound(models, scenario.params.check.dt)
+
+
+def test_bounds_match_the_loops_and_hold_on_skewed_arms(rng):
+    # the chain subtracts offset sums where the loop sums slices, so the
+    # bounds may differ in the last bits
+    for k in range(200):
+        model = skewed_arm(rng, "arm", (0.0, 0.0, 0.0))
+        bound = model.max_cartesian_speed_bound
+        assert bound == pytest.approx(loop_speed_bound(model), rel=1e-12)
+        for _ in range(5):
+            q = rng.uniform(-2.4, 2.4, 3)
+            qdot = rng.uniform(-1.0, 1.0, 3)  # the arm's velocity limits are 1
+            assert np.max(finite_difference_speeds(model, q, qdot)) <= bound * (1 + 1e-6)
+    for _ in range(20):
+        scene = skewed_cell(rng)
+        manager = ExecutionManager(scene, CheckParams(dt=0.01))
+        assert manager.margin_bound == all_pairs_margin_bound(scene.robots.values(), 0.01)
 
 
 def test_rotation_about_axis_matches_rpy():
