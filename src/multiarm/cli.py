@@ -57,14 +57,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = run(read_scenario(args), mode=args.mode)
+        if args.metrics_out:
+            write_metrics(result.metrics, args.metrics_out)
+        if args.events_out:
+            write_events(result.lines, args.events_out)
     except (MultiArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.metrics_out:
-        write_metrics(result.metrics, args.metrics_out)
-    if args.events_out:
-        write_events(result.lines, args.events_out)
 
     m = result.metrics
     print(

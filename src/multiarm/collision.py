@@ -248,33 +248,45 @@ class Layout:
         q[g] is an (n, J) batch of configurations of arm g, or a (1, J)
         configuration held at every sample; each must fit the arm's joint
         count and limits (with the rounding slack that interpolated states
-        need). The static rows are filled at every sample. The rows of arms
+        need). Each ArmStack places its arms in one call, each arm's rows
+        up to its trailing run of bit-identical rows, so a held tail is placed
+        once. The static rows are filled at every sample. The rows of arms
         not in q stay NaN, so a check must not pair them.
         """
-        batches: dict[tuple[ArmStack, int], list[str]] = {}
+        batches: dict[ArmStack, list[str]] = {}
         for g, qg in q.items():
             if g not in self.robots:
                 raise UnknownGroup(f"no robot model for group '{g}'")
-            if np.shape(qg)[-1] != self.robots[g].n_joints:
-                raise DimensionMismatch(f"{g}: expected {self.robots[g].n_joints} joint values")
-            batches.setdefault((self._slot[g][0], len(qg)), []).append(g)
+            if np.shape(qg)[1:] != (self.robots[g].n_joints,) or not len(qg):
+                raise DimensionMismatch(f"{g}: expected rows of {self.robots[g].n_joints} joint values")
+            batches.setdefault(self._slot[g][0], []).append(g)
         n = max((len(qg) for qg in q.values()), default=1)
         p0 = np.full((n, len(self.owners), 3), np.nan)
         p1 = np.full((n, len(self.owners), 3), np.nan)
         p0[:, self.static_rows], p1[:, self.static_rows] = self._static_ends
-        for (stack, length), groups in batches.items():
-            arms = [self._slot[g][1] for g in groups]
-            qs = np.stack([q[g] for g in groups])
-            lo, hi = (stack.arrays[name][arms][:, None] for name in ("_lo", "_hi"))
-            fits = (qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK)
-            bad = np.nonzero(~np.all(fits, axis=(1, 2)))[0]
+        for stack, groups in batches.items():
+            qs = [_distinct_rows(q[g]) for g in groups]
+            kept = np.array([len(qg) for qg in qs])
+            member = np.repeat(np.arange(len(groups)), kept)  # each row's index into groups
+            arms, qs = np.array([self._slot[g][1] for g in groups])[member], np.concatenate(qs)
+            lo, hi = (stack.arrays[name][arms] for name in ("_lo", "_hi"))
+            bad = np.flatnonzero(~np.all((qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK), axis=1))
             if bad.size:
-                raise JointLimitViolation(f"{groups[bad[0]]}: state outside joint limits")
+                raise JointLimitViolation(f"{groups[member[bad[0]]]}: state outside joint limits")
             a0, a1 = stack.place(qs, arms)
+            # sample t of arm k is its row min(t, kept[k] - 1), after the rows of arms < k
+            index = np.cumsum(kept) - kept + np.minimum(np.arange(n)[:, None], kept - 1)
             rows = [i for g in groups for i in self.rows[g]]
-            p0[:, rows] = a0.swapaxes(0, 1).reshape(length, -1, 3)
-            p1[:, rows] = a1.swapaxes(0, 1).reshape(length, -1, 3)
+            p0[:, rows] = a0[index].reshape(n, len(rows), 3)
+            p1[:, rows] = a1[index].reshape(n, len(rows), 3)
         return p0, p1
+
+
+def _distinct_rows(q) -> np.ndarray:
+    """q up to and including the first row of its trailing run of bit-identical rows."""
+    q = np.ascontiguousarray(q, dtype=float)
+    changed = np.flatnonzero((q[1:].view(np.uint64) != q[:-1].view(np.uint64)).any(axis=1))
+    return q[: changed[-1] + 2 if changed.size else 1]
 
 
 def candidate_sweep(

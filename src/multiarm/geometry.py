@@ -144,10 +144,14 @@ def pair_clearances(p0, p1, radii, ii, jj, margin: float) -> np.ndarray:
     times and `radii` their (S,) radii; pair k is (ii[k], jj[k]). Returns
     (T, P) signed clearances, segment distance minus both radii, where the
     two AABBs inflated by margin/2 overlap, and +inf where they do not.
+    Only the rows a pair references are boxed; other rows may be NaN.
     Segment distances are computed for overlapping pairs only, if any.
     """
-    lo, hi = segment_aabbs(p0, p1, radii, margin / 2.0)
-    near = np.all(lo[:, ii] <= hi[:, jj], axis=-1) & np.all(lo[:, jj] <= hi[:, ii], axis=-1)
+    rows, at = np.unique(np.concatenate([ii, jj]), return_inverse=True)
+    lo, hi = segment_aabbs(p0[:, rows], p1[:, rows], radii[rows], margin / 2.0)
+    a, b = at[: len(ii)], at[len(ii) :]
+    fit = (lo[:, a] <= hi[:, b]) & (lo[:, b] <= hi[:, a])
+    near = fit[..., 0] & fit[..., 1] & fit[..., 2]  # far faster than all(axis=-1)
     clear = np.full(near.shape, np.inf)
     t, k = np.nonzero(near)
     if k.size:

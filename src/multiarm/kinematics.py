@@ -216,7 +216,7 @@ def within_limits(model: RobotModel, q: JointState, tol: float = 0.0) -> bool:
     return bool(np.all(positions >= model._lo - tol) and np.all(positions <= model._hi + tol))
 
 
-# per-arm constants that ArmStack stacks, in the order place() unpacks them
+# per-arm constants that ArmStack stacks
 _STACKED = ("base_pose", "_r_off", "_t_off", "_k", "_outer", "_local_p0", "_local_p1", "_lo", "_hi")
 
 
@@ -225,8 +225,8 @@ class ArmStack:
 
     Each arm keeps its own base pose, joint offsets, axes, limits and link
     shapes; only the structure (which joint frame carries which link) must
-    agree, so one sequence of array operations places every arm at once,
-    with the same arithmetic per arm as placing it alone.
+    agree, so one sequence of array operations places any rows of any arms
+    at once, with the same arithmetic per row as placing it alone.
     """
 
     def __init__(self, models: list[RobotModel]):
@@ -236,25 +236,24 @@ class ArmStack:
             raise ValueError("stacked arms must share joint count and link frames")
         self.arrays = {name: np.array([getattr(m, name) for m in models]) for name in _STACKED}
 
-    def place(self, q, arms=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """World endpoints (R, n, L, 3) of every link primitive.
+    def place(self, q, arms) -> tuple[np.ndarray, np.ndarray]:
+        """World endpoints (N, L, 3) of every link primitive.
 
-        `q` is (R, n, J): n configurations for each of the R stack members
-        selected by `arms`. No limit checking happens here.
+        `q` is an (N, J) batch of configurations and `arms` (N,) the stack
+        member of each row; each joint's constants are gathered at its own
+        step. No limit checking happens here.
         """
-        shape = q.shape[:2]
-        base, r_off, t_off, k, outer, local_p0, local_p1 = (
-            self.arrays[name][arms][:, None] for name in _STACKED[:7]
-        )
-        rot, trans = base[..., :3, :3], base[..., :3, 3]  # (R, 1, ...), broadcast over n
-        r = np.empty(shape + (len(self.frames), 3, 3))  # each link's frame
-        t = np.empty(shape + (len(self.frames), 3))
+        a = self.arrays
+        base = a["base_pose"][arms]
+        rot, trans = base[:, :3, :3], base[:, :3, 3]
+        r = np.empty((len(q), len(self.frames), 3, 3))  # each link's frame
+        t = np.empty((len(q), len(self.frames), 3))
         for j in range(self.n_joints):
-            trans = trans + np.einsum("...ij,...j->...i", rot, t_off[:, :, j])
-            rot = rot @ r_off[:, :, j] @ _rodrigues(k[:, :, j], outer[:, :, j], q[..., j])
+            trans = trans + np.einsum("...ij,...j->...i", rot, a["_t_off"][arms, j])
+            rot = rot @ a["_r_off"][arms, j] @ _rodrigues(a["_k"][arms, j], a["_outer"][arms, j], q[:, j])
             on = self.frames == j
-            r[:, :, on] = rot[:, :, None]
-            t[:, :, on] = trans[:, :, None]
-        p0 = t + np.einsum("...lij,...lj->...li", r, local_p0)
-        p1 = t + np.einsum("...lij,...lj->...li", r, local_p1)
+            r[:, on] = rot[:, None]
+            t[:, on] = trans[:, None]
+        p0 = t + np.einsum("...lij,...lj->...li", r, a["_local_p0"][arms])
+        p1 = t + np.einsum("...lij,...lj->...li", r, a["_local_p1"][arms])
         return p0, p1

@@ -66,7 +66,7 @@ def forward_kinematics(model, q) -> list[PlacedPrimitive]:
     """World-frame placement of every link primitive of one arm at configuration q."""
     if not within_limits(model, q, tol=_LIMIT_SLACK):
         raise JointLimitViolation(f"{model.group_id}: configuration outside joint limits")
-    (p0,), (p1,) = ArmStack([model]).place(q.positions[None, None])
+    p0, p1 = ArmStack([model]).place(q.positions[None], [0])
     placed = []
     for i, link in enumerate(model.links):
         radius = float(model._radii[i])
@@ -189,8 +189,9 @@ def dense_running_sweep(candidate, running, now, models, step):
     horizon = max(horizon, 0.0)
     n = int(np.ceil(horizon / step)) if horizon > 0 else 0
     ts = np.minimum(np.arange(n + 1) * step, horizon)
-    (a0,), (a1,) = ArmStack([model_c]).place(states_at(candidate, ts)[None])
-    (b0,), (b1,) = ArmStack([model_r]).place(states_at(running.trajectory, offset + ts)[None])
+    rows = np.zeros(len(ts), dtype=int)
+    a0, a1 = ArmStack([model_c]).place(states_at(candidate, ts), rows)
+    b0, b1 = ArmStack([model_r]).place(states_at(running.trajectory, offset + ts), rows)
     d = segment_distance(a0[:, :, None, :], a1[:, :, None, :], b0[:, None, :, :], b1[:, None, :, :])
     clear = d - model_c._radii[:, None] - model_r._radii[None, :]
     return ts, clear.reshape(len(ts), -1).min(axis=1)
@@ -261,8 +262,8 @@ def finite_difference_speeds(model, q, qdot, h=1e-6):
 
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    (p0a,), (p1a,) = ArmStack([model]).place(q[None, None])
-    (p0b,), (p1b,) = ArmStack([model]).place((q + h * qdot)[None, None])
+    p0a, p1a = ArmStack([model]).place(q[None], [0])
+    p0b, p1b = ArmStack([model]).place((q + h * qdot)[None], [0])
     v0 = np.linalg.norm(p0b - p0a, axis=-1) / h
     v1 = np.linalg.norm(p1b - p1a, axis=-1) / h
     return np.maximum(v0, v1)[0]

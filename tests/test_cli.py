@@ -90,6 +90,17 @@ def test_bad_scenario_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("option", ["--metrics-out", "--events-out"])
+@pytest.mark.parametrize("target", ["missing_dir/out.txt", "."])
+def test_unwritable_output_path_exits_one(tmp_path, capsys, option, target):
+    # a file in a directory that does not exist, and a path that is a directory
+    path = tmp_path / target
+    code = main(["run", "--scenario", str(fixture_path("disjoint.json")), option, str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "missing_dir").exists()
+
+
 @pytest.mark.parametrize("content", ["{bad", "[1]"])
 def test_scenario_that_is_not_a_json_object_exits_one(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

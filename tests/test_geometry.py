@@ -7,7 +7,7 @@ from multiarm import (
     Sphere,
     pair_clearances,
 )
-from multiarm.geometry import segment_aabbs, segment_of, segments_of
+from multiarm.geometry import segment_aabbs, segment_distance, segment_of, segments_of
 
 from oracles import (
     NonFiniteInput,
@@ -152,6 +152,41 @@ def test_broadphase_superset_of_close_pairs(rng):
         clear = cross_clearances(set_a, set_b, margin)
         for i, j in exhaustive_close_pairs(set_a, set_b, margin):
             assert np.isfinite(clear[i, j])
+
+
+def dense_pair_clearances(p0, p1, radii, ii, jj, margin):
+    """Every pair at every sample: segment distance minus both radii, or inf
+    where the two boxes, each inflated by margin/2, are apart on some axis."""
+    clear = np.empty((len(p0), len(ii)))
+    for t in range(len(p0)):
+        for k, (i, j) in enumerate(zip(ii, jj)):
+            pad_i, pad_j = radii[i] + margin / 2.0, radii[j] + margin / 2.0
+            apart = any(
+                min(p0[t, i, x], p1[t, i, x]) - pad_i > max(p0[t, j, x], p1[t, j, x]) + pad_j
+                or min(p0[t, j, x], p1[t, j, x]) - pad_j > max(p0[t, i, x], p1[t, i, x]) + pad_i
+                for x in range(3)
+            )
+            dist = segment_distance(p0[t, i], p1[t, i], p0[t, j], p1[t, j])
+            clear[t, k] = np.inf if apart else dist - radii[i] - radii[j]
+    return clear
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05, 0.4, np.inf])
+def test_kernel_matches_the_dense_oracle_on_a_subset_of_rows(margin, rng):
+    for _ in range(20):
+        samples, rows = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        p0 = rng.uniform(-1.5, 1.5, (samples, rows, 3))
+        p1 = p0 + rng.uniform(-0.8, 0.8, (samples, rows, 3))
+        point = rng.random(rows) < 0.25  # spheres
+        p1[:, point] = p0[:, point]
+        radii = rng.uniform(0.02, 0.3, rows)
+        used = rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False)
+        ii, jj = rng.choice(used, size=(2, int(rng.integers(0, 30))))
+        unused = np.setdiff1d(np.arange(rows), used)
+        p0[:, unused] = p1[:, unused] = np.nan  # an arm that is not placed
+        got = pair_clearances(p0, p1, radii, ii, jj, margin)
+        assert got.shape == (samples, len(ii))
+        assert np.array_equal(got, dense_pair_clearances(p0, p1, radii, ii, jj, margin))
 
 
 def test_aabb_covers_capsule():

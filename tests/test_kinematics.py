@@ -18,7 +18,7 @@ from multiarm import (
     pose,
     within_limits,
 )
-from multiarm import CheckParams, ExecutionManager, fixture_path, load_scenario
+from multiarm import CheckParams, ExecutionManager, fixture_path, load_scenario, run
 from multiarm.collision import Layout
 from multiarm.harness import FIXTURES, scenario_from_dict
 from multiarm.kinematics import ArmStack, rotation_about_axis, rpy_matrix
@@ -90,22 +90,28 @@ def test_fk_determinism_bit_identical():
 
 
 def test_batched_placement_is_bit_identical_to_joint_by_joint_fk(rng):
-    # arms of two structures, in an order that interleaves their stacks
+    # arms of two structures, in an order that interleaves their stacks; in
+    # each stack, full batches mixed with a held (1, J) configuration, a
+    # batch ending in a run of repeated rows, and a batch of one row repeated
     panda = load_scenario(fixture_path("panda_like_shared.json")).scene.robots
     models = dict(panda)
-    for k in range(3):
+    for k in range(4):
         models[f"p{k}"] = planar_arm(f"p{k}", (k, 1.0, 0.0), base_rpy=(0.0, 0.3 * k, 0.7 * k))
-    groups = ["p2", "arm_b", "p0", "arm_a", "p1"]
-    q = [rng.uniform(models[g]._lo, models[g]._hi, size=(7, models[g].n_joints)) for g in groups]
+    groups = ["p2", "arm_b", "p0", "arm_a", "p1", "p3"]
+    q = {g: rng.uniform(models[g]._lo, models[g]._hi, size=(7, models[g].n_joints)) for g in groups}
+    q["p2"][4:] = q["p2"][3]  # a held tail
+    q["arm_a"][:] = q["arm_a"][0]  # every row the same
+    q["p0"] = q["p0"][:1]  # held at every sample
+    q["arm_b"][5:] = q["arm_b"][4]
     layout = Layout(models, [])
-    p0, p1 = layout.place(dict(zip(groups, q)))
-    for g, qg in zip(groups, q):
-        want0, want1 = loop_placed_segments(models[g], qg)
-        (single0,), (single1,) = ArmStack([models[g]]).place(qg[None])
+    p0, p1 = layout.place(q)
+    for g in groups:
+        want0, want1 = loop_placed_segments(models[g], np.broadcast_to(q[g], (7, models[g].n_joints)))
+        single0, single1 = ArmStack([models[g]]).place(q[g], np.zeros(len(q[g]), dtype=int))
         rows = layout.rows[g]
         for got, want in ((p0[:, rows], want0), (p1[:, rows], want1)):
             assert np.array_equal(got, want)
-        assert np.array_equal(single0, want0) and np.array_equal(single1, want1)
+        assert np.array_equal(single0, want0[: len(q[g])]) and np.array_equal(single1, want1[: len(q[g])])
     assert sorted(i for g in groups for i in layout.rows[g]) == list(range(p0.shape[1]))
 
 
@@ -113,10 +119,51 @@ def test_batched_placement_checks_states():
     layout = Layout({"a": two_link(), "b": planar_arm("b", lengths=(1.0,))}, [])
     with pytest.raises(DimensionMismatch):
         layout.place({"a": np.zeros((1, 2)), "b": np.zeros((1, 2))})
+    with pytest.raises(DimensionMismatch):
+        layout.place({"a": np.zeros((0, 2))})
     with pytest.raises(JointLimitViolation, match="^a:"):
         layout.place({"b": np.zeros((1, 1)), "a": np.array([[3.3, 0.0]])})
     with pytest.raises(UnknownGroup):
         layout.place({"c": np.zeros((1, 2))})
+
+
+def test_limit_violation_names_a_later_arm_of_a_mixed_stack(rng):
+    # one structure: a batch, a held configuration, then a batch whose held
+    # tail alone leaves the limits
+    models = {g: planar_arm(g, (float(k), 0.0, 0.0)) for k, g in enumerate("abc")}
+    layout = Layout(models, [])
+    bad = rng.uniform(-1.0, 1.0, size=(6, 2))
+    bad[3:] = [0.0, 5.0]
+    q = {"a": rng.uniform(-1.0, 1.0, size=(6, 2)), "b": np.zeros((1, 2)), "c": bad}
+    with pytest.raises(JointLimitViolation, match="^c:"):
+        layout.place(q)
+    q["c"] = q["c"][:3]
+    q["b"] = np.array([[0.0, -5.0]])
+    with pytest.raises(JointLimitViolation, match="^b:"):
+        layout.place(q)
+
+
+def test_each_placement_makes_one_kinematics_call_on_the_ring(monkeypatch):
+    calls = []
+    layout_place, stack_place = Layout.place, ArmStack.place
+
+    def spy_layout(self, q):
+        calls.append("layout")
+        return layout_place(self, q)
+
+    def spy_stack(self, q, arms):
+        calls.append("stack")
+        return stack_place(self, q, arms)
+
+    monkeypatch.setattr(Layout, "place", spy_layout)
+    monkeypatch.setattr(ArmStack, "place", spy_stack)
+    data = json.loads((Path(__file__).parent / "data" / "ring16_901.json").read_text())
+    run(scenario_from_dict(data), "async")
+    # the 16 arms share one structure, and every placement places some arm
+    placements = [k for k, c in enumerate(calls) if c == "layout"]
+    assert len(placements) > 100
+    assert calls.count("stack") == len(placements)
+    assert all(calls[k + 1] == "stack" for k in placements)
 
 
 def test_placement_holds_single_configurations_and_leaves_absent_arms_unplaced(rng):
@@ -126,7 +173,7 @@ def test_placement_holds_single_configurations_and_leaves_absent_arms_unplaced(r
     held = np.array([[0.3, -0.2]])
     p0, p1 = layout.place({"a": rng.uniform(-1.0, 1.0, size=(5, 2)), "c": held})
     assert p0.shape == p1.shape == (5, 7, 3)
-    (want0,), (want1,) = ArmStack([models["c"]]).place(held[None])
+    want0, want1 = ArmStack([models["c"]]).place(held, [0])
     assert np.array_equal(p0[:, layout.rows["c"]], np.broadcast_to(want0, (5, 2, 3)))
     assert np.array_equal(p1[:, layout.rows["c"]], np.broadcast_to(want1, (5, 2, 3)))
     assert np.isnan(p0[:, layout.rows["b"]]).all() and np.isnan(p1[:, layout.rows["b"]]).all()
@@ -155,7 +202,7 @@ def test_rigid_body_consistency(rng):
     gaps = []
     for _ in range(100):
         q = rng.uniform(-3.2, 3.2, 2)
-        (p0,), (p1,) = ArmStack([model]).place(q[None, None])
+        p0, p1 = ArmStack([model]).place(q[None], [0])
         centre_a = 0.5 * (p0[0, 0] + p1[0, 0])
         centre_b = p0[0, 1]
         gaps.append(np.linalg.norm(centre_a - centre_b))
