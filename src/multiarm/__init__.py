@@ -5,6 +5,7 @@ from .collision import (
     CollisionReport,
     RunningRecord,
     Scene,
+    Timeline,
     candidate_sweep,
     composite_state_check,
     pair_clearances,
@@ -50,7 +51,6 @@ from .kinematics import (
 from .trajectory import (
     JointTrajectory,
     Violation,
-    state_at,
     time_grid,
     validate,
 )

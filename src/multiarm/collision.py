@@ -1,12 +1,13 @@
 """Time-dependent collision checking for trajectories and composite states.
 
-Every check runs through one kernel, `pair_clearances`. The bodies a check
-involves are placed into flat (T, S, 3) segment-endpoint arrays (T sampled
-times, S primitives), the check itself is a precomputed list of index pairs
-into them, and one call returns the signed clearance (segment distance minus
-radii) of every pair at every sample. A pair whose AABBs, inflated by
-margin/2, do not overlap is reported as infinitely clear, which is sound
-because such a pair's clearance exceeds the margin.
+Every check reads arm motion through one rule, `Timeline.at`, and runs
+through one kernel, `pair_clearances`. The bodies a check involves are placed
+into flat (T, S, 3) segment-endpoint arrays (T sampled times, S primitives),
+the check itself is a precomputed list of index pairs into them, and one call
+returns the signed clearance (segment distance minus radii) of every pair at
+every sample. A pair whose AABBs, inflated by margin/2, do not overlap is
+reported as infinitely clear, which is sound because such a pair's clearance
+exceeds the margin.
 
 Before any placement, a broadphase that holds at every configuration culls
 whole pairs: every row of the layout lies within a fixed sphere (an arm's
@@ -31,7 +32,7 @@ pair above the margin at every instant sleeps for good, as its arms are still
 from the window's last instant on, unless the window was cut short to bound
 its memory: then it sleeps until that last instant, and is measured again
 there. A window sample is the value a live check at that instant computes,
-since interpolation, placement and the kernel act on each sample alone, so a
+since the timeline, placement and the kernel act on each sample alone, so a
 pair the monitor skips at a check was measured above the margin at exactly
 that instant. The measured pairs keep the pair order, so the verdict, the
 witness and a colliding minimum are those of a check of every pair. An arm
@@ -41,7 +42,8 @@ that leaves its plan (a new motion, or a stop before its end) wakes its pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -85,14 +87,58 @@ class Scene:
 
 @dataclass(frozen=True, eq=False)
 class RunningRecord:
-    """A trajectory currently executing, with its absolute start time."""
+    """A trajectory run from the absolute `start_time`, held `elapsed` s in from `stop` on."""
 
     trajectory: JointTrajectory
     start_time: float
+    stop: float = math.inf
+    elapsed: float = math.inf
 
     def __post_init__(self):
         if self.start_time < 0.0:
             raise ValueError("start_time must be >= 0")
+
+    @cached_property
+    def held(self) -> np.ndarray:
+        """The (1, J) row the arm holds from `stop` on."""
+        return states_at(self.trajectory, [self.elapsed])
+
+
+@dataclass(eq=False)
+class Timeline:
+    """Each arm's held posture, and the runs it makes from it in start order,
+    each stopped before the next starts. Every check reads arm motion through
+    `at`, by one rule: at an instant, an arm is in the last run it started by
+    then, read `(since - start_time) + times` into its trajectory and at
+    `elapsed` from `stop` on, or before its first run at its held posture."""
+
+    held: dict[str, JointState]
+    runs: dict[str, list[RunningRecord]] = field(default_factory=lambda: defaultdict(list))
+
+    def park(self, g: str, stop: float, elapsed: float):
+        """Hold arm g `elapsed` s into its last run from `stop` on."""
+        self.runs[g][-1] = replace(self.runs[g][-1], stop=stop, elapsed=elapsed)
+
+    def at(self, groups, times, since: float = 0.0) -> dict[str, np.ndarray]:
+        """Each arm's (n, J) positions at the instants `since + times` (ascending),
+        or one (1, J) row if it is held at all of them."""
+        times = np.asarray(times, dtype=float)
+        q = {}
+        for g in groups:
+            runs = self.runs.get(g, [])
+            # the runs from the last one stopped by the first instant on
+            k = next((k for k in range(len(runs), 0, -1) if since + times[0] >= runs[k - 1].stop), 0)
+            rows = runs[k - 1].held if k else self.held[g].positions[None]
+            for run in runs[k:]:
+                e = (since - run.start_time) + times
+                if e[-1] < 0.0:
+                    break
+                if since + times[-1] >= run.stop:
+                    e = np.where(since + times >= run.stop, run.elapsed, e)
+                read = states_at(run.trajectory, e if e[0] >= 0.0 else np.maximum(e, 0.0))
+                rows = read if e[0] >= 0.0 else np.where((e >= 0.0)[:, None], read, rows)
+            q[g] = rows
+        return q
 
 
 @dataclass(frozen=True)
@@ -294,49 +340,46 @@ def candidate_sweep(
     now: float,
     params: CheckParams,
     layout: Layout,
-    running: list[RunningRecord],
-    parked: dict[str, JointState] | None = None,
+    timeline: Timeline,
+    running: list[str],
+    parked: list[str] | None = None,
 ) -> list[CollisionReport]:
     """Check a candidate starting at `now` against everything else in one sweep.
 
-    The candidate and every running trajectory are sampled at params.dt on
-    one grid over the longest horizon (the candidate's duration or a running
-    trajectory's remaining motion); past either end the held final state
-    applies, so a shorter check's extra samples repeat its endpoint. The
-    candidate's links are paired with the links of every running arm it can
-    reach, then with the static obstacles and the `parked` arms (in sorted
-    group order) it can reach, and one kernel call gives all clearances.
-    Running and parked arms out of reach are not placed.
+    The candidate is sampled at params.dt on one grid over the longest
+    horizon (its duration or a running arm's remaining motion), held at its
+    end past it, and the other arms are read from `timeline` at `now` plus
+    the grid. The candidate's links are paired with the links of every
+    `running` arm it can reach, then with the static obstacles and the
+    `parked` arms (in sorted group order) it can reach, and one kernel call
+    gives all clearances. Running and parked arms out of reach are not read.
 
-    Returns one report per running record, in order, then, unless `parked`
-    is None, one for the static obstacles and the parked arms together; a
+    Returns one report per running arm, in order, then, unless `parked` is
+    None, one for the static obstacles and the parked arms together; a
     running arm out of reach is reported clear at `FAR`. Times in the reports
     are relative to the candidate start.
     """
     fixed = sorted(parked or ())
-    groups = [candidate.group_id] + [rec.trajectory.group_id for rec in running] + fixed
-    if len(set(groups)) < len(groups) or any(rec.start_time > now + 1e-9 for rec in running):
-        raise ValueError("the candidate, running and parked arms must be distinct groups, "
-                         "and running records must have started by `now`")
+    groups = [candidate.group_id] + list(running) + fixed
     unknown = set(groups) - set(layout.robots)
     if unknown:
         raise UnknownGroup(f"no robot model for groups {sorted(unknown)}")
+    runs = [timeline.runs[g][-1] for g in running]
+    if len(set(groups)) < len(groups) or any(run.start_time > now + 1e-9 for run in runs):
+        raise ValueError("the candidate, running and parked arms must be distinct groups, "
+                         "and running arms must have started their runs by `now`")
     cull = layout.cull(params.margin)
     reach = cull.arms[candidate.group_id]
-    offsets = [max(0.0, now - rec.start_time) for rec in running]
-    remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
     # the grid spans every running arm, in reach or not, so that it does not
     # depend on what the cull left out
+    remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
     q = {candidate.group_id: states_at(candidate, times)}
-    q.update((rec.trajectory.group_id, states_at(rec.trajectory, o + times))
-             for rec, o in zip(running, offsets) if rec.trajectory.group_id in reach)
-    fixed = [g for g in fixed if g in reach]
-    q.update((g, parked[g].positions[None]) for g in fixed)
+    q.update(timeline.at([g for g in groups[1:] if g in reach], times, since=now))
     p0, p1 = layout.place(q)
-    blocks = [[layout.rows[g]] if g in reach else [] for g in groups[1 : len(running) + 1]]
+    blocks = [[layout.rows[g]] if g in reach else [] for g in running]
     if parked is not None:
-        blocks.append([cull.statics[candidate.group_id]] + [layout.rows[g] for g in fixed])
+        blocks.append([cull.statics[candidate.group_id]] + [layout.rows[g] for g in fixed if g in reach])
     own = layout.rows[candidate.group_id]
     pairs, bounds = [], [0]
     for block in blocks:
@@ -381,16 +424,16 @@ class Monitor:
 
         `window(groups, limit)` gives the look-ahead of the arms of the due
         pairs: `(times, q, cut)`, at most `limit` check instants from `clock`
-        on, each arm's (n, J) positions at them (or a (1, J) posture held at
-        all), and whether the instants stop short of the end of those arms'
-        motions. Places (and checks the limits of) only those arms, and
-        measures the due pairs at every instant in one kernel call at the
-        margin, whose AABB test reads a pair it prunes as `FAR`, above the
-        margin. Each sleeps until its first instant at or below the margin,
-        otherwise until the last instant if the window was cut, or for good;
-        a clear report's minimum covers the pairs the AABB test kept only. The
-        window is cut so that neither the pair-samples nor the placed
-        row-samples exceed PAIR_SAMPLES.
+        on, each arm's positions at them as `Timeline.at` gives them, and
+        whether the instants stop short of the end of those arms' motions.
+        Places (and checks the limits of) only those arms, and measures the
+        due pairs at every instant in one kernel call at the margin, whose
+        AABB test reads a pair it prunes as `FAR`, above the margin. Each
+        sleeps until its first instant at or below the margin, otherwise
+        until the last instant if the window was cut, or for good; a clear
+        report's minimum covers the pairs the AABB test kept only. The window
+        is cut so that neither the pair-samples nor the placed row-samples
+        exceed PAIR_SAMPLES.
         """
         due = np.flatnonzero(self.safe_until <= clock)
         if not due.size:

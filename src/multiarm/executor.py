@@ -5,19 +5,19 @@ order: completes finished trajectories, moves backlog entries whose blockers
 terminated back into the queue unless their deadline has come, aborts backlog
 entries at or past their deadline, drains the queue through the collision
 gate (admit or backlog; a new submission whose timeout ran out before its
-first tick aborts), and runs the periodic composite-state monitor. The
-monitor measures only the pairs that may have come within the margin since
-they were last measured (`collision.Monitor`). Once some pair is due, the
-manager hands it a window: the check instants from now to the first one at
-or after the last of the involved arms' motions ends, with every arm's
-planned positions at them, computed as the live checks at those instants
-would compute them. Admission makes every pair of the admitted arm due, and
-so does a stop off the plan (a cancel or a halt); a completion parks the arm
-where the window already has it. Admission may
-fail against a running trajectory (blocker = its id), against another arm
-parked in the way (blocker "idle:<group>", re-checked when that arm's posture
-changes), or against a static obstacle (blocker "static", which only a
-timeout clears).
+first tick aborts), and runs the periodic composite-state monitor. Every
+arm's motion is one `collision.Timeline`: admission adds a run that stops at
+the tick that completes it, and a cancel or halt stops it there and then.
+The monitor measures only the pairs that may have come within the margin
+since they were last measured (`collision.Monitor`). Once some pair is due,
+the manager hands it a window: the check instants from now to the first one
+at or after the last stop of the involved arms, with the timeline read at
+them. Admission makes every pair of the admitted arm due, and so does a stop
+off the plan (a cancel or a halt); a completion parks the arm where the
+window already has it. Admission may fail against a running trajectory
+(blocker = its id), against another arm parked in the way (blocker
+"idle:<group>", re-checked when that arm's posture changes), or against a
+static obstacle (blocker "static", which only a timeout clears).
 
 Each group keeps a chain: its unfinished entries in submission order. Only
 the head of a chain may run; any later entry that reaches the gate is
@@ -53,6 +53,7 @@ from .collision import (
     Monitor,
     RunningRecord,
     Scene,
+    Timeline,
     candidate_sweep,
     composite_state_check,
     required_margin,
@@ -60,7 +61,7 @@ from .collision import (
 from .errors import UnknownGroup, UnknownHandle, ValidationFailed
 from .geometry import Owner, owner_str
 from .kinematics import JointState
-from .trajectory import JointTrajectory, grid_size, state_at, states_at, validate
+from .trajectory import JointTrajectory, grid_size, validate
 
 log = logging.getLogger(__name__)
 
@@ -131,7 +132,8 @@ class Event:
         return f"{self.clock:.6f}\t{self.kind}\t{self.trajectory_id}\t{self.detail}"
 
 
-# Blocker tokens: ("traj", entry) | ("idle", group, posture_version) | ("static",)
+# Blocker tokens: ("traj", entry) | ("idle", group, its last run) | ("static",);
+# an idle token is stale once admission or a stop replaced the group's last run
 @dataclass(eq=False)
 class _Entry:
     handle: ExecHandle
@@ -184,9 +186,8 @@ class ExecutionManager:
         self._queue: deque[_Entry] = deque()
         self._backlog: list[_Entry] = []
         self._chains: dict[str, deque[_Entry]] = {g: deque() for g in scene.robots}
-        self._running: dict[str, tuple[_Entry, RunningRecord]] = {}
-        self._postures: dict[str, JointState] = dict(scene.idle_postures)
-        self._posture_version: dict[str, int] = {g: 0 for g in scene.robots}
+        self._running: dict[str, _Entry] = {}
+        self._timeline = Timeline(dict(scene.idle_postures))
         # a requeue trigger can fire only after an entry ended or a posture
         # changed; set by _finish, _stop and admission, cleared by step 2
         self._requeue_due = False
@@ -219,7 +220,7 @@ class ExecutionManager:
 
     def running_records(self) -> dict[str, RunningRecord]:
         with self._lock:
-            return {g: rec for g, (_, rec) in self._running.items()}
+            return {g: self._timeline.runs[g][-1] for g in self._running}
 
     def event_lines(self) -> list[str]:
         with self._lock:
@@ -230,16 +231,10 @@ class ExecutionManager:
             return not any(self._chains.values())
 
     def current_states(self) -> dict[str, JointState]:
-        """Consolidated state: running groups interpolated, others held."""
+        """Consolidated state: every arm as the timeline has it now."""
         with self._lock:
-            states = {}
-            for g in self.scene.robots:
-                if g in self._running:
-                    _, rec = self._running[g]
-                    states[g] = state_at(rec.trajectory, max(0.0, self.clock - rec.start_time))
-                else:
-                    states[g] = self._postures[g]
-            return states
+            q = self._timeline.at(self.scene.robots, [self.clock])
+            return {g: JointState(g, q[g][0]) for g in self.scene.robots}
 
     def submit(self, traj: JointTrajectory, timeout: float) -> ExecHandle:
         """Queue a trajectory; it is considered for admission on the next tick."""
@@ -301,13 +296,13 @@ class ExecutionManager:
         clock = self.clock
         first_new = len(self.events)
 
-        # 1) complete running trajectories whose duration elapsed
-        for g in list(self._running):
-            entry, rec = self._running[g]
-            if rec.start_time + rec.trajectory.duration <= clock + _CLOCK_EPS:
-                self._stop(g, rec.trajectory.duration)
+        # 1) complete running trajectories at the stop their admission set
+        for g, entry in list(self._running.items()):
+            run = self._timeline.runs[g][-1]
+            if run.stop <= clock:
+                self._stop(g, run.trajectory.duration)
                 self._finish(entry, "COMPLETED", f"finish={clock:.6f}", StatusKind.SUCCEEDED,
-                             start_time=rec.start_time, finish=clock)
+                             start_time=run.start_time, finish=clock)
 
         # 2) re-queue backlog entries whose blockers went away; an entry at
         # or past its deadline stays for step 3 to abort. No blocker can have
@@ -345,10 +340,10 @@ class ExecutionManager:
             if report.colliding:
                 witness = f"{owner_str(report.witness[0])}|{owner_str(report.witness[1])}"
                 detail = f"witness={witness};clearance={report.min_clearance_seen:.9f}"
-                for g, (entry, rec) in list(self._running.items()):
-                    self._stop(g, clock - rec.start_time)
+                for g, entry in list(self._running.items()):
+                    self._stop(g, clock - entry.status.start_time)
                     self._finish(entry, "COLLISION_HALT", detail, StatusKind.ABORTED_COLLISION,
-                                 start_time=rec.start_time, at=clock, witness=report.witness)
+                                 start_time=entry.status.start_time, at=clock, witness=report.witness)
 
         return self.events[first_new:]
 
@@ -366,48 +361,27 @@ class ExecutionManager:
         )
 
     def _stop(self, g: str, elapsed: float):
-        """Take group g off the running set, parked `elapsed` s into its trajectory.
-
-        Parked before its end, the arm left the motion the monitor's last
-        window planned for it, so its pairs are due again.
-        """
-        _, rec = self._running.pop(g)
-        self._postures[g] = state_at(rec.trajectory, elapsed)
-        self._posture_version[g] += 1
+        """Take group g off the running set, parked `elapsed` s into its run;
+        parked before its end, it left the motion the monitor's last window
+        planned for it, so its pairs are due again."""
+        del self._running[g]
+        self._timeline.park(g, self.clock, elapsed)
         self._requeue_due = True
-        if elapsed < rec.trajectory.duration:
+        if elapsed < self._timeline.runs[g][-1].trajectory.duration:
             self._monitor.wake(g)
 
-    def _end_tick(self, rec: RunningRecord) -> int:
-        """The tick whose step 1 completes `rec`, which is running now."""
-        end = rec.start_time + rec.trajectory.duration
-        k = max(self._tick_index, math.floor((end - _CLOCK_EPS) / self.tick_length) - 1)
-        while end > k * self.tick_length + _CLOCK_EPS:
-            k += 1
-        return k
-
     def _window(self, groups: list[str], limit: int):
-        """The monitor's look-ahead for `groups` (see `collision.Monitor.check`).
-
-        The check instants run from now to the first one at or after the last
-        end among the running arms of `groups`, cut to `limit` (the third
-        value says whether they were); each equals, bit for bit, the clock of
-        the live check. A running arm is sampled once over them, at its final
-        waypoint from the tick that completes it, as `_stop` parks it; a
-        parked arm is held.
-        """
-        running = {g: self._running[g][1] for g in groups if g in self._running}
-        ends = {g: self._end_tick(rec) for g, rec in running.items()}
+        """The monitor's look-ahead (see `collision.Monitor.check`): the check
+        instants from now to the first at or after the last stop among the
+        running arms of `groups`, cut to `limit` (the third value says whether
+        they were), each bit for bit the clock of its live check, and the
+        timeline read at them."""
+        stops = [self._timeline.runs[g][-1].stop for g in groups if g in self._running]
         k0, period = self._tick_index, self.monitor_period
-        last = k0 + -(-(max(ends.values(), default=k0) - k0) // period) * period
+        last = k0 + -(-(round(max(stops, default=self.clock) / self.tick_length) - k0) // period) * period
         end = min(last, k0 + (limit - 1) * period)
-        ticks = np.arange(k0, end + 1, period)
-        times = ticks * self.tick_length
-        q = {g: self._postures[g].positions[None] for g in groups if g not in running}
-        for g, rec in running.items():
-            elapsed = np.where(ticks >= ends[g], rec.trajectory.duration, times - rec.start_time)
-            q[g] = states_at(rec.trajectory, elapsed)
-        return times, q, last > end
+        times = np.arange(k0, end + 1, period) * self.tick_length
+        return times, self._timeline.at(groups, times), last > end
 
     def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
         """The one terminal transition: final status, out of the chain, logged."""
@@ -420,7 +394,7 @@ class ExecutionManager:
         for token in entry.blocker_tokens:
             if token[0] == "traj" and token[1].status.terminal:
                 return token[1].trajectory.id
-            if token[0] == "idle" and self._posture_version[token[1]] != token[2]:
+            if token[0] == "idle" and self._timeline.runs.get(token[1], [None])[-1] is not token[2]:
                 return f"idle:{token[1]}"
         return None
 
@@ -458,51 +432,52 @@ class ExecutionManager:
             return
         # synchronous baseline: anything running blocks admission
         if self.serialized and self._running:
-            tokens = tuple(("traj", other) for other, _ in self._running.values())
+            tokens = tuple(("traj", other) for other in self._running.values())
             self._to_backlog(entry, tokens, 0, 0)
             return
         # the arm must be parked where the trajectory expects to start;
         # anything else means the chain was broken (abort/cancel upstream)
         # and the trajectory needs replanning
-        hold = self._postures[g].positions
-        if np.max(np.abs(entry.trajectory.positions[0] - hold)) > _START_TOL:
+        if np.abs(entry.trajectory.positions[0] - self._timeline.at([g], [clock])[g]).max() > _START_TOL:
             self._finish(entry, "CANCELLED", "reason=mismatched_start", StatusKind.CANCELLED)
             return
 
         # one sweep against every running arm, then the obstacles and parked
         # arms; the log still counts a check and a time grid per running arm
         # plus one for the static scene, as when each was a separate check
-        running = list(self._running.values())
+        running = list(self._running)
         parked = None
         if self.check_static:
-            parked = {h: q for h, q in self._postures.items() if h != g and h not in self._running}
+            parked = [h for h in self.scene.robots if h != g and h not in self._running]
         duration, dt = entry.trajectory.duration, self.params.dt
         checks = len(running) + (parked is not None)
-        states = sum(
-            grid_size(max(duration, rec.trajectory.duration - (clock - rec.start_time)), dt)
-            for _, rec in running
-        ) + (grid_size(duration, dt) if parked is not None else 0)
+        states = sum(grid_size(max(duration, run.trajectory.duration - (clock - run.start_time)), dt)
+                     for run in (self._timeline.runs[h][-1] for h in running))
+        states += grid_size(duration, dt) if parked is not None else 0
         reports = []
         if checks:
-            records = [rec for _, rec in running]
-            reports = candidate_sweep(
-                entry.trajectory, clock, self.params, self.scene.layout, records, parked
-            )
-        tokens = [("traj", other) for (other, _), rep in zip(running, reports) if rep.colliding]
+            reports = candidate_sweep(entry.trajectory, clock, self.params, self.scene.layout,
+                                      self._timeline, running, parked)
+        tokens = [("traj", self._running[h]) for h, rep in zip(running, reports) if rep.colliding]
         if parked is not None and reports[-1].colliding:
             blocking_owner = reports[-1].witness[1]
             if blocking_owner[0] == "static":
                 tokens.append(("static",))
             else:
                 other_group = blocking_owner[0]
-                tokens.append(("idle", other_group, self._posture_version[other_group]))
+                tokens.append(("idle", other_group, self._timeline.runs.get(other_group, [None])[-1]))
 
         if tokens:
             self._to_backlog(entry, tuple(tokens), checks, states)
             return
-        rec = RunningRecord(trajectory=entry.trajectory, start_time=clock)
-        self._running[g] = (entry, rec)
-        self._posture_version[g] += 1
+        # the run stops at the first tick at or after its end, whose step 1 completes it
+        end = clock + duration
+        k = max(self._tick_index, math.floor((end - _CLOCK_EPS) / self.tick_length) - 1)
+        while end > k * self.tick_length + _CLOCK_EPS:
+            k += 1
+        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration)
+        self._timeline.runs[g].append(run)
+        self._running[g] = entry
         self._requeue_due = True
         self._monitor.wake(g)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import PAIR_SAMPLES, CheckParams, Scene, pair_clearances
+from .collision import PAIR_SAMPLES, CheckParams, RunningRecord, Scene, Timeline, pair_clearances
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
 from .executor import ExecutionManager, ExecStatus, ExecHandle
 from .geometry import Capsule, PlacedPrimitive, Sphere
 from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, pose, within_limits
-from .trajectory import JointTrajectory, states_at, time_grid
+from .trajectory import JointTrajectory, time_grid
 
 CSV_HEADER = [
     "mode",
@@ -316,8 +316,8 @@ def write_events(lines, path) -> None:
 def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10) -> float:
     """Dense post-hoc audit of an executed run.
 
-    Rebuilds every group's actual motion from the event log (admission
-    starts, completions, halts, cancellations), samples it at
+    Rebuilds the executed motion from the event log as a Timeline (a run per
+    admission, parked by its completion, halt or cancellation), samples it at
     tick_length/factor, and returns the minimum cross-robot / robot-static
     clearance over the whole run. Self-collision pairs are not part of this
     audit. Returns +inf for runs with no sampled interaction.
@@ -326,41 +326,25 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
     if not parsed:
         return float("inf")
     end = max(p[0] for p in parsed)
-    starts: dict[str, float] = {}
-    stops: dict[str, float] = {}
+    timeline = Timeline(dict(scenario.scene.idle_postures))
     for clock, kind, traj_id, _ in parsed:
+        traj = result.trajectories[traj_id]
+        run = timeline.runs.get(traj.group_id, [None])[-1]
         if kind == "ADMITTED":
-            starts[traj_id] = clock
-        elif kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and traj_id in starts:
-            stops[traj_id] = clock
-
-    ts = time_grid(end, scenario.params.tick_length / factor) if end > 0 else np.zeros(1)
-    groups = sorted(scenario.scene.robots)
-    motions: dict[str, np.ndarray] = {}
-    for g in groups:
-        q0 = scenario.scene.idle_postures[g].positions
-        qs = np.tile(q0, (len(ts), 1))
-        segs = sorted(
-            (starts[t], stops.get(t, end), t)
-            for t in starts
-            if result.trajectories[t].group_id == g
-        )
-        for t_start, t_stop, tid in segs:
-            traj = result.trajectories[tid]
-            rel = np.clip(ts - t_start, 0.0, max(0.0, t_stop - t_start))
-            vals = states_at(traj, rel)
-            mask = ts >= t_start
-            qs = np.where(mask[:, None], vals, qs)
-        motions[g] = qs
+            timeline.runs[traj.group_id].append(RunningRecord(traj, clock))
+        elif kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and run and run.trajectory is traj:
+            elapsed = traj.duration if kind == "COMPLETED" else clock - run.start_time
+            timeline.park(traj.group_id, clock, elapsed)
 
     # all cross-robot and robot-static pairs of the scene's layout, unfiltered
     # (infinite margin), a bounded number of samples per kernel call
+    ts = time_grid(end, scenario.params.tick_length / factor) if end > 0 else np.zeros(1)
     layout = scenario.scene.layout
     ii, jj = layout.ii[layout.n_self :], layout.jj[layout.n_self :]
     step = max(1, PAIR_SAMPLES // max(1, len(ii)))
     best = float("inf")
     for lo in range(0, len(ts), step):
-        p0, p1 = layout.place({g: motions[g][lo : lo + step] for g in layout.groups})
+        p0, p1 = layout.place(timeline.at(layout.groups, ts[lo : lo + step]))
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
         if clear.size:
             best = min(best, float(clear.min()))

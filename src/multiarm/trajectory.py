@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NegativeTime, NonPositiveStep
-from .kinematics import JointState, RobotModel
+from .kinematics import RobotModel
 
 _traj_counter = itertools.count()
 
@@ -68,6 +68,8 @@ def validate(traj: JointTrajectory, model: RobotModel) -> list[Violation]:
                       f"{traj.positions.shape[1]} joint values, model has {model.n_joints}")
         )
         return problems
+    if not (np.isfinite(traj.times).all() and np.isfinite(traj.positions).all()):
+        return [Violation("NonFinite", "waypoint times and positions must be finite")]
 
     if traj.times[0] != 0.0:
         problems.append(Violation("NonZeroStart", f"first waypoint at t={traj.times[0]}"))
@@ -109,11 +111,6 @@ def states_at(traj: JointTrajectory, times) -> np.ndarray:
     for k in range(traj.positions.shape[1]):
         out[:, k] = np.interp(ts, traj.times, traj.positions[:, k])
     return out
-
-
-def state_at(traj: JointTrajectory, t: float) -> JointState:
-    """Linear interpolation between bracketing waypoints; held state past the end."""
-    return JointState(group_id=traj.group_id, positions=states_at(traj, [t])[0])
 
 
 def grid_size(horizon: float, dt: float) -> int:

@@ -1,7 +1,10 @@
 """Shared builders for planar test arms and randomized scenarios."""
 
+import json
 import logging
+import weakref
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from multiarm import (
     Capsule,
     CheckParams,
+    ExecutionManager,
     JointSpec,
     JointState,
     LinkGeometry,
@@ -18,13 +22,38 @@ from multiarm import (
     Scenario,
     Scene,
     Task,
+    Timeline,
     candidate_sweep,
     composite_state_check,
     executor,
+    fixture_path,
+    load_scenario,
     plan_joint_line,
     pose,
 )
 from multiarm.collision import Layout, Monitor
+from multiarm.harness import FIXTURES, scenario_from_dict
+
+from oracles import monitor_window, state_at, sweep_reads
+
+DATA = Path(__file__).parent / "data"
+
+# the runs whose logs tests/test_golden.py pins: a shipped fixture or a file
+# of tests/data, the mode, and the monitor period of the halting ring (the
+# ring with the check against parked arms off), or None
+PINNED_RUNS = [(name, mode, None) for name in FIXTURES for mode in ("async", "sync")]
+PINNED_RUNS += [("ring16_901.json", "async", None), ("batch_small.json", "async", None),
+                ("ring16_901.json", "async", 1), ("ring16_901.json", "async", 5)]
+
+
+def pinned_scenario(name, period=None):
+    if name in FIXTURES:
+        return load_scenario(fixture_path(name))
+    data = json.loads((DATA / name).read_text())
+    if period is not None:
+        data["params"].update(check_static=False, monitor_period=period)
+    return scenario_from_dict(data)
+
 
 # The shipped fixture parameters deliberately violate the margin/dt soundness
 # bound (they rely on large true clearances instead); silence the warning in
@@ -78,9 +107,23 @@ def sweep_traj(model, q0, q1, traj_id=None):
     )
 
 
+def timeline_sweep(candidate, now, params, layout, running, parked=None):
+    """candidate_sweep on a Timeline of the `running` records, each arm held
+    at its first waypoint before its run, and of the `parked` postures (by
+    group, or None for no check against obstacles and parked arms)."""
+    timeline = Timeline(dict(parked or {}))
+    for rec in running:
+        g = rec.trajectory.group_id
+        timeline.held.setdefault(g, JointState(g, rec.trajectory.positions[0]))
+        timeline.runs[g].append(rec)
+    groups = [rec.trajectory.group_id for rec in running]
+    return candidate_sweep(candidate, now, params, layout, timeline, groups,
+                           None if parked is None else list(parked))
+
+
 def running_check(candidate, running, now, params, models):
     """The candidate's check against one running record, on its own."""
-    (report,) = candidate_sweep(candidate, now, params, Layout(models, []), [running])
+    (report,) = timeline_sweep(candidate, now, params, Layout(models, []), [running])
     return report
 
 
@@ -176,4 +219,60 @@ def monitor_oracle(scene):
             return report
 
     with mock.patch.object(executor, "Monitor", CheckedMonitor):
+        yield counts
+
+
+def same_bits(got, want):
+    """`got` equals `want` bit for bit, a (1, J) held row standing for every row."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    shape = np.broadcast_shapes(got.shape, want.shape)
+    return np.array_equal(np.broadcast_to(got, shape).view(np.uint64),
+                          np.broadcast_to(want, shape).view(np.uint64))
+
+
+@contextmanager
+def timeline_oracle():
+    """Check the timeline reads of every manager run inside the block against
+    the builders `Timeline.at` replaced (`oracles.sweep_reads` and
+    `oracles.monitor_window`), bit for bit: at each admission check, every
+    running and parked arm at `now` plus the sweep's grid; at each monitor
+    window, the instants and every arm's positions at them. The parked
+    postures the old builders read are kept apart, as `_stop` once set them.
+
+    Yields counts of the arm reads compared, by kind.
+    """
+    counts = {"admission": 0, "window": 0}
+    postures = weakref.WeakKeyDictionary()  # by timeline: each arm's parked posture
+
+    def parked(timeline):
+        return postures.setdefault(timeline, dict(timeline.held))
+
+    stop, window, sweep = ExecutionManager._stop, ExecutionManager._window, executor.candidate_sweep
+
+    def checked_stop(mgr, g, elapsed):
+        parked(mgr._timeline)[g] = state_at(mgr._timeline.runs[g][-1].trajectory, elapsed)
+        stop(mgr, g, elapsed)
+
+    def checked_window(mgr, groups, limit):
+        times, q, cut = window(mgr, groups, limit)
+        running = {g: mgr._timeline.runs[g][-1] for g in mgr._running}
+        want = monitor_window(mgr, running, parked(mgr._timeline), groups, limit)
+        assert same_bits(times, want[0]) and cut == want[2]
+        for g in groups:
+            assert same_bits(q[g], want[1][g]), (mgr.clock, g)
+        counts["window"] += len(groups)
+        return times, q, cut
+
+    def checked_sweep(candidate, now, params, layout, timeline, running, parked_groups):
+        times, want = sweep_reads(candidate, now, params, [timeline.runs[g][-1] for g in running])
+        want.update((g, parked(timeline)[g].positions[None]) for g in parked_groups or ())
+        got = timeline.at(want, times, since=now)
+        for g in want:
+            assert same_bits(got[g], want[g]), (now, g)
+        counts["admission"] += len(want)
+        return sweep(candidate, now, params, layout, timeline, running, parked_groups)
+
+    with mock.patch.object(ExecutionManager, "_stop", checked_stop), \
+            mock.patch.object(ExecutionManager, "_window", checked_window), \
+            mock.patch.object(executor, "candidate_sweep", checked_sweep):
         yield counts

@@ -9,15 +9,24 @@ cumulative-angle formula. `segment_segment_distance`, `primitive_clearance`
 and `forward_kinematics` are thin scalar wrappers of the library's batched
 kernels (`segment_distance`, `ArmStack.place`), so that tests can compare one
 pair or one arm against the oracles.
+
+`sweep_reads`, `monitor_window` and `replay_motions` are the three builders
+of arm motion that `collision.Timeline` replaced, as they were: admission's
+reads of the running arms, the monitor's look-ahead window, and the replay
+audit's motions. `state_at` is the scalar view of `states_at`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from multiarm.errors import JointLimitViolation, MultiArmError
+from multiarm.executor import _CLOCK_EPS
 from multiarm.geometry import Capsule, PlacedPrimitive, Sphere, segment_distance, segment_of
-from multiarm.kinematics import _LIMIT_SLACK, ArmStack, within_limits
+from multiarm.harness import parse_event_line
+from multiarm.kinematics import _LIMIT_SLACK, ArmStack, JointState, within_limits
+from multiarm.trajectory import states_at, time_grid
 
 
 class NonFiniteInput(MultiArmError):
@@ -316,3 +325,76 @@ def unculled_sweep(candidate, now, params, layout, running, parked):
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, params.margin)
         reports.append(first_hit(times, clear, layout.owners, ii, jj, params.margin))
     return reports
+
+
+def state_at(traj, t: float) -> JointState:
+    """Linear interpolation between bracketing waypoints; held state past the end."""
+    return JointState(group_id=traj.group_id, positions=states_at(traj, [t])[0])
+
+
+def sweep_reads(candidate, now, params, running):
+    """Admission's time grid, and each running record's positions on it."""
+    offsets = [max(0.0, now - rec.start_time) for rec in running]
+    remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
+    times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
+    return times, {rec.trajectory.group_id: states_at(rec.trajectory, o + times)
+                   for rec, o in zip(running, offsets)}
+
+
+def _end_tick(mgr, rec) -> int:
+    """The tick whose step 1 completes `rec`, which is running now."""
+    end = rec.start_time + rec.trajectory.duration
+    k = max(mgr._tick_index, math.floor((end - _CLOCK_EPS) / mgr.tick_length) - 1)
+    while end > k * mgr.tick_length + _CLOCK_EPS:
+        k += 1
+    return k
+
+
+def monitor_window(mgr, running, postures, groups, limit):
+    """The monitor's look-ahead for `groups` on manager `mgr`, given its running
+    records and the parked postures of the other arms, by group."""
+    running = {g: running[g] for g in groups if g in running}
+    ends = {g: _end_tick(mgr, rec) for g, rec in running.items()}
+    k0, period = mgr._tick_index, mgr.monitor_period
+    last = k0 + -(-(max(ends.values(), default=k0) - k0) // period) * period
+    end = min(last, k0 + (limit - 1) * period)
+    ticks = np.arange(k0, end + 1, period)
+    times = ticks * mgr.tick_length
+    q = {g: postures[g].positions[None] for g in groups if g not in running}
+    for g, rec in running.items():
+        elapsed = np.where(ticks >= ends[g], rec.trajectory.duration, times - rec.start_time)
+        q[g] = states_at(rec.trajectory, elapsed)
+    return times, q, last > end
+
+
+def replay_motions(scenario, result, factor: int = 10):
+    """The replay audit's sample times and every group's executed motion at them."""
+    parsed = [parse_event_line(l) for l in result.lines]
+    end = max(p[0] for p in parsed)
+    starts: dict[str, float] = {}
+    stops: dict[str, float] = {}
+    for clock, kind, traj_id, _ in parsed:
+        if kind == "ADMITTED":
+            starts[traj_id] = clock
+        elif kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and traj_id in starts:
+            stops[traj_id] = clock
+
+    ts = time_grid(end, scenario.params.tick_length / factor) if end > 0 else np.zeros(1)
+    groups = sorted(scenario.scene.robots)
+    motions: dict[str, np.ndarray] = {}
+    for g in groups:
+        q0 = scenario.scene.idle_postures[g].positions
+        qs = np.tile(q0, (len(ts), 1))
+        segs = sorted(
+            (starts[t], stops.get(t, end), t)
+            for t in starts
+            if result.trajectories[t].group_id == g
+        )
+        for t_start, t_stop, tid in segs:
+            traj = result.trajectories[tid]
+            rel = np.clip(ts - t_start, 0.0, max(0.0, t_stop - t_start))
+            vals = states_at(traj, rel)
+            mask = ts >= t_start
+            qs = np.where(mask[:, None], vals, qs)
+        motions[g] = qs
+    return ts, motions

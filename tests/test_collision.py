@@ -15,7 +15,6 @@ from multiarm import (
     Scene,
     Sphere,
     UnknownGroup,
-    candidate_sweep,
     composite_state_check,
     fixture_path,
     load_scenario,
@@ -26,7 +25,15 @@ from multiarm import (
 from multiarm.collision import Layout
 from multiarm.geometry import FAR
 
-from conftest import crossing_case, facing_pair, planar_arm, running_check, scene_of, sweep_traj
+from conftest import (
+    crossing_case,
+    facing_pair,
+    planar_arm,
+    running_check,
+    scene_of,
+    sweep_traj,
+    timeline_sweep,
+)
 from oracles import (
     dense_running_sweep,
     forward_kinematics,
@@ -151,21 +158,21 @@ def test_candidate_sweep_rejects_own_group_and_future_records():
     cand, running_traj, start, now, params, models = crossing_case(np.random.default_rng(3))
     layout = scene_of(list(models.values()), [[0.0, 0.0], [0.0, 0.0]]).layout
     with pytest.raises(ValueError):
-        candidate_sweep(cand, now, params, layout, [RunningRecord(cand, now)])
+        timeline_sweep(cand, now, params, layout, [RunningRecord(cand, now)])
     with pytest.raises(ValueError):
-        candidate_sweep(cand, now, params, layout, [RunningRecord(running_traj, now + 1.0)])
+        timeline_sweep(cand, now, params, layout, [RunningRecord(running_traj, now + 1.0)])
     running = RunningRecord(running_traj, start)
     parked = {g: JointState(g, [0.0, 0.0]) for g in (cand.group_id, running_traj.group_id)}
     for g, q in parked.items():
         with pytest.raises(ValueError):
-            candidate_sweep(cand, now, params, layout, [running], {g: q})
+            timeline_sweep(cand, now, params, layout, [running], {g: q})
 
 
 def static_check(candidate, scene, postures=None):
     """The candidate's check against the obstacles and every other, parked, arm."""
     postures = scene.idle_postures if postures is None else postures
     parked = {g: q for g, q in postures.items() if g != candidate.group_id}
-    (report,) = candidate_sweep(candidate, 0.0, CheckParams(), scene.layout, [], parked)
+    (report,) = timeline_sweep(candidate, 0.0, CheckParams(), scene.layout, [], parked)
     return report
 
 
@@ -457,7 +464,7 @@ def test_candidate_sweep_matches_separate_checks(rng):
             RunningRecord(sweep_traj(far, [0.0, 0.0], [float(rng.uniform(0.1, 3.0)), 0.0], "far"), now),
         ]
         idle = {"park": scene.idle_postures["park"]}
-        reports = candidate_sweep(cand, now, params, scene.layout, records, idle)
+        reports = timeline_sweep(cand, now, params, scene.layout, records, idle)
         assert len(reports) == 3
         for rec, got in zip(records, reports):
             models = {g: scene.robots[g] for g in (cand.group_id, rec.trajectory.group_id)}
@@ -466,7 +473,7 @@ def test_candidate_sweep_matches_separate_checks(rng):
             assert got.first_collision_time == want.first_collision_time
             assert got.witness == want.witness
             assert got.min_clearance_seen == pytest.approx(want.min_clearance_seen, abs=1e-12)
-        (want,) = candidate_sweep(cand, now, params, scene.layout, [], idle)
+        (want,) = timeline_sweep(cand, now, params, scene.layout, [], idle)
         assert reports[2] == want
         hits += reports[0].colliding + reports[2].colliding
     assert hits >= 4
@@ -568,7 +575,7 @@ def test_culled_sweep_matches_the_full_pair_list(margin, rng):
         now = 1.0
         running = [RunningRecord(trajs[g], float(rng.uniform(0.0, now))) for g in running_g]
         parked = {g: start[g] for g in parked_g}
-        got = candidate_sweep(trajs[cand_g], now, params, scene.layout, running, parked)
+        got = timeline_sweep(trajs[cand_g], now, params, scene.layout, running, parked)
         want = unculled_sweep(trajs[cand_g], now, params, scene.layout, running, parked)
         assert len(got) == len(want) == len(running) + 1
         for report, reference in zip(got, want):
@@ -601,5 +608,5 @@ def test_far_arms_are_never_placed(monkeypatch):
     layout = Layout({cand.group_id: models[cand.group_id], "far": far}, [])
     placed.clear()
     running = RunningRecord(sweep_traj(far, [0.0, 0.0], [1.0, 0.0], "far"), 0.0)
-    assert candidate_sweep(cand, now, params, layout, [running]) == [clear]
+    assert timeline_sweep(cand, now, params, layout, [running]) == [clear]
     assert placed == [[cand.group_id]]

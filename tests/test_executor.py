@@ -10,11 +10,13 @@ from multiarm import (
     UnknownGroup,
     UnknownHandle,
     ValidationFailed,
-    state_at,
+    fixture_path,
+    load_scenario,
 )
 from multiarm.executor import EVENT_KINDS
 
 from conftest import facing_pair, planar_arm, scene_of, sweep_traj
+from oracles import state_at
 
 
 def manager(scene, **kwargs):
@@ -178,6 +180,23 @@ def test_cancel_running_freezes_at_interpolated_state():
     frozen = mgr.current_states()["left"]
     expected = state_at(traj, mgr.clock - st.start_time)
     assert np.allclose(frozen.positions, expected.positions, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["nan_position", "nan_final_time", "inf_final_time"])
+def test_submit_refuses_non_finite_trajectories(bad):
+    # each used to be accepted, and the next tick raised partway through its
+    # steps, with the entry in neither the queue nor the backlog: placement on
+    # the NaN position, the completion tick on the NaN or infinite final time
+    scenario = load_scenario(fixture_path("crossing.json"))
+    mgr = manager(scenario.scene)
+    q0 = scenario.scene.idle_postures["left"].positions
+    q1 = np.where(np.arange(len(q0)) == 0, np.nan if bad == "nan_position" else q0[0], q0)
+    end = {"nan_position": 1.0, "nan_final_time": np.nan, "inf_final_time": np.inf}[bad]
+    with pytest.raises(ValidationFailed) as info:
+        mgr.submit(JointTrajectory("left", [0.0, end], [q0, q1]), timeout=5.0)
+    assert [v.kind for v in info.value.violations] == ["NonFinite"]
+    mgr.tick()
+    assert mgr.events == [] and mgr.all_terminal()
 
 
 def test_submit_validation_errors():

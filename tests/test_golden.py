@@ -16,6 +16,9 @@ the monitor skipped pairs that cannot have come within the margin. Any
 change that moves a verdict, a witness, a printed clearance or a check count
 changes a digest; such a change must be a documented behaviour change, with
 the digests re-recorded.
+
+Each run's `replay_min_clearance` is pinned too, exactly: the values were
+recorded before the audit read its motions through `collision.Timeline`.
 """
 
 import hashlib
@@ -24,8 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from multiarm import fixture_path, load_scenario, run
+from multiarm import fixture_path, load_scenario, replay_min_clearance, run
 from multiarm.harness import scenario_from_dict
+
+from conftest import PINNED_RUNS, pinned_scenario
 
 DIGESTS = {
     ("disjoint.json", "async"): "9656a6cd909545bde0935daa4ab139104f43e3d5adde33c11872b6df2b279e13",
@@ -44,6 +49,22 @@ BATCH_SMALL = "d620ccaad308e7c1f2dd85b5e5749257737960585cb03236f1c1a1c23fe6d257"
 RING16_901_HALTING = {
     1: "646e83073b1e3bfe119d8c14b9877804869990c75a8f032443384cfda62be93f",
     5: "fae932818b77a49510c4f9e628afac91972b9983f3d24f79b59e172627be8cf0",
+}
+
+# replay_min_clearance of each of PINNED_RUNS
+REPLAY = {
+    ("disjoint.json", "async", None): 7.9,
+    ("disjoint.json", "sync", None): 7.9,
+    ("crossing.json", "async", None): 0.162206497953232,
+    ("crossing.json", "sync", None): 0.162206497953232,
+    ("timeout.json", "async", None): 0.3207354924039482,
+    ("timeout.json", "sync", None): 0.3207354924039482,
+    ("panda_like_shared.json", "async", None): 0.19042568379450792,
+    ("panda_like_shared.json", "sync", None): 0.1904336766501195,
+    ("ring16_901.json", "async", None): 0.06785707339149935,
+    ("batch_small.json", "async", None): 7.9,
+    ("ring16_901.json", "async", 1): 0.0490926578701412,
+    ("ring16_901.json", "async", 5): 0.030176763014563464,
 }
 
 DATA = Path(__file__).parent / "data"
@@ -77,3 +98,9 @@ def test_halting_ring16_event_log_matches_pinned_digest(period):
     lines = run(scenario_from_dict(data), "async").lines
     assert sum(line.split("\t")[1] == "COLLISION_HALT" for line in lines) == 16
     assert digest(lines) == RING16_901_HALTING[period]
+
+
+@pytest.mark.parametrize("name, mode, period", PINNED_RUNS)
+def test_replay_audit_matches_pinned_value(name, mode, period):
+    scenario = pinned_scenario(name, period)
+    assert replay_min_clearance(scenario, run(scenario, mode)) == REPLAY[(name, mode, period)]

@@ -5,13 +5,13 @@ from multiarm import (
     JointTrajectory,
     NegativeTime,
     NonPositiveStep,
-    state_at,
     time_grid,
     validate,
 )
 from multiarm.trajectory import grid_size, states_at
 
 from conftest import planar_arm
+from oracles import state_at
 
 
 def traj(waypoints, group="arm", traj_id=None):
