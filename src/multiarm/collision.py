@@ -22,6 +22,9 @@ witness of a colliding check is the first pair, in the check's pair order,
 that attains the minimum at the first colliding sample. Culling keeps the
 pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
+Admission adds a box tier (see `candidate_sweep`): a running or parked arm
+whose box stays more than the margin from the candidate's on some axis is
+not placed, since the AABB test would prune every pair of it.
 
 The periodic `Monitor` also skips pairs over time. Every trajectory is
 known, so when a check finds pairs due it measures them at every remaining
@@ -51,7 +54,7 @@ import numpy as np
 from .errors import DimensionMismatch, JointLimitViolation, MissingGroupState, UnknownGroup
 from .geometry import FAR, Owner, PlacedPrimitive, pair_clearances, segments_of
 from .kinematics import _LIMIT_SLACK, ArmStack, JointState, RobotModel
-from .trajectory import JointTrajectory, states_at, time_grid
+from .trajectory import JointTrajectory, grid_size, states_at, time_grid
 
 # pair-samples per kernel call of the monitor's window and of the replay
 # audit (and row-samples per placement of a window), to bound their memory
@@ -87,12 +90,18 @@ class Scene:
 
 @dataclass(frozen=True, eq=False)
 class RunningRecord:
-    """A trajectory run from the absolute `start_time`, held `elapsed` s in from `stop` on."""
+    """A trajectory run from the absolute `start_time`, held `elapsed` s in from `stop` on.
+
+    `box` (lo xyz, hi xyz), if given, bounds the arm's capsules at every
+    instant of the run: admission sets it from `Placed.run_box`. A run
+    without one is never culled by box.
+    """
 
     trajectory: JointTrajectory
     start_time: float
     stop: float = math.inf
     elapsed: float = math.inf
+    box: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.start_time < 0.0:
@@ -149,6 +158,9 @@ class CollisionReport:
     min_clearance_seen: float
 
 
+_CLEAR = CollisionReport(False, None, None, FAR)
+
+
 @dataclass(frozen=True)
 class CheckParams:
     """Discretization step and clearance threshold for all checks."""
@@ -181,7 +193,7 @@ def _report(times, clear, owners, ii, jj, margin) -> CollisionReport:
     """Verdict of a (T, P) clearance block; the witness is the first pair, in
     pair order, that attains the minimum at the first colliding sample."""
     if clear.size == 0:
-        return CollisionReport(False, None, None, FAR)
+        return _CLEAR
     min_seen = float(clear.min())
     if min_seen > margin:
         return CollisionReport(False, None, None, min_seen)
@@ -271,6 +283,12 @@ class Layout:
         distance = np.linalg.norm(centres[:, None] - centres[None], axis=-1)
         self.gap = distance - reach[:, None] - reach[None]
         self._culls: dict[float, Cull] = {}
+        # by (arm, margin): the held row candidate_sweep last placed for a
+        # parked arm (its bytes), its links' endpoints and their box. The
+        # managers of one scene share it; an entry is replaced whole and
+        # checked against the row read, so a racing sweep at worst places
+        # a row again
+        self._held: dict[tuple[str, float], list] = {}
 
     def cull(self, margin: float) -> Cull:
         """What can come within `margin` of what, memoised per margin."""
@@ -288,7 +306,8 @@ class Layout:
             )
         return cull
 
-    def place(self, q: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def place(self, q: dict[str, np.ndarray], placed: dict[str, tuple] | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
         """World endpoints (n, S, 3) of every row at n samples.
 
         q[g] is an (n, J) batch of configurations of arm g, or a (1, J)
@@ -296,8 +315,9 @@ class Layout:
         count and limits (with the rounding slack that interpolated states
         need). Each ArmStack places its arms in one call, each arm's rows
         up to its trailing run of bit-identical rows, so a held tail is placed
-        once. The static rows are filled at every sample. The rows of arms
-        not in q stay NaN, so a check must not pair them.
+        once. The arms of `placed`, placed before, are spread as `spread`
+        spreads them, and the static rows are filled at every sample. The
+        rows of other arms stay NaN, so a check must not pair them.
         """
         batches: dict[ArmStack, list[str]] = {}
         for g, qg in q.items():
@@ -306,10 +326,8 @@ class Layout:
             if np.shape(qg)[1:] != (self.robots[g].n_joints,) or not len(qg):
                 raise DimensionMismatch(f"{g}: expected rows of {self.robots[g].n_joints} joint values")
             batches.setdefault(self._slot[g][0], []).append(g)
-        n = max((len(qg) for qg in q.values()), default=1)
-        p0 = np.full((n, len(self.owners), 3), np.nan)
-        p1 = np.full((n, len(self.owners), 3), np.nan)
-        p0[:, self.static_rows], p1[:, self.static_rows] = self._static_ends
+        p0, p1 = self.spread(placed or {}, max((len(qg) for qg in q.values()), default=1))
+        n = len(p0)
         for stack, groups in batches.items():
             qs = [_distinct_rows(q[g]) for g in groups]
             kept = np.array([len(qg) for qg in qs])
@@ -327,12 +345,109 @@ class Layout:
             p1[:, rows] = a1[index].reshape(n, len(rows), 3)
         return p0, p1
 
+    def spread(self, placed: dict[str, tuple], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (n, S, 3), or with as many samples as the most rows of
+        `placed`: the static rows at every sample, and each arm of `placed`,
+        given as its links' (m, L, 3) endpoint pair, at sample t its row
+        min(t, m - 1). The rows of other arms are NaN."""
+        n = max([n] + [len(e0) for e0, _ in placed.values()])
+        p0 = np.full((n, len(self.owners), 3), np.nan)
+        p1 = np.full((n, len(self.owners), 3), np.nan)
+        p0[:, self.static_rows], p1[:, self.static_rows] = self._static_ends
+        for g, (e0, e1) in placed.items():
+            at = slice(None) if len(e0) in (1, n) else np.minimum(np.arange(n), len(e0) - 1)
+            rows = slice(self.rows[g].start, self.rows[g].stop)
+            p0[:, rows], p1[:, rows] = e0[at], e1[at]
+        return p0, p1
+
 
 def _distinct_rows(q) -> np.ndarray:
     """q up to and including the first row of its trailing run of bit-identical rows."""
     q = np.ascontiguousarray(q, dtype=float)
     changed = np.flatnonzero((q[1:].view(np.uint64) != q[:-1].view(np.uint64)).any(axis=1))
     return q[: changed[-1] + 2 if changed.size else 1]
+
+
+def _box(e0, e1, radii, inflate: float) -> tuple[float, ...]:
+    """(lo xyz, hi xyz) around the capsules of endpoint rows (m, L, 3), each
+    boxed as `pair_clearances` boxes it at a margin of 2 * inflate (taking
+    the extremes over the rows first rounds the same, as rounding is
+    monotonic)."""
+    pad = (radii + inflate)[:, None]
+    lo = (np.minimum(e0, e1).min(axis=0) - pad).min(axis=0)
+    hi = (np.maximum(e0, e1).max(axis=0) + pad).max(axis=0)
+    return (*lo.tolist(), *hi.tolist())
+
+
+def _grown(box, pad: float) -> tuple[float, ...]:
+    return tuple(v - pad for v in box[:3]) + tuple(v + pad for v in box[3:])
+
+
+def _apart(a, b) -> bool:
+    """Whether boxes a and b do not overlap on some axis."""
+    return a[0] > b[3] or a[1] > b[4] or a[2] > b[5] or b[0] > a[3] or b[1] > a[4] or b[2] > a[5]
+
+
+def _motion_times(duration: float, dt: float) -> np.ndarray:
+    """The instants at which a grid of step dt over any horizon >= `duration`
+    reads a trajectory of that duration: the multiples of dt below it, then
+    the end, which every later instant reads too."""
+    k = grid_size(duration, dt) - 1
+    if k * dt < duration:  # a multiple a hair below the end, which only a longer grid keeps
+        k += 1
+    return np.append(np.arange(k) * dt, duration)
+
+
+class Placed:
+    """A candidate's links placed at every instant a sweep's grid reads it at
+    (`_motion_times`), as (m, L, 3) endpoints, and their box at the margin.
+
+    Pass one to every sweep of a candidate on one layout with one
+    CheckParams: the first sweep fills it, and no later one places the
+    candidate again.
+    """
+
+    __slots__ = ("e0", "e1", "box")
+
+    def __init__(self):
+        self.e0 = self.e1 = self.box = None
+
+    def run_box(self, model: RobotModel, params: CheckParams) -> tuple[float, ...] | None:
+        """A box around the arm's capsules at every instant of a run of this
+        motion (None if nothing is placed yet): the rows' box, radii
+        included, grown by the farthest a point of the arm moves in dt / 2,
+        with slack for rounding. The rows are at most dt apart in time."""
+        if self.e0 is None:
+            return None
+        pad = model.max_cartesian_speed_bound * (1.0 + 1e-6) * params.dt / 2.0 + 1e-9
+        return _grown(self.box, pad - params.margin / 2.0)
+
+
+def _keep(layout: Layout, margin: float, placed: Placed, g0: str, q, p0, p1):
+    """From a placement of `q`: candidate g0's rows, if q has them, into
+    `placed` with their box, and each other arm's one row onto the layout,
+    its box left for `_kept_box` to fill."""
+    for g, qg in q.items():
+        rows = slice(layout.rows[g].start, layout.rows[g].stop)
+        e0, e1 = p0[: len(qg), rows].copy(), p1[: len(qg), rows].copy()
+        if g == g0:
+            placed.e0, placed.e1 = e0, e1
+            placed.box = _box(e0, e1, layout.radii[rows], margin / 2.0)
+        else:
+            layout._held[g, margin] = [qg.tobytes(), e0, e1, None]
+
+
+def _kept(layout: Layout, g: str, margin: float, row: np.ndarray) -> list | None:
+    """What the layout keeps of arm g held at `row`, if it was placed there:
+    [row bytes, e0, e1, box or None]."""
+    kept = layout._held.get((g, margin))
+    return kept if kept is not None and len(row) == 1 and kept[0] == row.tobytes() else None
+
+
+def _kept_box(layout: Layout, g: str, margin: float, kept: list) -> tuple[float, ...]:
+    if kept[3] is None:
+        kept[3] = _box(kept[1], kept[2], layout.radii[layout.rows[g]], margin / 2.0)
+    return kept[3]
 
 
 def candidate_sweep(
@@ -343,6 +458,7 @@ def candidate_sweep(
     timeline: Timeline,
     running: list[str],
     parked: list[str] | None = None,
+    placed: Placed | None = None,
 ) -> list[CollisionReport]:
     """Check a candidate starting at `now` against everything else in one sweep.
 
@@ -354,10 +470,23 @@ def candidate_sweep(
     `parked` arms (in sorted group order) it can reach, and one kernel call
     gives all clearances. Running and parked arms out of reach are not read.
 
+    Box tier: with the candidate placed, a running arm whose run `box`, or a
+    parked arm whose held row's box, is more than the margin from the
+    candidate's box on some axis is neither placed nor paired. Each box
+    holds its arm at every instant the sweep reads, so the AABB test would
+    prune every pair of that arm at every sample, and its report is the
+    `FAR` of a full sweep. The candidate is placed on its own first only
+    when that may cull a running arm (one in reach has a box that is not
+    within the margin of the candidate's first row, if the layout has that
+    row placed), or when the grid skips one of its rows; otherwise
+    everything is placed in one call. `placed` keeps the candidate's
+    placement for its later sweeps, and the layout each parked arm's held
+    row.
+
     Returns one report per running arm, in order, then, unless `parked` is
     None, one for the static obstacles and the parked arms together; a
-    running arm out of reach is reported clear at `FAR`. Times in the reports
-    are relative to the candidate start.
+    running arm out of reach or culled by box is reported clear at `FAR`.
+    Times in the reports are relative to the candidate start.
     """
     fixed = sorted(parked or ())
     groups = [candidate.group_id] + list(running) + fixed
@@ -368,27 +497,61 @@ def candidate_sweep(
     if len(set(groups)) < len(groups) or any(run.start_time > now + 1e-9 for run in runs):
         raise ValueError("the candidate, running and parked arms must be distinct groups, "
                          "and running arms must have started their runs by `now`")
-    cull = layout.cull(params.margin)
-    reach = cull.arms[candidate.group_id]
+    margin, half = params.margin, params.margin / 2.0
+    cull = layout.cull(margin)
+    g0, reach = candidate.group_id, cull.arms[candidate.group_id]
     # the grid spans every running arm, in reach or not, so that it does not
     # depend on what the cull left out
     remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
-    q = {candidate.group_id: states_at(candidate, times)}
-    q.update(timeline.at([g for g in groups[1:] if g in reach], times, since=now))
-    p0, p1 = layout.place(q)
-    blocks = [[layout.rows[g]] if g in reach else [] for g in running]
+    placed = Placed() if placed is None else placed
+    near = {g: run for g, run in zip(running, runs) if g in reach}
+    # each parked arm in reach, and what the layout keeps of it (None: to place)
+    held = timeline.at([g for g in fixed if g in reach], times, since=now)
+    kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
+    motion = None  # the candidate's configurations while it is still to place
+    if placed.e0 is None:
+        motion = states_at(candidate, _motion_times(candidate.duration, params.dt))
+        start = _kept(layout, g0, margin, motion[:1])
+        start = start and _kept_box(layout, g0, margin, start)
+        if len(times) < len(motion) or any(
+                run.box is not None and (start is None or _apart(start, _grown(run.box, half)))
+                for run in near.values()):
+            q = {g0: motion, **{g: held[g] for g, k in kept.items() if k is None and len(held[g]) == 1}}
+            _keep(layout, margin, placed, g0, q, *layout.place(q))
+            kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
+            motion = None
+    put = {}
+    if motion is None:
+        near = {g: run for g, run in near.items()
+                if run.box is None or not _apart(placed.box, _grown(run.box, half))}
+        kept = {g: k for g, k in kept.items()
+                if k is None or not _apart(placed.box, _kept_box(layout, g, margin, k))}
+        put[g0] = placed.e0, placed.e1
+        if len(times) < len(placed.e0):  # the grid's rows: all below its end, then the end
+            sel = np.append(np.arange(len(times) - 1), len(placed.e0) - 1)
+            put[g0] = placed.e0[sel], placed.e1[sel]
+    put.update((g, (k[1], k[2])) for g, k in kept.items() if k is not None)
+    fresh = {g: held[g] for g, k in kept.items() if k is None}
+    if motion is not None:
+        fresh[g0] = motion
+    q = {**fresh, **timeline.at(near, times, since=now)}
+    p0, p1 = layout.place(q, put) if q else layout.spread(put, 1)
+    _keep(layout, margin, placed, g0, {g: qg for g, qg in fresh.items() if len(qg) == 1 or g == g0},
+          p0, p1)
+
+    blocks = [[layout.rows[g]] if g in near else [] for g in running]
     if parked is not None:
-        blocks.append([cull.statics[candidate.group_id]] + [layout.rows[g] for g in fixed if g in reach])
-    own = layout.rows[candidate.group_id]
+        blocks.append([cull.statics[g0]] + [layout.rows[g] for g in fixed if g in kept])
+    own = layout.rows[g0]
     pairs, bounds = [], [0]
     for block in blocks:
         pairs += [(i, j) for body in block for i in own for j in body]
         bounds.append(len(pairs))
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    clear = pair_clearances(p0, p1, layout.radii, ii, jj, params.margin)
+    clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
     return [
-        _report(times, clear[:, a:b], layout.owners, ii[a:b], jj[a:b], params.margin)
+        _report(times, clear[:, a:b], layout.owners, ii[a:b], jj[a:b], margin)
         for a, b in zip(bounds, bounds[1:])
     ]
 
@@ -400,7 +563,8 @@ class Monitor:
     a pair is due at a check whose clock has reached it. `wake(g)` makes g's
     pairs due; it is for an arm that leaves the motion the last window saw
     (it starts a trajectory, or stops before its end). A pair at or below the
-    margin stays due. A new monitor has every pair due.
+    margin stays due. A new monitor has every pair due. `_next` is the
+    earliest `safe_until`, so a check before it finds nothing due.
     """
 
     def __init__(self, layout: Layout, margin: float):
@@ -414,9 +578,11 @@ class Monitor:
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
                        for k, g in enumerate(layout.groups)}
         self.safe_until = np.full(len(self.ii), -math.inf)
+        self._next = -math.inf if len(self.ii) else math.inf
 
     def wake(self, g: str):
-        self.safe_until[self._pairs[g]] = -math.inf
+        if self._pairs[g].size:
+            self.safe_until[self._pairs[g]] = self._next = -math.inf
 
     def check(self, clock: float, window) -> CollisionReport:
         """One check at `clock`, reported from the state at `clock` alone (a
@@ -435,9 +601,9 @@ class Monitor:
         is cut so that neither the pair-samples nor the placed row-samples
         exceed PAIR_SAMPLES.
         """
+        if clock < self._next:
+            return _CLEAR
         due = np.flatnonzero(self.safe_until <= clock)
-        if not due.size:
-            return CollisionReport(False, None, None, FAR)
         involved = np.zeros(len(self.layout.groups) + 1, dtype=bool)
         involved[self._a[due]] = involved[self._b[due]] = True
         groups = [g for g, m in zip(self.layout.groups, involved.tolist()) if m]
@@ -449,6 +615,7 @@ class Monitor:
         below = clear <= self.margin
         self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)],
                                         times[-1] if cut else math.inf)
+        self._next = float(self.safe_until.min())
         return _report(np.zeros(1), clear[:1], layout.owners, ii, jj, self.margin)
 
 

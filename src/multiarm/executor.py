@@ -51,6 +51,7 @@ import numpy as np
 from .collision import (
     CheckParams,
     Monitor,
+    Placed,
     RunningRecord,
     Scene,
     Timeline,
@@ -133,7 +134,9 @@ class Event:
 
 
 # Blocker tokens: ("traj", entry) | ("idle", group, its last run) | ("static",);
-# an idle token is stale once admission or a stop replaced the group's last run
+# an idle token is stale once admission or a stop replaced the group's last run.
+# `placed` keeps the trajectory's placement across its sweeps until it leaves
+# the backlog for good.
 @dataclass(eq=False)
 class _Entry:
     handle: ExecHandle
@@ -142,6 +145,7 @@ class _Entry:
     deadline: float
     status: ExecStatus
     blocker_tokens: tuple = ()
+    placed: Placed | None = None
 
 
 def _token_label(token) -> str:
@@ -386,6 +390,7 @@ class ExecutionManager:
     def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
         """The one terminal transition: final status, out of the chain, logged."""
         entry.status = ExecStatus(kind, **status)
+        entry.placed = None
         self._chains[entry.handle.group_id].remove(entry)
         self._requeue_due = True
         self._event(event, entry, detail)
@@ -456,8 +461,9 @@ class ExecutionManager:
         states += grid_size(duration, dt) if parked is not None else 0
         reports = []
         if checks:
+            entry.placed = entry.placed or Placed()
             reports = candidate_sweep(entry.trajectory, clock, self.params, self.scene.layout,
-                                      self._timeline, running, parked)
+                                      self._timeline, running, parked, entry.placed)
         tokens = [("traj", self._running[h]) for h, rep in zip(running, reports) if rep.colliding]
         if parked is not None and reports[-1].colliding:
             blocking_owner = reports[-1].witness[1]
@@ -475,7 +481,9 @@ class ExecutionManager:
         k = max(self._tick_index, math.floor((end - _CLOCK_EPS) / self.tick_length) - 1)
         while end > k * self.tick_length + _CLOCK_EPS:
             k += 1
-        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration)
+        box = entry.placed and entry.placed.run_box(self.scene.robots[g], self.params)
+        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, box)
+        entry.placed = None
         self._timeline.runs[g].append(run)
         self._running[g] = entry
         self._requeue_due = True

@@ -2,8 +2,10 @@
 
 import json
 import logging
+import math
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -195,14 +197,23 @@ def rng():
 def monitor_oracle(scene):
     """Check every monitor check of the managers built on `scene` inside the
     block against composite_state_check of every arm's state: the same
-    verdict, and the same witness, time and minimum when colliding.
+    verdict, and the same witness, time and minimum when colliding. After
+    every wake and check, the monitor's `_next` must be its earliest
+    safe-until time.
 
     Yields counts of the checks, of those that measured nothing because no
     pair was due, and of the colliding ones.
     """
     counts = {"checks": 0, "skipped": 0, "colliding": 0}
 
+    def assert_next(monitor):
+        assert monitor._next == min(monitor.safe_until, default=math.inf)
+
     class CheckedMonitor(Monitor):
+        def wake(self, g):
+            super().wake(g)
+            assert_next(self)
+
         def check(self, clock, window):
             skipped = not np.any(self.safe_until <= clock)
             report = super().check(clock, window)
@@ -216,6 +227,7 @@ def monitor_oracle(scene):
             counts["checks"] += 1
             counts["skipped"] += skipped
             counts["colliding"] += full.colliding
+            assert_next(self)
             return report
 
     with mock.patch.object(executor, "Monitor", CheckedMonitor):
@@ -263,16 +275,63 @@ def timeline_oracle():
         counts["window"] += len(groups)
         return times, q, cut
 
-    def checked_sweep(candidate, now, params, layout, timeline, running, parked_groups):
+    def checked_sweep(candidate, now, params, layout, timeline, running, parked_groups, *rest):
         times, want = sweep_reads(candidate, now, params, [timeline.runs[g][-1] for g in running])
         want.update((g, parked(timeline)[g].positions[None]) for g in parked_groups or ())
         got = timeline.at(want, times, since=now)
         for g in want:
             assert same_bits(got[g], want[g]), (now, g)
         counts["admission"] += len(want)
-        return sweep(candidate, now, params, layout, timeline, running, parked_groups)
+        return sweep(candidate, now, params, layout, timeline, running, parked_groups, *rest)
 
     with mock.patch.object(ExecutionManager, "_stop", checked_stop), \
             mock.patch.object(ExecutionManager, "_window", checked_window), \
             mock.patch.object(executor, "candidate_sweep", checked_sweep):
+        yield counts
+
+
+def same_report(got, want):
+    """Equal field for field, the minimum bit for bit."""
+    return got == want and got.min_clearance_seen.hex() == want.min_clearance_seen.hex()
+
+
+@contextmanager
+def cull_oracle(scene):
+    """Check every admission sweep of the managers built on `scene` inside the
+    block against the same sweep with no boxes: the timeline's runs without
+    their box, no placement kept from an earlier sweep, and a layout of its
+    own that keeps no parked arm's placement. Every report must be the same,
+    field for field.
+
+    Yields counts of the sweeps, and of the running arms in reach that the
+    box tier reported `FAR` without placing them.
+    """
+    counts = {"sweeps": 0, "culled": 0}
+    sweep = executor.candidate_sweep
+    bare = Layout(scene.robots, scene.static_obstacles)
+    place = Layout.place
+
+    def checked(candidate, now, params, layout, timeline, running, parked, *rest):
+        placed_groups = []
+
+        def spy(self, q, *args):
+            placed_groups.extend(q)
+            return place(self, q, *args)
+
+        with mock.patch.object(Layout, "place", spy):
+            got = sweep(candidate, now, params, layout, timeline, running, parked, *rest)
+        unboxed = Timeline(dict(timeline.held))
+        for g, runs in timeline.runs.items():
+            unboxed.runs[g] = [replace(run, box=None) for run in runs]
+        bare._held.clear()
+        want = sweep(candidate, now, params, bare, unboxed, running, parked)
+        assert len(got) == len(want)
+        for report, reference in zip(got, want):
+            assert same_report(report, reference), (now, candidate.id)
+        reach = layout.cull(params.margin).arms[candidate.group_id]
+        counts["sweeps"] += 1
+        counts["culled"] += sum(g in reach and g not in placed_groups for g in running)
+        return got
+
+    with mock.patch.object(executor, "candidate_sweep", checked):
         yield counts

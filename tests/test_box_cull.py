@@ -1,0 +1,240 @@
+"""The box tier of admission: a running or parked arm whose box stays more
+than the margin from the candidate's is not placed.
+
+Every sweep of the pinned runs and of the scheduler's random sequences must
+report what a sweep with no boxes reports (`conftest.cull_oracle`); a run's
+box must hold its arm at every instant the timeline can read; and on the
+16-arm ring the tier must cut the forward kinematics and the kernel's work.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from multiarm import (
+    CheckParams,
+    ExecutionManager,
+    JointState,
+    JointTrajectory,
+    RunningRecord,
+    Timeline,
+    collision,
+    executor,
+    fixture_path,
+    load_scenario,
+    run,
+)
+from multiarm.collision import Layout, Placed, candidate_sweep
+from multiarm.geometry import segment_aabbs
+from multiarm.harness import scenario_from_dict
+from multiarm.kinematics import ArmStack
+
+from conftest import (
+    PINNED_RUNS,
+    cull_oracle,
+    facing_pair,
+    pinned_scenario,
+    planar_arm,
+    same_report,
+    scene_of,
+    sweep_traj,
+)
+from test_scheduler_properties import IDLE, drive, ops
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, mode, period", PINNED_RUNS)
+def test_every_sweep_of_the_pinned_runs_reports_as_with_no_boxes(name, mode, period):
+    scenario = pinned_scenario(name, period)
+    with cull_oracle(scenario.scene) as counts:
+        run(scenario, mode)
+    assert counts["sweeps"] > 0
+    if name == "ring16_901.json":
+        assert counts["culled"] > 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), ops)
+def test_every_sweep_of_random_sequences_reports_as_with_no_boxes(check_static, sequence):
+    scene = scene_of(facing_pair(gap=1.2), [IDLE["left"], IDLE["right"]])
+    with cull_oracle(scene):
+        drive(scene, check_static, sequence)
+
+
+def run_box(model, traj, dt):
+    """The box admission gives a run of `traj`, as a sweep of it at `dt` places it."""
+    placed = Placed()
+    g = model.group_id
+    timeline = Timeline({g: JointState(g, traj.positions[0])})
+    candidate_sweep(traj, 0.0, CheckParams(dt=dt), Layout({g: model}, []), timeline, [], None, placed)
+    return placed.run_box(model, CheckParams(dt=dt))
+
+
+MODELS = {
+    "one_link": planar_arm("arm", lengths=(1.0,), radius=0.01, vlim=2.0),
+    "three_links": planar_arm("arm", lengths=(0.4, 0.3, 0.2), radius=0.03, vlim=1.5),
+    "panda": load_scenario(fixture_path("panda_like_shared.json")).scene.robots["arm_a"],
+}
+
+fractions = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(MODELS)),
+    st.lists(st.lists(fractions, min_size=7, max_size=7), min_size=2, max_size=5),
+    st.floats(0.002, 0.2),
+    st.floats(0.0, 2.0),
+    st.lists(fractions, min_size=1, max_size=20),
+    st.one_of(st.none(), fractions),
+)
+def test_a_run_box_holds_the_arm_at_every_instant_the_timeline_reads(
+    name, waypoints, dt, late, offsets, parked_at
+):
+    """At random instants, at every waypoint (where a joint may turn, at full
+    speed, between two samples) and after a stop anywhere, each capsule's
+    box lies in the run's box."""
+    model = MODELS[name]
+    g = model.group_id
+    positions = np.array([model._lo + (model._hi - model._lo) * np.array(w[: model.n_joints])
+                          for w in waypoints])
+    # each segment at the speed of its fastest joint's limit
+    steps = np.abs(np.diff(positions, axis=0)) / model.joint_velocity_limits
+    times = np.append(0.0, np.cumsum(np.maximum(steps.max(axis=1), 1e-3)))
+    traj = JointTrajectory(g, times, positions)
+    box = run_box(model, traj, dt)
+    layout = Layout({g: model}, [])
+    timeline = Timeline({g: JointState(g, positions[0])})
+
+    start = 0.7
+    now = start + late * traj.duration
+    timeline.runs[g].append(RunningRecord(traj, start, box=box))
+    if parked_at is not None:
+        timeline.park(g, now, parked_at * traj.duration)
+    instants = np.concatenate([np.asarray(offsets) * (traj.duration + 2 * dt), start + times - now])
+    instants = np.sort(instants[instants >= 0.0])
+    if not instants.size:
+        return
+    p0, p1 = layout.place(timeline.at([g], instants, since=now))
+    lo, hi = segment_aabbs(p0, p1, model._radii)
+    assert np.all(lo >= np.array(box[:3])) and np.all(hi <= np.array(box[3:]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats(0.005, 0.1), st.floats(0.0, 1.0), st.floats(-np.pi, np.pi), st.booleans())
+@example(0.05, 0.5, np.pi / 2, True)
+def test_a_run_box_holds_a_turn_between_two_samples(dt, phase, angle, back):
+    """A one-link arm swings to `angle` at full speed and turns back at an
+    instant `phase` of the way from one sample to the next: its capsule
+    there, beyond both samples, lies in the run's box."""
+    model = MODELS["one_link"]
+    turn = (3.0 + phase) * dt
+    start = angle + (1.0 if back else -1.0) * model.joint_velocity_limits[0] * turn
+    traj = JointTrajectory("arm", [0.0, turn, 2.0 * turn], [[start], [angle], [start]])
+    box = run_box(model, traj, dt)
+    timeline = Timeline({"arm": JointState("arm", [start])})
+    timeline.runs["arm"].append(RunningRecord(traj, 0.0, box=box))
+    layout = Layout({"arm": model}, [])
+    p0, p1 = layout.place(timeline.at(["arm"], turn + np.array([-dt, 0.0, dt]) / 2))
+    lo, hi = segment_aabbs(p0, p1, model._radii)
+    assert np.all(lo >= np.array(box[:3])) and np.all(hi <= np.array(box[3:]))
+
+
+@pytest.mark.parametrize("other", ["parked", "running"])
+def test_an_arm_within_the_margin_of_the_candidate_start_is_measured(other):
+    """The candidate starts 0.01 m from the other arm, inside the 0.02 m
+    margin, and swings away by more than the margin in one sample: its box
+    must hold its first row, and an arm within the margin of it is never
+    culled, on the first sweep or on a retry."""
+    a = planar_arm("a", lengths=(0.5,), vlim=3.0)
+    b = planar_arm("b", (1.11, 0.0, 0.0), lengths=(0.5,), vlim=0.1)
+    params = CheckParams(dt=0.1, margin=0.02)
+    layout, bare = Layout({"a": a, "b": b}, []), Layout({"a": a, "b": b}, [])
+    cand = sweep_traj(a, [0.0], [-1.0], "cand")
+    timeline = Timeline({"a": JointState("a", [0.0]), "b": JointState("b", [np.pi])})
+    unboxed = Timeline(dict(timeline.held))
+    running, parked = [], ["b"]
+    if other == "running":
+        motion = sweep_traj(b, [np.pi], [np.pi + 0.05], "b")
+        timeline.runs["b"].append(RunningRecord(motion, 0.0, box=run_box(b, motion, params.dt)))
+        unboxed.runs["b"].append(RunningRecord(motion, 0.0))
+        running, parked = ["b"], []
+    placed = Placed()
+    for _ in range(2):
+        got = candidate_sweep(cand, 0.0, params, layout, timeline, running, parked, placed)
+        want = candidate_sweep(cand, 0.0, params, bare, unboxed, running, parked)
+        assert want[0].colliding and want[0].first_collision_time == 0.0
+        assert all(same_report(report, reference) for report, reference in zip(got, want))
+
+
+def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
+    """Blocked by the running left arm, the right arm's task waits in the
+    backlog; its retry places only the parked left arm, and its entry drops
+    its placement once admitted, keeping the 6-float box on its run."""
+    left, right = facing_pair(gap=1.5)
+    ql, qr = [np.pi / 2 - 1.0, 0.0], [-np.pi / 2 + 1.0, 0.0]
+    scene = scene_of([left, right], [ql, qr])
+    mgr = ExecutionManager(scene, CheckParams(dt=0.01, margin=0.02), tick_length=0.01)
+    placements, sweeping = [], []
+    place, sweep = Layout.place, executor.candidate_sweep
+
+    def spy(self, q, *rest):
+        if sweeping:
+            placements.append((mgr.clock, sorted(q)))
+        return place(self, q, *rest)
+
+    def spied_sweep(*args):
+        sweeping.append(True)
+        try:
+            return sweep(*args)
+        finally:
+            sweeping.pop()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Layout, "place", spy)
+        patch.setattr(executor, "candidate_sweep", spied_sweep)
+        mgr.submit(sweep_traj(left, ql, [np.pi / 2 + 1.0, 0.0], "across"), 30.0)
+        mgr.tick()
+        blocked = mgr.submit(sweep_traj(right, qr, [-np.pi / 2 - 1.0, 0.0], "blocked"), 30.0)
+        mgr.tick()
+        entry = mgr._entries[blocked.id]
+        assert entry.placed.e0 is not None
+        first = mgr.clock
+        while not mgr.all_terminal():
+            mgr.tick()
+    # left with the parked right arm in one call; right with the running
+    # left arm in one call, as left's box comes within the margin of right's
+    # first row, which the first call placed; on the retry, only the newly
+    # parked left arm
+    assert [groups for _, groups in placements] == [["left", "right"]] * 2 + [["left"]]
+    assert placements[-1][0] > first and mgr.status(blocked).start_time == placements[-1][0]
+    assert entry.placed is None
+    box = mgr._timeline.runs["right"][-1].box
+    assert isinstance(box, tuple) and len(box) == 6
+
+
+def test_admission_places_and_pairs_less_on_the_ring(monkeypatch):
+    """Without the box tier this run placed 28 313 configurations, and the
+    kernel measured 505 176 pair-samples."""
+    counts = {"rows": 0, "pair_samples": 0}
+    stack_place, kernel = ArmStack.place, collision.pair_clearances
+
+    def spy_stack(self, q, arms):
+        counts["rows"] += len(q)
+        return stack_place(self, q, arms)
+
+    def spy_kernel(p0, p1, radii, ii, jj, margin):
+        counts["pair_samples"] += len(p0) * len(ii)
+        return kernel(p0, p1, radii, ii, jj, margin)
+
+    monkeypatch.setattr(ArmStack, "place", spy_stack)
+    monkeypatch.setattr(collision, "pair_clearances", spy_kernel)
+    run(scenario_from_dict(json.loads((DATA / "ring16_901.json").read_text())), "async")
+    assert counts["rows"] <= 16_000
+    assert counts["pair_samples"] <= 250_000

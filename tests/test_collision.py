@@ -587,9 +587,9 @@ def test_far_arms_are_never_placed(monkeypatch):
     placed = []
     place = Layout.place
 
-    def spy(self, q):
+    def spy(self, q, *rest):
         placed.append(sorted(q))
-        return place(self, q)
+        return place(self, q, *rest)
 
     monkeypatch.setattr(Layout, "place", spy)
     # disjoint's arms stand 10 m apart: the monitor places neither, and each

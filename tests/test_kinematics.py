@@ -147,9 +147,9 @@ def test_each_placement_makes_one_kinematics_call_on_the_ring(monkeypatch):
     calls = []
     layout_place, stack_place = Layout.place, ArmStack.place
 
-    def spy_layout(self, q):
+    def spy_layout(self, q, *rest):
         calls.append("layout")
-        return layout_place(self, q)
+        return layout_place(self, q, *rest)
 
     def spy_stack(self, q, arms):
         calls.append("stack")
