@@ -24,7 +24,8 @@ pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
 Admission adds a box tier (see `candidate_sweep`): a running or parked arm
 whose box stays more than the margin from the candidate's on some axis is
-not placed, since the AABB test would prune every pair of it.
+not placed, since the AABB test would prune every pair of it: a sweep places
+the candidate first, then only the arms the tier leaves.
 
 The periodic `Monitor` also skips pairs over time. Every trajectory is
 known, so when a check finds pairs due it measures them at every remaining
@@ -288,7 +289,7 @@ class Layout:
         # managers of one scene share it; an entry is replaced whole and
         # checked against the row read, so a racing sweep at worst places
         # a row again
-        self._held: dict[tuple[str, float], list] = {}
+        self._held: dict[tuple[str, float], tuple] = {}
 
     def cull(self, margin: float) -> Cull:
         """What can come within `margin` of what, memoised per margin."""
@@ -425,29 +426,21 @@ class Placed:
 
 def _keep(layout: Layout, margin: float, placed: Placed, g0: str, q, p0, p1):
     """From a placement of `q`: candidate g0's rows, if q has them, into
-    `placed` with their box, and each other arm's one row onto the layout,
-    its box left for `_kept_box` to fill."""
+    `placed`, and each other arm held at one row onto the layout, with boxes."""
     for g, qg in q.items():
         rows = slice(layout.rows[g].start, layout.rows[g].stop)
         e0, e1 = p0[: len(qg), rows].copy(), p1[: len(qg), rows].copy()
+        box = _box(e0, e1, layout.radii[rows], margin / 2.0)
         if g == g0:
-            placed.e0, placed.e1 = e0, e1
-            placed.box = _box(e0, e1, layout.radii[rows], margin / 2.0)
-        else:
-            layout._held[g, margin] = [qg.tobytes(), e0, e1, None]
+            placed.e0, placed.e1, placed.box = e0, e1, box
+        elif len(qg) == 1:
+            layout._held[g, margin] = (qg.tobytes(), e0, e1, box)
 
 
-def _kept(layout: Layout, g: str, margin: float, row: np.ndarray) -> list | None:
-    """What the layout keeps of arm g held at `row`, if it was placed there:
-    [row bytes, e0, e1, box or None]."""
+def _kept(layout: Layout, g: str, margin: float, row: np.ndarray) -> tuple | None:
+    """What the layout keeps of arm g held at `row`, if placed there: (e0, e1, box)."""
     kept = layout._held.get((g, margin))
-    return kept if kept is not None and len(row) == 1 and kept[0] == row.tobytes() else None
-
-
-def _kept_box(layout: Layout, g: str, margin: float, kept: list) -> tuple[float, ...]:
-    if kept[3] is None:
-        kept[3] = _box(kept[1], kept[2], layout.radii[layout.rows[g]], margin / 2.0)
-    return kept[3]
+    return kept[1:] if kept is not None and len(row) == 1 and kept[0] == row.tobytes() else None
 
 
 def candidate_sweep(
@@ -470,18 +463,15 @@ def candidate_sweep(
     `parked` arms (in sorted group order) it can reach, and one kernel call
     gives all clearances. Running and parked arms out of reach are not read.
 
-    Box tier: with the candidate placed, a running arm whose run `box`, or a
-    parked arm whose held row's box, is more than the margin from the
-    candidate's box on some axis is neither placed nor paired. Each box
-    holds its arm at every instant the sweep reads, so the AABB test would
-    prune every pair of that arm at every sample, and its report is the
-    `FAR` of a full sweep. The candidate is placed on its own first only
-    when that may cull a running arm (one in reach has a box that is not
-    within the margin of the candidate's first row, if the layout has that
-    row placed), or when the grid skips one of its rows; otherwise
-    everything is placed in one call. `placed` keeps the candidate's
-    placement for its later sweeps, and the layout each parked arm's held
-    row.
+    A candidate's first sweep places it, at every instant a grid reads it
+    at, in one call with each parked arm in reach whose held row the layout
+    does not keep; `placed` keeps it for later sweeps. Then the box tier: a
+    running arm whose run `box`, or a parked arm whose held row's box, is
+    more than the margin from the candidate's box on some axis is neither
+    placed nor paired. Each box holds its arm at every instant the sweep
+    reads, so the AABB test would prune every pair of it at every sample,
+    and its report is the `FAR` of a full sweep. One more call places the
+    running arms left and any parked arm not kept.
 
     Returns one report per running arm, in order, then, unless `parked` is
     None, one for the static obstacles and the parked arms together; a
@@ -505,40 +495,26 @@ def candidate_sweep(
     remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
     placed = Placed() if placed is None else placed
-    near = {g: run for g, run in zip(running, runs) if g in reach}
-    # each parked arm in reach, and what the layout keeps of it (None: to place)
     held = timeline.at([g for g in fixed if g in reach], times, since=now)
-    kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
-    motion = None  # the candidate's configurations while it is still to place
     if placed.e0 is None:
-        motion = states_at(candidate, _motion_times(candidate.duration, params.dt))
-        start = _kept(layout, g0, margin, motion[:1])
-        start = start and _kept_box(layout, g0, margin, start)
-        if len(times) < len(motion) or any(
-                run.box is not None and (start is None or _apart(start, _grown(run.box, half)))
-                for run in near.values()):
-            q = {g0: motion, **{g: held[g] for g, k in kept.items() if k is None and len(held[g]) == 1}}
-            _keep(layout, margin, placed, g0, q, *layout.place(q))
-            kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
-            motion = None
-    put = {}
-    if motion is None:
-        near = {g: run for g, run in near.items()
-                if run.box is None or not _apart(placed.box, _grown(run.box, half))}
-        kept = {g: k for g, k in kept.items()
-                if k is None or not _apart(placed.box, _kept_box(layout, g, margin, k))}
-        put[g0] = placed.e0, placed.e1
-        if len(times) < len(placed.e0):  # the grid's rows: all below its end, then the end
-            sel = np.append(np.arange(len(times) - 1), len(placed.e0) - 1)
-            put[g0] = placed.e0[sel], placed.e1[sel]
-    put.update((g, (k[1], k[2])) for g, k in kept.items() if k is not None)
+        q = {g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
+        q.update((g, row) for g, row in held.items()
+                 if len(row) == 1 and _kept(layout, g, margin, row) is None)
+        _keep(layout, margin, placed, g0, q, *layout.place(q))
+    near = [g for g, run in zip(running, runs)
+            if g in reach and (run.box is None or not _apart(placed.box, _grown(run.box, half)))]
+    # the parked arms the tier leaves, and what the layout keeps of each (None: to place)
+    kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
+    kept = {g: k for g, k in kept.items() if k is None or not _apart(placed.box, k[2])}
+    put = {g0: (placed.e0, placed.e1)}
+    if len(times) < len(placed.e0):  # the grid's rows: all below its end, then the end
+        sel = np.append(np.arange(len(times) - 1), len(placed.e0) - 1)
+        put[g0] = placed.e0[sel], placed.e1[sel]
+    put.update((g, k[:2]) for g, k in kept.items() if k is not None)
     fresh = {g: held[g] for g, k in kept.items() if k is None}
-    if motion is not None:
-        fresh[g0] = motion
     q = {**fresh, **timeline.at(near, times, since=now)}
     p0, p1 = layout.place(q, put) if q else layout.spread(put, 1)
-    _keep(layout, margin, placed, g0, {g: qg for g, qg in fresh.items() if len(qg) == 1 or g == g0},
-          p0, p1)
+    _keep(layout, margin, placed, g0, fresh, p0, p1)
 
     blocks = [[layout.rows[g]] if g in near else [] for g in running]
     if parked is not None:

@@ -25,7 +25,7 @@ from .collision import PAIR_SAMPLES, CheckParams, RunningRecord, Scene, Timeline
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
 from .executor import ExecutionManager, ExecStatus, ExecHandle
 from .geometry import Capsule, PlacedPrimitive, Sphere
-from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, pose, within_limits
+from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, _is_index, pose, within_limits
 from .trajectory import JointTrajectory, time_grid
 
 CSV_HEADER = [
@@ -141,9 +141,10 @@ def validate_scenario(scenario: Scenario) -> None:
     p = scenario.params
     if not 0.0 < p.tick_length < math.inf:
         raise ScenarioInvalid("tick must be finite and > 0")
-    period = p.monitor_period
-    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
-        raise ScenarioInvalid(f"monitor_period must be an integer >= 1, got {period!r}")
+    if not _is_index(p.monitor_period) or p.monitor_period < 1:
+        raise ScenarioInvalid(f"monitor_period must be an integer >= 1, got {p.monitor_period!r}")
+    if not _is_index(scenario.seed):
+        raise ScenarioInvalid(f"seed must be an integer, got {scenario.seed!r}")
     if not 0.0 < p.default_timeout < math.inf:
         raise ScenarioInvalid("default_timeout must be finite and > 0")
     if not isinstance(p.check_static, bool):
@@ -320,8 +321,11 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
     admission, parked by its completion, halt or cancellation), samples it at
     tick_length/factor, and returns the minimum cross-robot / robot-static
     clearance over the whole run. Self-collision pairs are not part of this
-    audit. Returns +inf for runs with no sampled interaction.
+    audit. Returns +inf for runs with no sampled interaction. `factor` must be
+    finite and > 0.
     """
+    if not 0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and > 0, got {factor!r}")
     parsed = [parse_event_line(l) for l in result.lines]
     if not parsed:
         return float("inf")
@@ -442,7 +446,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             default_timeout=_number(pd.get("default_timeout", 30.0), "default_timeout"),
             check_static=pd.get("check_static", True),
         )
-        scenario = Scenario(scene=scene, tasks=tasks, seed=int(data.get("seed", 0)), params=params)
+        scenario = Scenario(scene=scene, tasks=tasks, seed=data.get("seed", 0), params=params)
     except ScenarioInvalid:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -5,7 +5,6 @@ import logging
 import math
 import weakref
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +25,7 @@ from multiarm import (
     Task,
     Timeline,
     candidate_sweep,
+    collision,
     composite_state_check,
     executor,
     fixture_path,
@@ -35,6 +35,7 @@ from multiarm import (
 )
 from multiarm.collision import Layout, Monitor
 from multiarm.harness import FIXTURES, scenario_from_dict
+from multiarm.kinematics import ArmStack
 
 from oracles import monitor_window, state_at, sweep_reads
 
@@ -298,10 +299,10 @@ def same_report(got, want):
 @contextmanager
 def cull_oracle(scene):
     """Check every admission sweep of the managers built on `scene` inside the
-    block against the same sweep with no boxes: the timeline's runs without
-    their box, no placement kept from an earlier sweep, and a layout of its
-    own that keeps no parked arm's placement. Every report must be the same,
-    field for field.
+    block against the same sweep with no boxes: no two boxes apart, so every
+    running and parked arm in reach placed and paired, no placement kept from
+    an earlier sweep, and a layout of its own that keeps no parked arm's
+    placement. Every report must be the same, field for field.
 
     Yields counts of the sweeps, and of the running arms in reach that the
     box tier reported `FAR` without placing them.
@@ -320,11 +321,9 @@ def cull_oracle(scene):
 
         with mock.patch.object(Layout, "place", spy):
             got = sweep(candidate, now, params, layout, timeline, running, parked, *rest)
-        unboxed = Timeline(dict(timeline.held))
-        for g, runs in timeline.runs.items():
-            unboxed.runs[g] = [replace(run, box=None) for run in runs]
         bare._held.clear()
-        want = sweep(candidate, now, params, bare, unboxed, running, parked)
+        with mock.patch.object(collision, "_apart", lambda a, b: False):
+            want = sweep(candidate, now, params, bare, timeline, running, parked)
         assert len(got) == len(want)
         for report, reference in zip(got, want):
             assert same_report(report, reference), (now, candidate.id)
@@ -334,4 +333,26 @@ def cull_oracle(scene):
         return got
 
     with mock.patch.object(executor, "candidate_sweep", checked):
+        yield counts
+
+
+@contextmanager
+def work_counts():
+    """Count, inside the block, the `ArmStack.place` calls (`calls`), the
+    configurations they place (`rows`), and the pair-samples the collision
+    kernel measures (`pair_samples`)."""
+    counts = {"calls": 0, "rows": 0, "pair_samples": 0}
+    stack_place, kernel = ArmStack.place, collision.pair_clearances
+
+    def spy_stack(self, q, arms):
+        counts["calls"] += 1
+        counts["rows"] += len(q)
+        return stack_place(self, q, arms)
+
+    def spy_kernel(p0, p1, radii, ii, jj, margin):
+        counts["pair_samples"] += len(p0) * len(ii)
+        return kernel(p0, p1, radii, ii, jj, margin)
+
+    with mock.patch.object(ArmStack, "place", spy_stack), \
+            mock.patch.object(collision, "pair_clearances", spy_kernel):
         yield counts

@@ -22,7 +22,6 @@ from multiarm import (
     JointTrajectory,
     RunningRecord,
     Timeline,
-    collision,
     executor,
     fixture_path,
     load_scenario,
@@ -30,8 +29,7 @@ from multiarm import (
 )
 from multiarm.collision import Layout, Placed, candidate_sweep
 from multiarm.geometry import segment_aabbs
-from multiarm.harness import scenario_from_dict
-from multiarm.kinematics import ArmStack
+from multiarm.harness import FIXTURES, scenario_from_dict
 
 from conftest import (
     PINNED_RUNS,
@@ -42,6 +40,7 @@ from conftest import (
     same_report,
     scene_of,
     sweep_traj,
+    work_counts,
 )
 from test_scheduler_properties import IDLE, drive, ops
 
@@ -208,33 +207,31 @@ def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
         first = mgr.clock
         while not mgr.all_terminal():
             mgr.tick()
-    # left with the parked right arm in one call; right with the running
-    # left arm in one call, as left's box comes within the margin of right's
-    # first row, which the first call placed; on the retry, only the newly
-    # parked left arm
-    assert [groups for _, groups in placements] == [["left", "right"]] * 2 + [["left"]]
+    # left with the parked right arm in one call; right on its own, then the
+    # running left arm, which right's box does not cull; on the retry, only
+    # the newly parked left arm
+    assert [groups for _, groups in placements] == [["left", "right"], ["right"], ["left"], ["left"]]
     assert placements[-1][0] > first and mgr.status(blocked).start_time == placements[-1][0]
     assert entry.placed is None
     box = mgr._timeline.runs["right"][-1].box
     assert isinstance(box, tuple) and len(box) == 6
 
 
-def test_admission_places_and_pairs_less_on_the_ring(monkeypatch):
+def test_admission_places_and_pairs_less_on_the_ring():
     """Without the box tier this run placed 28 313 configurations, and the
     kernel measured 505 176 pair-samples."""
-    counts = {"rows": 0, "pair_samples": 0}
-    stack_place, kernel = ArmStack.place, collision.pair_clearances
-
-    def spy_stack(self, q, arms):
-        counts["rows"] += len(q)
-        return stack_place(self, q, arms)
-
-    def spy_kernel(p0, p1, radii, ii, jj, margin):
-        counts["pair_samples"] += len(p0) * len(ii)
-        return kernel(p0, p1, radii, ii, jj, margin)
-
-    monkeypatch.setattr(ArmStack, "place", spy_stack)
-    monkeypatch.setattr(collision, "pair_clearances", spy_kernel)
-    run(scenario_from_dict(json.loads((DATA / "ring16_901.json").read_text())), "async")
+    with work_counts() as counts:
+        run(scenario_from_dict(json.loads((DATA / "ring16_901.json").read_text())), "async")
     assert counts["rows"] <= 16_000
     assert counts["pair_samples"] <= 250_000
+    assert counts["calls"] <= 170
+
+
+def test_the_fixtures_make_few_kinematics_calls():
+    """A call's fixed cost is that of some seventy configurations, so the
+    count of calls, not of rows, sets the fixtures' decision time."""
+    with work_counts() as counts:
+        for name in FIXTURES:
+            for mode in ("async", "sync"):
+                run(load_scenario(fixture_path(name)), mode)
+    assert counts["calls"] <= 48

@@ -262,6 +262,18 @@ def _allowed_pair_bool(data):
     data["robots"][1]["allowed_pairs"] = [[True, 0]]
 
 
+def _seed_bool(data):
+    data["seed"] = True
+
+
+def _seed_fractional(data):
+    data["seed"] = 1.5
+
+
+def _seed_string(data):
+    data["seed"] = "12"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -295,6 +307,9 @@ def _allowed_pair_bool(data):
         _obstacle_centre_bool,
         _allowed_pair_fractional,
         _allowed_pair_bool,
+        _seed_bool,
+        _seed_fractional,
+        _seed_string,
     ],
 )
 def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):

@@ -173,6 +173,14 @@ def test_replay_clearance_positive_on_fixtures():
         assert replay_min_clearance(sc, result) > 0.0
 
 
+@pytest.mark.parametrize("factor", [0, -1, 0.0, float("nan"), float("inf")])
+def test_replay_refuses_a_factor_that_is_not_finite_and_positive(factor):
+    sc = fixture("crossing.json")
+    result = run(sc, "async")
+    with pytest.raises(ValueError, match="factor"):
+        replay_min_clearance(sc, result, factor)
+
+
 def test_scenario_validation_errors():
     arm = planar_arm("arm", limits=(-1.0, 1.0))
     scene = scene_of([arm], [[0.0, 0.0]])
