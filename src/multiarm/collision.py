@@ -1,13 +1,14 @@
 """Time-dependent collision checking for trajectories and composite states.
 
 Every check reads arm motion through one rule, `Timeline.at`, and runs
-through one kernel, `pair_clearances`. The bodies a check involves are placed
-into flat (T, S, 3) segment-endpoint arrays (T sampled times, S primitives),
-the check itself is a precomputed list of index pairs into them, and one call
-returns the signed clearance (segment distance minus radii) of every pair at
-every sample. A pair whose AABBs, inflated by margin/2, do not overlap is
-reported as infinitely clear, which is sound because such a pair's clearance
-exceeds the margin.
+through one kernel, `pair_clearances`. The arms a check involves are placed
+arm by arm (`Layout.place`), and their rows and the static obstacles' are
+spread into flat (T, S, 3) segment-endpoint arrays (T sampled times, S
+primitives; `Layout.spread`). The check itself is a precomputed list of index
+pairs into them, and one call returns the signed clearance (segment distance
+minus radii) of every pair at every sample. A pair whose AABBs, inflated by
+margin/2, do not overlap is reported as infinitely clear, which is sound
+because such a pair's clearance exceeds the margin.
 
 Before any placement, a broadphase that holds at every configuration culls
 whole pairs: every row of the layout lies within a fixed sphere (an arm's
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, JointLimitViolation, MissingGroupState, UnknownGroup
 from .geometry import FAR, Owner, PlacedPrimitive, pair_clearances, segments_of
-from .kinematics import _LIMIT_SLACK, ArmStack, JointState, RobotModel
+from .kinematics import _LIMIT_SLACK, ArmStack, JointState, RobotModel, within_limits
 from .trajectory import JointTrajectory, grid_size, states_at, time_grid
 
 # pair-samples per kernel call of the monitor's window and of the replay
@@ -80,6 +81,8 @@ class Scene:
             q = self.idle_postures[g]
             if q.positions.shape != (model.n_joints,):
                 raise ValueError(f"idle posture for {g} has wrong dimension")
+            if not within_limits(model, q):
+                raise ValueError(f"idle posture of '{g}' outside joint limits")
         for prim in self.static_obstacles:
             if prim.owner[0] != "static":
                 raise ValueError("static obstacles must be owned by 'static'")
@@ -307,18 +310,16 @@ class Layout:
             )
         return cull
 
-    def place(self, q: dict[str, np.ndarray], placed: dict[str, tuple] | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """World endpoints (n, S, 3) of every row at n samples.
+    def place(self, q: dict[str, np.ndarray]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each arm's links placed: {g: (e0, e1)}, each (m, L, 3) with row
+        min(t, m - 1) the arm at sample t (`spread`'s rule).
 
         q[g] is an (n, J) batch of configurations of arm g, or a (1, J)
         configuration held at every sample; each must fit the arm's joint
         count and limits (with the rounding slack that interpolated states
         need). Each ArmStack places its arms in one call, each arm's rows
         up to its trailing run of bit-identical rows, so a held tail is placed
-        once. The arms of `placed`, placed before, are spread as `spread`
-        spreads them, and the static rows are filled at every sample. The
-        rows of other arms stay NaN, so a check must not pair them.
+        once and m is the count of rows up to it.
         """
         batches: dict[ArmStack, list[str]] = {}
         for g, qg in q.items():
@@ -327,8 +328,7 @@ class Layout:
             if np.shape(qg)[1:] != (self.robots[g].n_joints,) or not len(qg):
                 raise DimensionMismatch(f"{g}: expected rows of {self.robots[g].n_joints} joint values")
             batches.setdefault(self._slot[g][0], []).append(g)
-        p0, p1 = self.spread(placed or {}, max((len(qg) for qg in q.values()), default=1))
-        n = len(p0)
+        placed = {}
         for stack, groups in batches.items():
             qs = [_distinct_rows(q[g]) for g in groups]
             kept = np.array([len(qg) for qg in qs])
@@ -339,19 +339,17 @@ class Layout:
             if bad.size:
                 raise JointLimitViolation(f"{groups[member[bad[0]]]}: state outside joint limits")
             a0, a1 = stack.place(qs, arms)
-            # sample t of arm k is its row min(t, kept[k] - 1), after the rows of arms < k
-            index = np.cumsum(kept) - kept + np.minimum(np.arange(n)[:, None], kept - 1)
-            rows = [i for g in groups for i in self.rows[g]]
-            p0[:, rows] = a0[index].reshape(n, len(rows), 3)
-            p1[:, rows] = a1[index].reshape(n, len(rows), 3)
-        return p0, p1
+            ends = np.cumsum(kept)
+            placed.update((g, (a0[b - m : b], a1[b - m : b])) for g, b, m in zip(groups, ends, kept))
+        return placed
 
-    def spread(self, placed: dict[str, tuple], n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (n, S, 3), or with as many samples as the most rows of
-        `placed`: the static rows at every sample, and each arm of `placed`,
-        given as its links' (m, L, 3) endpoint pair, at sample t its row
-        min(t, m - 1). The rows of other arms are NaN."""
-        n = max([n] + [len(e0) for e0, _ in placed.values()])
+    def spread(self, placed: dict[str, tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel's endpoints (n, S, 3): the static rows at every sample,
+        and each arm of `placed`, given as `place` gives it, at sample t its
+        row min(t, m - 1). n is the most rows of any arm (1 if none), so no
+        sample past every arm's held tail is built: it would repeat the last.
+        The rows of other arms are NaN, so a check must not pair them."""
+        n = max([1] + [len(e0) for e0, _ in placed.values()])
         p0 = np.full((n, len(self.owners), 3), np.nan)
         p1 = np.full((n, len(self.owners), 3), np.nan)
         p0[:, self.static_rows], p1[:, self.static_rows] = self._static_ends
@@ -401,7 +399,8 @@ def _motion_times(duration: float, dt: float) -> np.ndarray:
 
 class Placed:
     """A candidate's links placed at every instant a sweep's grid reads it at
-    (`_motion_times`), as (m, L, 3) endpoints, and their box at the margin.
+    (`_motion_times`), as `Layout.place` gives them (so cut at a held tail,
+    which the grid's end reads too), and their box at the margin.
 
     Pass one to every sweep of a candidate on one layout with one
     CheckParams: the first sweep fills it, and no later one places the
@@ -424,17 +423,18 @@ class Placed:
         return _grown(self.box, pad - params.margin / 2.0)
 
 
-def _keep(layout: Layout, margin: float, placed: Placed, g0: str, q, p0, p1):
-    """From a placement of `q`: candidate g0's rows, if q has them, into
-    `placed`, and each other arm held at one row onto the layout, with boxes."""
+def _keep(layout: Layout, margin: float, placed: Placed, g0: str, q, rows):
+    """From `rows`, which hold `Layout.place(q)`'s: candidate g0's, if q has
+    them, into `placed`, and each other arm held at one row onto the layout,
+    with boxes. A held row is copied, so the memo does not pin the block of
+    the call that placed it."""
     for g, qg in q.items():
-        rows = slice(layout.rows[g].start, layout.rows[g].stop)
-        e0, e1 = p0[: len(qg), rows].copy(), p1[: len(qg), rows].copy()
-        box = _box(e0, e1, layout.radii[rows], margin / 2.0)
+        e0, e1 = rows[g]
+        box = _box(e0, e1, layout.radii[layout.rows[g]], margin / 2.0)
         if g == g0:
             placed.e0, placed.e1, placed.box = e0, e1, box
         elif len(qg) == 1:
-            layout._held[g, margin] = (qg.tobytes(), e0, e1, box)
+            layout._held[g, margin] = (qg.tobytes(), e0.copy(), e1.copy(), box)
 
 
 def _kept(layout: Layout, g: str, margin: float, row: np.ndarray) -> tuple | None:
@@ -471,7 +471,8 @@ def candidate_sweep(
     placed nor paired. Each box holds its arm at every instant the sweep
     reads, so the AABB test would prune every pair of it at every sample,
     and its report is the `FAR` of a full sweep. One more call places the
-    running arms left and any parked arm not kept.
+    running arms left and any parked arm not kept, and `Layout.spread` builds
+    the kernel's arrays from every arm's rows.
 
     Returns one report per running arm, in order, then, unless `parked` is
     None, one for the static obstacles and the parked arms together; a
@@ -500,7 +501,7 @@ def candidate_sweep(
         q = {g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
         q.update((g, row) for g, row in held.items()
                  if len(row) == 1 and _kept(layout, g, margin, row) is None)
-        _keep(layout, margin, placed, g0, q, *layout.place(q))
+        _keep(layout, margin, placed, g0, q, layout.place(q))
     near = [g for g, run in zip(running, runs)
             if g in reach and (run.box is None or not _apart(placed.box, _grown(run.box, half)))]
     # the parked arms the tier leaves, and what the layout keeps of each (None: to place)
@@ -513,8 +514,10 @@ def candidate_sweep(
     put.update((g, k[:2]) for g, k in kept.items() if k is not None)
     fresh = {g: held[g] for g, k in kept.items() if k is None}
     q = {**fresh, **timeline.at(near, times, since=now)}
-    p0, p1 = layout.place(q, put) if q else layout.spread(put, 1)
-    _keep(layout, margin, placed, g0, fresh, p0, p1)
+    if q:
+        put.update(layout.place(q))
+        _keep(layout, margin, placed, g0, fresh, put)
+    p0, p1 = layout.spread(put)
 
     blocks = [[layout.rows[g]] if g in near else [] for g in running]
     if parked is not None:
@@ -586,7 +589,7 @@ class Monitor:
         limit = max(1, PAIR_SAMPLES // max(due.size, len(self.layout.owners)))
         times, q, cut = window(groups, limit)
         layout, ii, jj = self.layout, self.ii[due], self.jj[due]
-        p0, p1 = layout.place(q)
+        p0, p1 = layout.spread(layout.place(q))
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, self.margin)
         below = clear <= self.margin
         self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)],

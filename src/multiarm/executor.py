@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -61,7 +60,7 @@ from .collision import (
 )
 from .errors import UnknownGroup, UnknownHandle, ValidationFailed
 from .geometry import Owner, owner_str
-from .kinematics import JointState
+from .kinematics import JointState, _is_index
 from .trajectory import JointTrajectory, grid_size, validate
 
 log = logging.getLogger(__name__)
@@ -174,8 +173,7 @@ class ExecutionManager:
     ):
         if not 0.0 < tick_length < math.inf:
             raise ValueError("tick_length must be finite and > 0")
-        if (isinstance(monitor_period, bool) or not isinstance(monitor_period, numbers.Integral)
-                or monitor_period < 1):
+        if not _is_index(monitor_period) or monitor_period < 1:
             raise ValueError("monitor_period must be an integer >= 1")
         self.scene = scene
         self.params = params or CheckParams()

@@ -149,9 +149,6 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioInvalid("default_timeout must be finite and > 0")
     if not isinstance(p.check_static, bool):
         raise ScenarioInvalid(f"check_static must be true or false, got {p.check_static!r}")
-    for g, q in scenario.scene.idle_postures.items():
-        if not within_limits(scenario.scene.robots[g], q):
-            raise ScenarioInvalid(f"idle posture of '{g}' outside joint limits")
     for i, task in enumerate(scenario.tasks):
         if not isinstance(task.group_id, str) or task.group_id not in scenario.scene.robots:
             raise ScenarioInvalid(f"task {i} references unknown group '{task.group_id}'")
@@ -348,7 +345,7 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
     step = max(1, PAIR_SAMPLES // max(1, len(ii)))
     best = float("inf")
     for lo in range(0, len(ts), step):
-        p0, p1 = layout.place(timeline.at(layout.groups, ts[lo : lo + step]))
+        p0, p1 = layout.spread(layout.place(timeline.at(layout.groups, ts[lo : lo + step])))
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, math.inf)
         if clear.size:
             best = min(best, float(clear.min()))

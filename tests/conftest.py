@@ -339,20 +339,26 @@ def cull_oracle(scene):
 @contextmanager
 def work_counts():
     """Count, inside the block, the `ArmStack.place` calls (`calls`), the
-    configurations they place (`rows`), and the pair-samples the collision
-    kernel measures (`pair_samples`)."""
-    counts = {"calls": 0, "rows": 0, "pair_samples": 0}
-    stack_place, kernel = ArmStack.place, collision.pair_clearances
+    configurations they place (`rows`), the layout-wide endpoint arrays
+    `Layout.spread` builds for the kernel (`arrays`), and the pair-samples
+    the collision kernel measures (`pair_samples`)."""
+    counts = {"calls": 0, "rows": 0, "arrays": 0, "pair_samples": 0}
+    stack_place, spread, kernel = ArmStack.place, Layout.spread, collision.pair_clearances
 
     def spy_stack(self, q, arms):
         counts["calls"] += 1
         counts["rows"] += len(q)
         return stack_place(self, q, arms)
 
+    def spy_spread(self, placed):
+        counts["arrays"] += 1
+        return spread(self, placed)
+
     def spy_kernel(p0, p1, radii, ii, jj, margin):
         counts["pair_samples"] += len(p0) * len(ii)
         return kernel(p0, p1, radii, ii, jj, margin)
 
     with mock.patch.object(ArmStack, "place", spy_stack), \
+            mock.patch.object(Layout, "spread", spy_spread), \
             mock.patch.object(collision, "pair_clearances", spy_kernel):
         yield counts

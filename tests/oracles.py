@@ -294,7 +294,7 @@ def unculled_monitor(states, scene, margin):
     from multiarm.geometry import pair_clearances
 
     layout = scene.layout
-    p0, p1 = layout.place({g: states[g].positions[None] for g in layout.groups})
+    p0, p1 = layout.spread(layout.place({g: states[g].positions[None] for g in layout.groups}))
     clear = pair_clearances(p0, p1, layout.radii, layout.ii, layout.jj, margin)
     return first_hit(np.zeros(1), clear, layout.owners, layout.ii, layout.jj, margin)
 
@@ -314,7 +314,7 @@ def unculled_sweep(candidate, now, params, layout, running, parked):
         q[rec.trajectory.group_id] = states_at(rec.trajectory, o + times)
     for g in sorted(parked):
         q[g] = parked[g].positions[None]
-    p0, p1 = layout.place(q)
+    p0, p1 = layout.spread(layout.place(q))
     own = layout.rows[candidate.group_id]
     blocks = [[layout.rows[rec.trajectory.group_id]] for rec in running]
     blocks.append([layout.static_rows] + [layout.rows[g] for g in sorted(parked)])

@@ -120,7 +120,7 @@ def test_a_run_box_holds_the_arm_at_every_instant_the_timeline_reads(
     instants = np.sort(instants[instants >= 0.0])
     if not instants.size:
         return
-    p0, p1 = layout.place(timeline.at([g], instants, since=now))
+    p0, p1 = layout.spread(layout.place(timeline.at([g], instants, since=now)))
     lo, hi = segment_aabbs(p0, p1, model._radii)
     assert np.all(lo >= np.array(box[:3])) and np.all(hi <= np.array(box[3:]))
 
@@ -140,7 +140,7 @@ def test_a_run_box_holds_a_turn_between_two_samples(dt, phase, angle, back):
     timeline = Timeline({"arm": JointState("arm", [start])})
     timeline.runs["arm"].append(RunningRecord(traj, 0.0, box=box))
     layout = Layout({"arm": model}, [])
-    p0, p1 = layout.place(timeline.at(["arm"], turn + np.array([-dt, 0.0, dt]) / 2))
+    p0, p1 = layout.spread(layout.place(timeline.at(["arm"], turn + np.array([-dt, 0.0, dt]) / 2)))
     lo, hi = segment_aabbs(p0, p1, model._radii)
     assert np.all(lo >= np.array(box[:3])) and np.all(hi <= np.array(box[3:]))
 
@@ -219,19 +219,23 @@ def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
 
 def test_admission_places_and_pairs_less_on_the_ring():
     """Without the box tier this run placed 28 313 configurations, and the
-    kernel measured 505 176 pair-samples."""
+    kernel measured 505 176 pair-samples. With placements that built their
+    own layout-wide arrays, it built 239 of them."""
     with work_counts() as counts:
         run(scenario_from_dict(json.loads((DATA / "ring16_901.json").read_text())), "async")
     assert counts["rows"] <= 16_000
     assert counts["pair_samples"] <= 250_000
     assert counts["calls"] <= 170
+    assert counts["arrays"] <= 159
 
 
 def test_the_fixtures_make_few_kinematics_calls():
     """A call's fixed cost is that of some seventy configurations, so the
-    count of calls, not of rows, sets the fixtures' decision time."""
+    count of calls, not of rows, sets the fixtures' decision time. With
+    placements that built their own layout-wide arrays, they built 66."""
     with work_counts() as counts:
         for name in FIXTURES:
             for mode in ("async", "sync"):
                 run(load_scenario(fixture_path(name)), mode)
     assert counts["calls"] <= 48
+    assert counts["arrays"] <= 43

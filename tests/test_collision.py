@@ -370,6 +370,19 @@ def test_scene_validation():
         )
 
 
+def test_a_scene_refuses_an_idle_posture_outside_joint_limits():
+    """A scene built without the loader: an arm idle outside its limits
+    would fail only at the first sweep, inside `tick()`, after its entry
+    had left the queue."""
+    a = planar_arm("a", limits=(-1.0, 1.0))
+    b = planar_arm("b", (1.5, 0.0, 0.0), limits=(-1.0, 1.0))
+    with pytest.raises(ValueError, match="^idle posture of 'b' outside joint limits$"):
+        scene_of([a, b], [[0.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="outside joint limits"):
+        scene_of([a, b], [[np.nan, 0.0], [0.0, 0.0]])
+    scene_of([a, b], [[0.0, 0.0], [1.0, -1.0]])  # the limits themselves are inside
+
+
 def brute_force_pairs(scene, states):
     """(clearance, owner, owner) of every pair the monitor covers, in its
     documented order, from primitive_clearance on forward_kinematics."""

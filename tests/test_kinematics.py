@@ -104,13 +104,20 @@ def test_batched_placement_is_bit_identical_to_joint_by_joint_fk(rng):
     q["p0"] = q["p0"][:1]  # held at every sample
     q["arm_b"][5:] = q["arm_b"][4]
     layout = Layout(models, [])
-    p0, p1 = layout.place(q)
+    placed = layout.place(q)
+    # each arm's rows stop at its held tail
+    kept = {g: len(placed[g][0]) for g in groups}
+    assert kept == {"p2": 4, "arm_b": 5, "p0": 1, "arm_a": 1, "p1": 7, "p3": 7}
+    assert all(len(e1) == len(e0) for e0, e1 in placed.values())
+    p0, p1 = layout.spread(placed)
     for g in groups:
         want0, want1 = loop_placed_segments(models[g], np.broadcast_to(q[g], (7, models[g].n_joints)))
         single0, single1 = ArmStack([models[g]]).place(q[g], np.zeros(len(q[g]), dtype=int))
         rows = layout.rows[g]
         for got, want in ((p0[:, rows], want0), (p1[:, rows], want1)):
             assert np.array_equal(got, want)
+        for got, want in zip(placed[g], (want0, want1)):
+            assert np.array_equal(got, want[: kept[g]])
         assert np.array_equal(single0, want0[: len(q[g])]) and np.array_equal(single1, want1[: len(q[g])])
     assert sorted(i for g in groups for i in layout.rows[g]) == list(range(p0.shape[1]))
 
@@ -171,7 +178,7 @@ def test_placement_holds_single_configurations_and_leaves_absent_arms_unplaced(r
     models = {g: planar_arm(g, (float(k), 0.0, 0.0)) for k, g in enumerate("abc")}
     layout = Layout(models, [PlacedPrimitive(Sphere((0.0, 2.0, 0.0), 0.1), ("static", 0))])
     held = np.array([[0.3, -0.2]])
-    p0, p1 = layout.place({"a": rng.uniform(-1.0, 1.0, size=(5, 2)), "c": held})
+    p0, p1 = layout.spread(layout.place({"a": rng.uniform(-1.0, 1.0, size=(5, 2)), "c": held}))
     assert p0.shape == p1.shape == (5, 7, 3)
     want0, want1 = ArmStack([models["c"]]).place(held, [0])
     assert np.array_equal(p0[:, layout.rows["c"]], np.broadcast_to(want0, (5, 2, 3)))
