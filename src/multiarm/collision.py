@@ -335,9 +335,10 @@ class Layout:
             member = np.repeat(np.arange(len(groups)), kept)  # each row's index into groups
             arms, qs = np.array([self._slot[g][1] for g in groups])[member], np.concatenate(qs)
             lo, hi = (stack.arrays[name][arms] for name in ("_lo", "_hi"))
-            bad = np.flatnonzero(~np.all((qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK), axis=1))
-            if bad.size:
-                raise JointLimitViolation(f"{groups[member[bad[0]]]}: state outside joint limits")
+            ok = (qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK)
+            if not ok.all():
+                bad = np.flatnonzero(~ok.all(axis=1))[0]
+                raise JointLimitViolation(f"{groups[member[bad]]}: state outside joint limits")
             a0, a1 = stack.place(qs, arms)
             ends = np.cumsum(kept)
             placed.update((g, (a0[b - m : b], a1[b - m : b])) for g, b, m in zip(groups, ends, kept))

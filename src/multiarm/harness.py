@@ -208,15 +208,17 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     idx = 0
     budget = sum(t.duration for t in trajectories) + sum(timeouts) + (last_submit + 1.0)
     max_ticks = int(budget / p.tick_length) + 10
+    # an entry ends only on a tick that logs it, so ask only after such ticks
+    logged = True
     while True:
         while idx < len(order) and scenario.tasks[order[idx]].submit_time <= mgr.clock + 1e-9:
             handles.append(mgr.submit(trajectories[order[idx]], timeouts[order[idx]]))
             idx += 1
-        if idx == len(order) and mgr.all_terminal():
+        if idx == len(order) and logged and mgr.all_terminal():
             break
         if mgr.tick_index >= max_ticks:
             raise TickBudgetExceeded("scenario did not quiesce within the tick budget")
-        mgr.tick()
+        logged = bool(mgr.tick())
     lines = mgr.event_lines()
     statuses = {h.id: mgr.status(h) for h in handles}
     return RunResult(

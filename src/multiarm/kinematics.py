@@ -240,20 +240,21 @@ class ArmStack:
         """World endpoints (N, L, 3) of every link primitive.
 
         `q` is an (N, J) batch of configurations and `arms` (N,) the stack
-        member of each row; each joint's constants are gathered at its own
-        step. No limit checking happens here.
+        member of each row; each constant is gathered once, and every joint's
+        rotation is built in one batch. No limit checking happens here.
         """
         a = self.arrays
         base = a["base_pose"][arms]
         rot, trans = base[:, :3, :3], base[:, :3, 3]
-        r = np.empty((len(q), len(self.frames), 3, 3))  # each link's frame
-        t = np.empty((len(q), len(self.frames), 3))
+        t_off, r_off = a["_t_off"][arms], a["_r_off"][arms]
+        turn = _rodrigues(a["_k"][arms], a["_outer"][arms], q)
+        r = np.empty((len(q), self.n_joints, 3, 3))  # each joint's frame
+        t = np.empty((len(q), self.n_joints, 3))
         for j in range(self.n_joints):
-            trans = trans + np.einsum("...ij,...j->...i", rot, a["_t_off"][arms, j])
-            rot = rot @ a["_r_off"][arms, j] @ _rodrigues(a["_k"][arms, j], a["_outer"][arms, j], q[:, j])
-            on = self.frames == j
-            r[:, on] = rot[:, None]
-            t[:, on] = trans[:, None]
+            t[:, j] = trans = trans + np.einsum("...ij,...j->...i", rot, t_off[:, j])
+            r[:, j] = rot = rot @ r_off[:, j] @ turn[:, j]
+        r, t = r.take(self.frames, axis=1), t.take(self.frames, axis=1)  # each link's frame
         p0 = t + np.einsum("...lij,...lj->...li", r, a["_local_p0"][arms])
         p1 = t + np.einsum("...lij,...lj->...li", r, a["_local_p1"][arms])
         return p0, p1
+

@@ -230,7 +230,7 @@ def test_admission_places_and_pairs_less_on_the_ring():
 
 
 def test_the_fixtures_make_few_kinematics_calls():
-    """A call's fixed cost is that of some seventy configurations, so the
+    """A call's fixed cost is that of some forty to fifty configurations, so the
     count of calls, not of rows, sets the fixtures' decision time. With
     placements that built their own layout-wide arrays, they built 66."""
     with work_counts() as counts:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from multiarm import (
+    ExecutionManager,
     JointLimitViolation,
     JointState,
     RunParams,
@@ -84,6 +85,22 @@ def test_crossing_serializes_either_way():
     rs = run(sc, "sync")
     assert abs(ra.metrics.makespan - rs.metrics.makespan) <= 0.02
     assert ra.metrics.backlog_entries == 1
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_run_ticks_until_the_tick_that_ends_the_last_entry(monkeypatch, mode):
+    # run asks whether every entry ended only after a tick that logged
+    # something, and still stops on the same tick
+    ticks = []
+    tick_once = ExecutionManager.tick
+
+    def spy(self):
+        ticks.append(self.tick_index)
+        return tick_once(self)
+
+    monkeypatch.setattr(ExecutionManager, "tick", spy)
+    run(fixture("crossing.json"), mode)
+    assert len(ticks) == 401
 
 
 def test_timeout_fixture_aborts_victim():

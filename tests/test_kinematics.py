@@ -21,7 +21,7 @@ from multiarm import (
 from multiarm import CheckParams, ExecutionManager, fixture_path, load_scenario, run
 from multiarm.collision import Layout
 from multiarm.harness import FIXTURES, scenario_from_dict
-from multiarm.kinematics import ArmStack, rotation_about_axis, rpy_matrix
+from multiarm.kinematics import _LIMIT_SLACK, ArmStack, rotation_about_axis, rpy_matrix
 
 from conftest import planar_arm
 from oracles import (
@@ -122,6 +122,39 @@ def test_batched_placement_is_bit_identical_to_joint_by_joint_fk(rng):
     assert sorted(i for g in groups for i in layout.rows[g]) == list(range(p0.shape[1]))
 
 
+def spatial_arm(group, n_joints, frames, rng):
+    """An arm of random axes, offsets and base pose whose links hang off `frames`."""
+    joints = []
+    for _ in range(n_joints):
+        axis = rng.normal(size=3)
+        joints.append(JointSpec.from_xyz_rpy(axis / np.linalg.norm(axis), xyz=rng.uniform(-0.3, 0.3, 3),
+                                             rpy=rng.uniform(-1.0, 1.0, 3), limits=(-3.0, 3.0)))
+    links = [LinkGeometry(f, Capsule(rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.2, 0.2, 3), 0.02))
+             for f in frames]
+    return RobotModel(group, pose(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)), joints, links,
+                      np.ones(n_joints))
+
+
+# joint count and link frames: a joint that carries no link (2), links out of
+# frame order so that the links of joints 0 and 2 are not adjacent in the
+# list, and two links on one frame (0, then 2)
+LINK_LAYOUTS = [(5, [0, 1, 3, 4]), (3, [2, 0, 1, 0, 2]), (3, [0, 0, 1, 2, 2])]
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("n_joints, frames", LINK_LAYOUTS)
+def test_batched_placement_matches_joint_by_joint_fk_on_any_link_layout(rng, n, n_joints, frames):
+    models = [spatial_arm(f"m{k}", n_joints, frames, rng) for k in range(3)]
+    stack = ArmStack(models)
+    arms = rng.integers(0, len(models), size=n)  # members' rows interleaved
+    q = rng.uniform(-3.0, 3.0, size=(n, n_joints))
+    p0, p1 = stack.place(q, arms)
+    assert p0.shape == p1.shape == (n, len(frames), 3)
+    for k, model in enumerate(models):
+        want0, want1 = loop_placed_segments(model, q[arms == k])
+        assert np.array_equal(p0[arms == k], want0) and np.array_equal(p1[arms == k], want1)
+
+
 def test_batched_placement_checks_states():
     layout = Layout({"a": two_link(), "b": planar_arm("b", lengths=(1.0,))}, [])
     with pytest.raises(DimensionMismatch):
@@ -148,6 +181,22 @@ def test_limit_violation_names_a_later_arm_of_a_mixed_stack(rng):
     q["b"] = np.array([[0.0, -5.0]])
     with pytest.raises(JointLimitViolation, match="^b:"):
         layout.place(q)
+
+
+def test_limit_check_names_the_arm_and_keeps_the_slack_on_a_mixed_stack(rng):
+    models = {g: planar_arm(g, (float(k), 0.0, 0.0), limits=(-1.0, 1.0)) for k, g in enumerate("abc")}
+    layout = Layout(models, [])
+    edge = 1.0 + _LIMIT_SLACK
+    q = {"a": rng.uniform(-1.0, 1.0, size=(5, 2)), "b": np.array([[0.0, edge]]),
+         "c": rng.uniform(-1.0, 1.0, size=(4, 2))}
+    q["a"][1, 0], q["c"][2, 1] = -edge, edge  # exactly at the slack: placed
+    layout.place(q)
+    for g, row in (("a", 3), ("b", 0), ("c", 1)):
+        for value in (np.nan, np.nextafter(edge, np.inf), np.nextafter(-edge, -np.inf)):
+            bad = {h: qh.copy() for h, qh in q.items()}
+            bad[g][row, 1] = value
+            with pytest.raises(JointLimitViolation, match=f"^{g}:"):
+                layout.place(bad)
 
 
 def test_each_placement_makes_one_kinematics_call_on_the_ring(monkeypatch):
