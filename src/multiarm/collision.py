@@ -2,46 +2,38 @@
 
 Every check reads arm motion through one rule, `Timeline.at`, and runs
 through one kernel, `pair_clearances`. The arms a check involves are placed
-arm by arm (`Layout.place`), and their rows and the static obstacles' are
-spread into flat (T, S, 3) segment-endpoint arrays (T sampled times, S
-primitives; `Layout.spread`). The check itself is a precomputed list of index
-pairs into them, and one call returns the signed clearance (segment distance
-minus radii) of every pair at every sample. A pair whose AABBs, inflated by
-margin/2, do not overlap is reported as infinitely clear, which is sound
-because such a pair's clearance exceeds the margin.
+(`Layout.place`) and spread with the static obstacles into flat (T, S, 3)
+segment-endpoint arrays (T sampled times, S primitives; `Layout.spread`). The
+check is a list of index pairs into them, and one call returns the signed
+clearance (segment distance minus radii) of every pair at every sample. A
+pair whose AABBs, inflated by margin/2, do not overlap reads infinitely
+clear (`FAR`), which is sound because its clearance exceeds the margin.
 
-Before any placement, a broadphase that holds at every configuration culls
-whole pairs: every row of the layout lies within a fixed sphere (an arm's
-links around its first joint origin, an obstacle around its midpoint), so
-the gap between two spheres bounds the pair's clearance from below. A pair
-whose gap exceeds the margin is never paired, and an arm that can reach
-nothing in a check is never placed. Such pairs are reported as `FAR`, as
-pairs the AABB test prunes are.
+Two broadphases cull pairs before anything is placed. Every row lies within
+a fixed sphere (an arm's links around its first joint origin, an obstacle
+around its midpoint), so the gap of two spheres bounds a pair's clearance
+from below at any configuration (`Layout.cull`). And each link has a box
+that holds it over a whole motion, so a pair whose boxes, inflated by
+margin/2, are apart on some axis is one the AABB test prunes at every
+instant. A culled pair reads `FAR`, and an arm left with no pair is not placed.
 
 A configuration is *colliding* when the minimum clearance is <= margin. The
 witness of a colliding check is the first pair, in the check's pair order,
 that attains the minimum at the first colliding sample. Culling keeps the
 pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
-Admission adds a box tier (see `candidate_sweep`): a running or parked arm
-whose box stays more than the margin from the candidate's on some axis is
-not placed, since the AABB test would prune every pair of it: a sweep places
-the candidate first, then only the arms the tier leaves.
 
-The periodic `Monitor` also skips pairs over time. Every trajectory is
-known, so when a check finds pairs due it measures them at every remaining
-check instant of the planned motion at once, its window, at its margin (a
-pair the AABB test prunes at an instant is above the margin there), and puts
-each pair to sleep until the first instant at which it is at or below it. A
-pair above the margin at every instant sleeps for good, as its arms are still
-from the window's last instant on, unless the window was cut short to bound
-its memory: then it sleeps until that last instant, and is measured again
-there. A window sample is the value a live check at that instant computes,
-since the timeline, placement and the kernel act on each sample alone, so a
-pair the monitor skips at a check was measured above the margin at exactly
-that instant. The measured pairs keep the pair order, so the verdict, the
-witness and a colliding minimum are those of a check of every pair. An arm
-that leaves its plan (a new motion, or a stop before its end) wakes its pairs.
+The periodic `Monitor` also skips pairs over time. A check that finds pairs
+due puts to sleep for good those whose boxes are apart (an arm's box is its
+last run's, which holds it until its next admission), measures the rest at
+every remaining check instant of the planned motion at once, its window, and
+puts each to sleep until its first instant at or below the margin: for good
+if there is none, as the arms are still from the window's last instant on,
+or until that instant if the window was cut short to bound its memory. A
+window sample is the value a live check at that instant computes, so a pair
+the monitor skips at a check was measured above the margin at exactly that
+instant. An arm that leaves its plan (a new motion, or a stop before its
+end) wakes its pairs.
 """
 
 from __future__ import annotations
@@ -54,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, JointLimitViolation, MissingGroupState, UnknownGroup
-from .geometry import FAR, Owner, PlacedPrimitive, pair_clearances, segments_of
+from .geometry import FAR, Owner, PlacedPrimitive, pair_clearances, segment_aabbs, segments_of
 from .kinematics import _LIMIT_SLACK, ArmStack, JointState, RobotModel, within_limits
 from .trajectory import JointTrajectory, grid_size, states_at, time_grid
 
@@ -96,16 +88,16 @@ class Scene:
 class RunningRecord:
     """A trajectory run from the absolute `start_time`, held `elapsed` s in from `stop` on.
 
-    `box` (lo xyz, hi xyz), if given, bounds the arm's capsules at every
-    instant of the run: admission sets it from `Placed.run_box`. A run
-    without one is never culled by box.
+    `box`, if given, is (L, 6): row l (lo xyz, hi xyz) bounds link l's
+    capsule at every instant of the run and after its stop. Admission sets
+    it from `Placed.run_box`. A run without one is never culled by box.
     """
 
     trajectory: JointTrajectory
     start_time: float
     stop: float = math.inf
     elapsed: float = math.inf
-    box: tuple[float, ...] | None = None
+    box: np.ndarray | None = None
 
     def __post_init__(self):
         if self.start_time < 0.0:
@@ -211,14 +203,15 @@ class Cull:
     """A layout's pairs that can come within one margin.
 
     `ii`, `jj` is the monitor's pair list cut to those pairs, in its order.
-    `arms[g]` are the other arms, and `statics[g]` the static rows, that arm
-    g can reach.
+    `arms[g]` are the other arms that arm g can reach. `boxes` (S, 6) is each
+    row's box at the margin as far as the layout fixes it: an obstacle's,
+    and an arm's unbounded.
     """
 
     ii: np.ndarray
     jj: np.ndarray
     arms: dict[str, frozenset[str]]
-    statics: dict[str, list[int]]
+    boxes: np.ndarray
 
 
 class Layout:
@@ -301,12 +294,15 @@ class Layout:
             near = self.gap <= margin + 1e-9
             keep = near[self.ii, self.jj]
             reached = {g: near[rows].any(axis=0) for g, rows in self.rows.items()}
+            boxes = _OPEN.repeat(len(self.owners), axis=0)
+            s = slice(self.static_rows.start, self.static_rows.stop)
+            boxes[s] = _box(*(e[None] for e in self._static_ends), self.radii[s], margin / 2.0)
             cull = self._culls[margin] = Cull(
                 self.ii[keep],
                 self.jj[keep],
                 arms={g: frozenset(h for h in self.groups if h != g and reached[g][self.rows[h]].any())
                       for g in self.groups},
-                statics={g: [j for j in self.static_rows if reached[g][j]] for g in self.groups},
+                boxes=boxes,
             )
         return cull
 
@@ -368,24 +364,26 @@ def _distinct_rows(q) -> np.ndarray:
     return q[: changed[-1] + 2 if changed.size else 1]
 
 
-def _box(e0, e1, radii, inflate: float) -> tuple[float, ...]:
-    """(lo xyz, hi xyz) around the capsules of endpoint rows (m, L, 3), each
-    boxed as `pair_clearances` boxes it at a margin of 2 * inflate (taking
-    the extremes over the rows first rounds the same, as rounding is
-    monotonic)."""
-    pad = (radii + inflate)[:, None]
-    lo = (np.minimum(e0, e1).min(axis=0) - pad).min(axis=0)
-    hi = (np.maximum(e0, e1).max(axis=0) + pad).max(axis=0)
-    return (*lo.tolist(), *hi.tolist())
+def _box(e0, e1, radii, inflate: float) -> np.ndarray:
+    """(L, 6) boxes (lo xyz, hi xyz), each around one capsule of endpoint rows
+    (m, L, 3) at every row, as `pair_clearances` boxes it at a margin of 2 * inflate."""
+    lo, hi = segment_aabbs(e0, e1, radii, inflate)
+    return np.concatenate([lo.min(axis=0), hi.max(axis=0)], axis=1)
 
 
-def _grown(box, pad: float) -> tuple[float, ...]:
-    return tuple(v - pad for v in box[:3]) + tuple(v + pad for v in box[3:])
+# an unbounded box (lo xyz, hi xyz), and the sign of each column's growth
+_OPEN = np.array([[-math.inf] * 3 + [math.inf] * 3])
+_SIGN = np.repeat([-1.0, 1.0], 3)
 
 
-def _apart(a, b) -> bool:
-    """Whether boxes a and b do not overlap on some axis."""
-    return a[0] > b[3] or a[1] > b[4] or a[2] > b[5] or b[0] > a[3] or b[1] > a[4] or b[2] > a[5]
+def _grown(box: np.ndarray | None, pad: float) -> np.ndarray | None:
+    """`box` grown by `pad` on every side (None, unbounded, stays None)."""
+    return None if box is None else box + pad * _SIGN
+
+
+def _apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether boxes a and b (..., 6), broadcast together, are apart on some axis (NaN: never)."""
+    return (np.maximum(a[..., :3], b[..., :3]) > np.minimum(a[..., 3:], b[..., 3:])).any(axis=-1)
 
 
 def _motion_times(duration: float, dt: float) -> np.ndarray:
@@ -401,7 +399,7 @@ def _motion_times(duration: float, dt: float) -> np.ndarray:
 class Placed:
     """A candidate's links placed at every instant a sweep's grid reads it at
     (`_motion_times`), as `Layout.place` gives them (so cut at a held tail,
-    which the grid's end reads too), and their box at the margin.
+    which the grid's end reads too), and their (L, 6) link boxes at the margin.
 
     Pass one to every sweep of a candidate on one layout with one
     CheckParams: the first sweep fills it, and no later one places the
@@ -413,13 +411,11 @@ class Placed:
     def __init__(self):
         self.e0 = self.e1 = self.box = None
 
-    def run_box(self, model: RobotModel, params: CheckParams) -> tuple[float, ...] | None:
-        """A box around the arm's capsules at every instant of a run of this
-        motion (None if nothing is placed yet): the rows' box, radii
-        included, grown by the farthest a point of the arm moves in dt / 2,
-        with slack for rounding. The rows are at most dt apart in time."""
-        if self.e0 is None:
-            return None
+    def run_box(self, model: RobotModel, params: CheckParams) -> np.ndarray | None:
+        """(L, 6) boxes, each around one link's capsule at every instant of a
+        run of this motion (None if nothing is placed yet): its box over the
+        rows (at most dt apart in time), radius included, grown by the
+        farthest a point of the arm moves in dt / 2, with slack for rounding."""
         pad = model.max_cartesian_speed_bound * (1.0 + 1e-6) * params.dt / 2.0 + 1e-9
         return _grown(self.box, pad - params.margin / 2.0)
 
@@ -466,19 +462,19 @@ def candidate_sweep(
 
     A candidate's first sweep places it, at every instant a grid reads it
     at, in one call with each parked arm in reach whose held row the layout
-    does not keep; `placed` keeps it for later sweeps. Then the box tier: a
-    running arm whose run `box`, or a parked arm whose held row's box, is
-    more than the margin from the candidate's box on some axis is neither
-    placed nor paired. Each box holds its arm at every instant the sweep
-    reads, so the AABB test would prune every pair of it at every sample,
-    and its report is the `FAR` of a full sweep. One more call places the
-    running arms left and any parked arm not kept, and `Layout.spread` builds
-    the kernel's arrays from every arm's rows.
+    does not keep; `placed` keeps it and its link boxes for later sweeps.
+    One test of its link boxes against a stacked array of every body's (a
+    running arm's run `box` grown by margin/2, a kept parked arm's, each
+    obstacle's; unbounded if none) drops, in order, each pair whose boxes
+    are apart, which the AABB test would prune at every sample. A running
+    arm left with no pair is neither read nor placed, and a sweep left with
+    none calls no kernel. One more call places the running arms left and any
+    parked arm not kept, and `Layout.spread` builds the kernel's arrays.
 
     Returns one report per running arm, in order, then, unless `parked` is
     None, one for the static obstacles and the parked arms together; a
-    running arm out of reach or culled by box is reported clear at `FAR`.
-    Times in the reports are relative to the candidate start.
+    block with no pair left is reported clear at `FAR`, as the full sweep
+    reports it. Times in the reports are relative to the candidate start.
     """
     fixed = sorted(parked or ())
     groups = [candidate.group_id] + list(running) + fixed
@@ -503,32 +499,40 @@ def candidate_sweep(
         q.update((g, row) for g, row in held.items()
                  if len(row) == 1 and _kept(layout, g, margin, row) is None)
         _keep(layout, margin, placed, g0, q, layout.place(q))
-    near = [g for g, run in zip(running, runs)
-            if g in reach and (run.box is None or not _apart(placed.box, _grown(run.box, half)))]
-    # the parked arms the tier leaves, and what the layout keeps of each (None: to place)
+    # what the layout keeps of each parked arm in reach (None: to place), and the
+    # bodies in pair order, (block, rows, boxes at the margin, None if not boxed
+    # yet): the running arms in reach, then the obstacles and parked arms
     kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
-    kept = {g: k for g, k in kept.items() if k is None or not _apart(placed.box, k[2])}
+    bodies = [(k, layout.rows[g], _grown(run.box, half))
+              for k, (g, run) in enumerate(zip(running, runs)) if g in reach]
+    if parked is not None:
+        bodies.append((len(running), layout.static_rows, cull.boxes[layout.static_rows.start :]))
+        bodies += [(len(running), layout.rows[g], k and k[2]) for g, k in kept.items()]
+    # each body row's box, layout row, body and block; then the pairs of candidate
+    # link i and body row c whose boxes overlap, body by body and i major
+    boxes = np.concatenate([cull.boxes[r] if b is None else b for _, r, b in bodies] + [_OPEN[:0]])
+    cols, body, block = np.array([(j, b, k) for b, (k, r, _) in enumerate(bodies) for j in r],
+                                 dtype=int).reshape(-1, 3).T
+    i, c = (~_apart(placed.box[:, None], boxes[None])).nonzero()
+    order = body[c].argsort(kind="stable")
+    ii, jj = layout.rows[g0].start + i[order], cols[c[order]]
+    bounds = block[c[order]].searchsorted(np.arange(len(running) + (parked is not None) + 1))
+    if not ii.size:
+        return [_CLEAR] * (len(bounds) - 1)
+
+    # place only the arms left with a pair: running ones, and parked ones not kept
+    touched = {layout.owners[j][0] for j in set(jj.tolist())}
     put = {g0: (placed.e0, placed.e1)}
     if len(times) < len(placed.e0):  # the grid's rows: all below its end, then the end
         sel = np.append(np.arange(len(times) - 1), len(placed.e0) - 1)
         put[g0] = placed.e0[sel], placed.e1[sel]
-    put.update((g, k[:2]) for g, k in kept.items() if k is not None)
-    fresh = {g: held[g] for g, k in kept.items() if k is None}
-    q = {**fresh, **timeline.at(near, times, since=now)}
+    put.update((g, k[:2]) for g, k in kept.items() if k is not None and g in touched)
+    fresh = {g: held[g] for g, k in kept.items() if k is None and g in touched}
+    q = {**fresh, **timeline.at([g for g in running if g in touched], times, since=now)}
     if q:
         put.update(layout.place(q))
         _keep(layout, margin, placed, g0, fresh, put)
     p0, p1 = layout.spread(put)
-
-    blocks = [[layout.rows[g]] if g in near else [] for g in running]
-    if parked is not None:
-        blocks.append([cull.statics[g0]] + [layout.rows[g] for g in fixed if g in kept])
-    own = layout.rows[g0]
-    pairs, bounds = [], [0]
-    for block in blocks:
-        pairs += [(i, j) for body in block for i in own for j in body]
-        bounds.append(len(pairs))
-    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
     clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
     return [
         _report(times, clear[:, a:b], layout.owners, ii[a:b], jj[a:b], margin)
@@ -540,11 +544,12 @@ class Monitor:
     """The composite-state check of a layout at one margin, over the planned motion.
 
     Keeps a `safe_until` time for each pair in reach (the Cull's, in order):
-    a pair is due at a check whose clock has reached it. `wake(g)` makes g's
-    pairs due; it is for an arm that leaves the motion the last window saw
-    (it starts a trajectory, or stops before its end). A pair at or below the
-    margin stays due. A new monitor has every pair due. `_next` is the
-    earliest `safe_until`, so a check before it finds nothing due.
+    a pair is due at a check whose clock has reached it; a new monitor has
+    every pair due. `wake(g)` makes g's pairs due, for an arm that leaves the
+    motion the last window saw; `admit(g, box)` also does it for a new run,
+    whose link boxes grown by margin/2 become g's rows of the box table (an
+    obstacle's are fixed, and an arm that never ran is unbounded). `_next`,
+    the earliest `safe_until`, lets a check before it find nothing due.
     """
 
     def __init__(self, layout: Layout, margin: float):
@@ -559,31 +564,45 @@ class Monitor:
                        for k, g in enumerate(layout.groups)}
         self.safe_until = np.full(len(self.ii), -math.inf)
         self._next = -math.inf if len(self.ii) else math.inf
+        self._boxes = cull.boxes.copy()
 
     def wake(self, g: str):
         if self._pairs[g].size:
             self.safe_until[self._pairs[g]] = self._next = -math.inf
 
+    def admit(self, g: str, box: np.ndarray | None):
+        """Wake g's pairs for a new run with (L, 6) link boxes `box` (None: unbounded)."""
+        rows = slice(self.layout.rows[g].start, self.layout.rows[g].stop)
+        self._boxes[rows] = _OPEN if box is None else _grown(box, self.margin / 2.0)
+        self.wake(g)
+
     def check(self, clock: float, window) -> CollisionReport:
         """One check at `clock`, reported from the state at `clock` alone (a
         colliding report's first_collision_time is 0.0, relative to `clock`).
 
-        `window(groups, limit)` gives the look-ahead of the arms of the due
-        pairs: `(times, q, cut)`, at most `limit` check instants from `clock`
-        on, each arm's positions at them as `Timeline.at` gives them, and
-        whether the instants stop short of the end of those arms' motions.
-        Places (and checks the limits of) only those arms, and measures the
-        due pairs at every instant in one kernel call at the margin, whose
-        AABB test reads a pair it prunes as `FAR`, above the margin. Each
-        sleeps until its first instant at or below the margin, otherwise
-        until the last instant if the window was cut, or for good; a clear
-        report's minimum covers the pairs the AABB test kept only. The window
-        is cut so that neither the pair-samples nor the placed row-samples
-        exceed PAIR_SAMPLES.
+        A due pair whose boxes are apart sleeps for good, as each arm stays
+        in its box until an admission replaces it. For the pairs left, if
+        any, `window(groups, limit)` gives the look-ahead of their arms:
+        `(times, q, cut)`, at most `limit` check instants from `clock` on,
+        each arm's positions at them as `Timeline.at` gives them, and whether
+        the instants stop short of the end of those arms' motions. Places
+        (and checks the limits of) only those arms, and measures the pairs at
+        every instant in one kernel call at the margin, whose AABB test reads
+        a pair it prunes as `FAR`. Each sleeps until its first instant at or
+        below the margin, otherwise until the last instant if the window was
+        cut, or for good; a clear report's minimum covers the pairs the AABB
+        test kept only. The window is cut so that neither the pair-samples
+        nor the placed row-samples exceed PAIR_SAMPLES.
         """
         if clock < self._next:
             return _CLEAR
         due = np.flatnonzero(self.safe_until <= clock)
+        apart = _apart(self._boxes[self.ii[due]], self._boxes[self.jj[due]])
+        self.safe_until[due[apart]] = math.inf
+        due = due[~apart]
+        if not due.size:
+            self._next = float(self.safe_until.min())
+            return _CLEAR
         involved = np.zeros(len(self.layout.groups) + 1, dtype=bool)
         involved[self._a[due]] = involved[self._b[due]] = True
         groups = [g for g, m in zip(self.layout.groups, involved.tolist()) if m]

@@ -12,9 +12,10 @@ The monitor measures only the pairs that may have come within the margin
 since they were last measured (`collision.Monitor`). Once some pair is due,
 the manager hands it a window: the check instants from now to the first one
 at or after the last stop of the involved arms, with the timeline read at
-them. Admission makes every pair of the admitted arm due, and so does a stop
-off the plan (a cancel or a halt); a completion parks the arm where the
-window already has it. Admission may fail against a running trajectory
+them. Admission makes every pair of the admitted arm due and hands the
+monitor the run's link boxes, and a stop off the plan (a cancel or a halt)
+makes them due too; a completion parks the arm where the window already has
+it. Admission may fail against a running trajectory
 (blocker = its id), against another arm parked in the way (blocker
 "idle:<group>", re-checked when that arm's posture changes), or against a
 static obstacle (blocker "static", which only a timeout clears).
@@ -485,6 +486,6 @@ class ExecutionManager:
         self._timeline.runs[g].append(run)
         self._running[g] = entry
         self._requeue_due = True
-        self._monitor.wake(g)
+        self._monitor.admit(g, box)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
         self._event("ADMITTED", entry, f"start={clock:.6f};checks={checks};states={states}")

@@ -147,9 +147,11 @@ def pair_clearances(p0, p1, radii, ii, jj, margin: float) -> np.ndarray:
     Only the rows a pair references are boxed; other rows may be NaN.
     Segment distances are computed for overlapping pairs only, if any.
     """
-    rows, at = np.unique(np.concatenate([ii, jj]), return_inverse=True)
+    used = np.zeros(p0.shape[1], dtype=bool)
+    used[ii] = used[jj] = True
+    rows, at = used.nonzero()[0], used.cumsum() - 1  # the rows paired, and each one's index among them
     lo, hi = segment_aabbs(p0[:, rows], p1[:, rows], radii[rows], margin / 2.0)
-    a, b = at[: len(ii)], at[len(ii) :]
+    a, b = at[ii], at[jj]
     fit = (lo[:, a] <= hi[:, b]) & (lo[:, b] <= hi[:, a])
     near = fit[..., 0] & fit[..., 1] & fit[..., 2]  # far faster than all(axis=-1)
     clear = np.full(near.shape, np.inf)

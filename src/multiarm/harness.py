@@ -93,17 +93,8 @@ class Metrics:
     overhead: float
 
     def row(self) -> list[str]:
-        return [
-            self.mode,
-            f"{self.makespan:.6f}",
-            f"{self.mean_wait:.6f}",
-            str(self.backlog_entries),
-            str(self.timeout_aborts),
-            str(self.collision_halts),
-            str(self.pairwise_checks),
-            str(self.state_evaluations),
-            f"{self.overhead:.6f}",
-        ]
+        """The CSV row: the times to the microsecond, the counts as integers."""
+        return [f"{v:.6f}" if isinstance(v, float) else str(v) for v in vars(self).values()]
 
 
 @dataclass(eq=False)

@@ -61,41 +61,26 @@ class Violation:
 
 def validate(traj: JointTrajectory, model: RobotModel) -> list[Violation]:
     """All problems that make `traj` unexecutable on `model`; empty list if ok."""
-    problems: list[Violation] = []
-    if traj.positions.shape[1] != model.n_joints:
-        problems.append(
-            Violation("DimensionMismatch",
-                      f"{traj.positions.shape[1]} joint values, model has {model.n_joints}")
-        )
-        return problems
-    if not (np.isfinite(traj.times).all() and np.isfinite(traj.positions).all()):
+    times, positions = traj.times, traj.positions
+    if positions.shape[1] != model.n_joints:
+        return [Violation("DimensionMismatch",
+                          f"{positions.shape[1]} joint values, model has {model.n_joints}")]
+    if not (np.isfinite(times).all() and np.isfinite(positions).all()):
         return [Violation("NonFinite", "waypoint times and positions must be finite")]
 
-    if traj.times[0] != 0.0:
-        problems.append(Violation("NonZeroStart", f"first waypoint at t={traj.times[0]}"))
-    bad = np.nonzero(np.diff(traj.times) <= 0.0)[0]
-    for k in bad:
-        problems.append(
-            Violation("NonMonotonicTime",
-                      f"waypoint {k + 1} at t={traj.times[k + 1]} after t={traj.times[k]}")
-        )
-
-    lo, hi = model._lo, model._hi
-    for k, q in enumerate(traj.positions):
-        if np.any(q < lo) or np.any(q > hi):
-            problems.append(Violation("JointLimitViolation", f"waypoint {k} outside limits"))
-
+    # each check an array test; only the offending rows are looped over
+    problems = [Violation("NonZeroStart", f"first waypoint at t={times[0]}")] if times[0] != 0.0 else []
+    dt = times[1:] - times[:-1]
+    bad = (dt <= 0.0).nonzero()[0]
+    problems += [Violation("NonMonotonicTime",
+                           f"waypoint {k + 1} at t={times[k + 1]} after t={times[k]}") for k in bad]
+    out = ((positions < model._lo) | (positions > model._hi)).any(axis=1).nonzero()[0]
+    problems += [Violation("JointLimitViolation", f"waypoint {k} outside limits") for k in out]
     if not bad.size:
-        dq = np.abs(np.diff(traj.positions, axis=0))
-        dt = np.diff(traj.times)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            speed = np.where(dt > 0, dq / dt, 0.0)
-        limit = model.joint_velocity_limits * (1.0 + _VEL_SLACK)
-        for k in np.nonzero(np.any(speed > limit, axis=1))[0]:
-            worst = float(speed[k].max())
-            problems.append(
-                Violation("VelocityLimit", f"segment {k} average speed {worst:.3f} rad/s")
-            )
+        speed = np.abs(positions[1:] - positions[:-1]) / dt[:, None]
+        fast = (speed > model.joint_velocity_limits * (1.0 + _VEL_SLACK)).any(axis=1).nonzero()[0]
+        problems += [Violation("VelocityLimit", f"segment {k} average speed {speed[k].max():.3f} rad/s")
+                     for k in fast]
     return problems
 
 
@@ -122,7 +107,7 @@ def grid_size(horizon: float, dt: float) -> int:
     # multiples k*dt below the forced endpoint (guard scaled so a horizon
     # much smaller than dt still keeps the t=0 sample)
     guard = horizon - min(dt, horizon) * 1e-9
-    k = int(np.floor(horizon / dt + 1e-9))
+    k = int(horizon / dt + 1e-9)  # the floor, as horizon >= 0
     while k >= 0 and k * dt >= guard:
         k -= 1
     return k + 2
@@ -133,5 +118,7 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
 
     Gaps never exceed dt (up to rounding); the last element equals `horizon`.
     """
-    return np.append(np.arange(grid_size(horizon, dt) - 1) * dt, horizon)
+    times = np.arange(grid_size(horizon, dt)) * dt
+    times[-1] = horizon
+    return times
 

@@ -203,9 +203,10 @@ def monitor_oracle(scene):
     safe-until time.
 
     Yields counts of the checks, of those that measured nothing because no
-    pair was due, and of the colliding ones.
+    pair was due, of those that had pairs due but built no window because
+    the box filter retired them all, and of the colliding ones.
     """
-    counts = {"checks": 0, "skipped": 0, "colliding": 0}
+    counts = {"checks": 0, "skipped": 0, "retired": 0, "colliding": 0}
 
     def assert_next(monitor):
         assert monitor._next == min(monitor.safe_until, default=math.inf)
@@ -217,7 +218,8 @@ def monitor_oracle(scene):
 
         def check(self, clock, window):
             skipped = not np.any(self.safe_until <= clock)
-            report = super().check(clock, window)
+            built = []
+            report = super().check(clock, lambda *args: built.append(True) or window(*args))
             groups = sorted(scene.robots)
             _, q, _ = window(groups, 1)
             states = {g: JointState(g, q[g][0]) for g in groups}
@@ -227,6 +229,7 @@ def monitor_oracle(scene):
                 assert report == full, clock
             counts["checks"] += 1
             counts["skipped"] += skipped
+            counts["retired"] += not skipped and not built
             counts["colliding"] += full.colliding
             assert_next(self)
             return report
@@ -296,6 +299,11 @@ def same_report(got, want):
     return got == want and got.min_clearance_seen.hex() == want.min_clearance_seen.hex()
 
 
+def no_box_apart(a, b):
+    """`collision._apart` with no two boxes apart, in its shape."""
+    return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b))[:-1], dtype=bool)
+
+
 @contextmanager
 def cull_oracle(scene):
     """Check every admission sweep of the managers built on `scene` inside the
@@ -305,7 +313,7 @@ def cull_oracle(scene):
     placement. Every report must be the same, field for field.
 
     Yields counts of the sweeps, and of the running arms in reach that the
-    box tier reported `FAR` without placing them.
+    link boxes left with no pair, reported `FAR` without placing them.
     """
     counts = {"sweeps": 0, "culled": 0}
     sweep = executor.candidate_sweep
@@ -322,7 +330,7 @@ def cull_oracle(scene):
         with mock.patch.object(Layout, "place", spy):
             got = sweep(candidate, now, params, layout, timeline, running, parked, *rest)
         bare._held.clear()
-        with mock.patch.object(collision, "_apart", lambda a, b: False):
+        with mock.patch.object(collision, "_apart", no_box_apart):
             want = sweep(candidate, now, params, bare, timeline, running, parked)
         assert len(got) == len(want)
         for report, reference in zip(got, want):
@@ -340,9 +348,9 @@ def cull_oracle(scene):
 def work_counts():
     """Count, inside the block, the `ArmStack.place` calls (`calls`), the
     configurations they place (`rows`), the layout-wide endpoint arrays
-    `Layout.spread` builds for the kernel (`arrays`), and the pair-samples
-    the collision kernel measures (`pair_samples`)."""
-    counts = {"calls": 0, "rows": 0, "arrays": 0, "pair_samples": 0}
+    `Layout.spread` builds for the kernel (`arrays`), the collision kernel's
+    calls (`kernels`) and the pair-samples it measures (`pair_samples`)."""
+    counts = {"calls": 0, "rows": 0, "arrays": 0, "kernels": 0, "pair_samples": 0}
     stack_place, spread, kernel = ArmStack.place, Layout.spread, collision.pair_clearances
 
     def spy_stack(self, q, arms):
@@ -355,6 +363,7 @@ def work_counts():
         return spread(self, placed)
 
     def spy_kernel(p0, p1, radii, ii, jj, margin):
+        counts["kernels"] += 1
         counts["pair_samples"] += len(p0) * len(ii)
         return kernel(p0, p1, radii, ii, jj, margin)
 

@@ -14,6 +14,8 @@ pair or one arm against the oracles.
 of arm motion that `collision.Timeline` replaced, as they were: admission's
 reads of the running arms, the monitor's look-ahead window, and the replay
 audit's motions. `state_at` is the scalar view of `states_at`.
+`loop_validate` is `trajectory.validate` as it was before its checks became
+array tests: waypoint by waypoint.
 """
 
 import math
@@ -26,7 +28,7 @@ from multiarm.executor import _CLOCK_EPS
 from multiarm.geometry import Capsule, PlacedPrimitive, Sphere, segment_distance, segment_of
 from multiarm.harness import parse_event_line
 from multiarm.kinematics import _LIMIT_SLACK, ArmStack, JointState, within_limits
-from multiarm.trajectory import states_at, time_grid
+from multiarm.trajectory import _VEL_SLACK, Violation, states_at, time_grid
 
 
 class NonFiniteInput(MultiArmError):
@@ -304,7 +306,7 @@ def unculled_sweep(candidate, now, params, layout, running, parked):
     placed and paired: one block per running record, in order, then the
     obstacles followed by the parked arms in sorted order."""
     from multiarm.geometry import pair_clearances
-    from multiarm.trajectory import states_at, time_grid
+    from multiarm.trajectory import _VEL_SLACK, Violation, states_at, time_grid
 
     offsets = [max(0.0, now - rec.start_time) for rec in running]
     remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
@@ -398,3 +400,43 @@ def replay_motions(scenario, result, factor: int = 10):
             qs = np.where(mask[:, None], vals, qs)
         motions[g] = qs
     return ts, motions
+
+
+def loop_validate(traj, model) -> list:
+    """Every problem of `traj` on `model`, found waypoint by waypoint."""
+    problems = []
+    if traj.positions.shape[1] != model.n_joints:
+        problems.append(
+            Violation("DimensionMismatch",
+                      f"{traj.positions.shape[1]} joint values, model has {model.n_joints}")
+        )
+        return problems
+    if not (np.isfinite(traj.times).all() and np.isfinite(traj.positions).all()):
+        return [Violation("NonFinite", "waypoint times and positions must be finite")]
+
+    if traj.times[0] != 0.0:
+        problems.append(Violation("NonZeroStart", f"first waypoint at t={traj.times[0]}"))
+    bad = np.nonzero(np.diff(traj.times) <= 0.0)[0]
+    for k in bad:
+        problems.append(
+            Violation("NonMonotonicTime",
+                      f"waypoint {k + 1} at t={traj.times[k + 1]} after t={traj.times[k]}")
+        )
+
+    lo, hi = model._lo, model._hi
+    for k, q in enumerate(traj.positions):
+        if np.any(q < lo) or np.any(q > hi):
+            problems.append(Violation("JointLimitViolation", f"waypoint {k} outside limits"))
+
+    if not bad.size:
+        dq = np.abs(np.diff(traj.positions, axis=0))
+        dt = np.diff(traj.times)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed = np.where(dt > 0, dq / dt, 0.0)
+        limit = model.joint_velocity_limits * (1.0 + _VEL_SLACK)
+        for k in np.nonzero(np.any(speed > limit, axis=1))[0]:
+            worst = float(speed[k].max())
+            problems.append(
+                Violation("VelocityLimit", f"segment {k} average speed {worst:.3f} rad/s")
+            )
+    return problems

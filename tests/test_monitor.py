@@ -17,6 +17,7 @@ import pytest
 from multiarm import (
     CheckParams,
     ExecutionManager,
+    Sphere,
     StatusKind,
     collision,
     composite_state_check,
@@ -24,10 +25,10 @@ from multiarm import (
     run,
 )
 from multiarm.collision import CollisionReport, Layout, Monitor
-from multiarm.geometry import FAR, owner_str
+from multiarm.geometry import FAR, PlacedPrimitive, owner_str
 from multiarm.harness import FIXTURES, scenario_from_dict
 
-from conftest import facing_pair, monitor_oracle, scene_of, sweep_traj
+from conftest import facing_pair, monitor_oracle, planar_arm, scene_of, sweep_traj
 from test_golden import RING16_901_HALTING, digest
 
 DATA = Path(__file__).parent / "data"
@@ -57,6 +58,9 @@ def test_monitor_matches_the_full_check_on_the_ring(check_static):
     counts, result = run_checked(data, "async", check_static=check_static)
     # every colliding check halts every running arm on its tick
     assert counts["colliding"] == result.metrics.collision_halts == (0 if check_static else 4)
+    # some checks find every due pair's boxes apart, and build no window (the
+    # halting run stops after 17 checks, none of them such)
+    assert (counts["retired"] > 0) == check_static
 
 
 def test_monitor_skips_checks_on_the_fixtures():
@@ -166,3 +170,34 @@ def test_a_cancel_mid_motion_wakes_the_pairs_of_the_parked_arm():
     witness = "|".join(owner_str(o) for o in full.witness)
     assert mgr.event_lines()[-1] == (f"{status.at:.6f}\tCOLLISION_HALT\tsweep\t"
                                      f"witness={witness};clearance={full.min_clearance_seen:.9f}")
+
+
+@pytest.mark.parametrize("first", [0.0, -1.0])
+def test_an_arm_boxed_near_an_obstacle_halts_where_the_full_check_collides(first):
+    """A one-link arm swings up to end 0.9 margin below a sphere, straight
+    along y, while another arm runs far away (so each admission sweeps and
+    boxes the run), after a first run that swung it away from the sphere, or
+    none. The arm's box must be its new run's, grown by half the margin: the
+    old run's box, or one grown less, lies apart from the sphere's, and the
+    pair would sleep through the contact that halts the far arm."""
+    margin = 0.02
+    arm = planar_arm("arm", lengths=(0.5,), vlim=1.0)
+    far = planar_arm("far", (10.0, 0.0, 0.0), lengths=(0.5,), vlim=0.2)
+    top = 0.5 + 0.05 + 0.9 * margin  # the sphere's lowest point above the base
+    sphere = Sphere((0.0, top + 0.05, 0.0), 0.05)
+    scene = scene_of([arm, far], [[0.0], [0.0]], [PlacedPrimitive(sphere, ("static", 0))])
+    with monitor_oracle(scene) as counts:
+        mgr = ExecutionManager(scene, CheckParams(dt=0.002, margin=margin), tick_length=0.01,
+                               check_static=False)
+        away = mgr.submit(sweep_traj(far, [0.0], [2.0], "far"), 30.0)
+        mgr.tick()
+        if first:
+            mgr.submit(sweep_traj(arm, [0.0], [first], "away"), 30.0)
+        up = mgr.submit(sweep_traj(arm, [first], [np.pi / 2], "up"), 30.0)
+        while not mgr.all_terminal():
+            mgr.tick()
+    # the arm completes on the tick whose check halts the far arm
+    assert mgr.status(up).kind is StatusKind.SUCCEEDED and counts["colliding"] == 1
+    status = mgr.status(away)
+    assert status.kind is StatusKind.ABORTED_COLLISION and status.at == mgr.status(up).finish
+    assert status.witness == (("arm", 0), ("static", 0))

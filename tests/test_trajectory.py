@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiarm import (
     JointTrajectory,
@@ -11,7 +13,7 @@ from multiarm import (
 from multiarm.trajectory import grid_size, states_at
 
 from conftest import planar_arm
-from oracles import state_at
+from oracles import loop_validate, state_at
 
 
 def traj(waypoints, group="arm", traj_id=None):
@@ -185,3 +187,31 @@ def test_trajectory_shape_validation():
         JointTrajectory("arm", [0.0, 1.0], [[0.0, 0.0]])
     with pytest.raises(ValueError):
         JointTrajectory("arm", [], np.zeros((0, 2)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.0, 0.5), st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=2)),
+             min_size=1, max_size=6),
+    st.integers(2, 3),
+    st.booleans(),
+    st.sampled_from([0.0, 0.0, 0.3]),
+    st.integers(0, 5),
+)
+def test_validate_reports_what_the_waypoint_loop_reports(steps, joints, monotonic, start, poison):
+    """Random trajectories, with waypoints outside the (-1, 1) limits,
+    segments over the speed limit (the steps are short), repeated or
+    decreasing times, a start off zero, and one in six each with a NaN
+    position, a NaN time or a wrong joint count: the array tests return the
+    loop's violations, in its order."""
+    model = planar_arm("arm", lengths=(0.5,) * joints, vlim=2.0, limits=(-1.0, 1.0))
+    times = start + np.cumsum([step if monotonic else step - 0.2 for step, _ in steps])
+    positions = np.array([q + [0.1] * (joints - 2) for _, q in steps])
+    if poison == 0:
+        positions[-1, 0] = np.nan
+    elif poison == 1:
+        times[-1] = np.nan
+    elif poison == 2:
+        positions = positions[:, 1:]
+    t = JointTrajectory("arm", times, positions)
+    assert validate(t, model) == loop_validate(t, model)
