@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -98,6 +98,7 @@ class RunningRecord:
     stop: float = math.inf
     elapsed: float = math.inf
     box: np.ndarray | None = None
+    stop_tick: int | None = None  # the index of the executor's tick at `stop`, if known
 
     def __post_init__(self):
         if self.start_time < 0.0:
@@ -120,9 +121,10 @@ class Timeline:
     held: dict[str, JointState]
     runs: dict[str, list[RunningRecord]] = field(default_factory=lambda: defaultdict(list))
 
-    def park(self, g: str, stop: float, elapsed: float):
-        """Hold arm g `elapsed` s into its last run from `stop` on."""
-        self.runs[g][-1] = replace(self.runs[g][-1], stop=stop, elapsed=elapsed)
+    def park(self, g: str, stop: float, elapsed: float, stop_tick: int | None = None):
+        """Hold arm g `elapsed` s into its last run from `stop` (tick `stop_tick`) on."""
+        run = self.runs[g][-1]  # built directly: `dataclasses.replace` costs twice as much
+        self.runs[g][-1] = RunningRecord(run.trajectory, run.start_time, stop, elapsed, run.box, stop_tick)
 
     def at(self, groups, times, since: float = 0.0) -> dict[str, np.ndarray]:
         """Each arm's (n, J) positions at the instants `since + times` (ascending),

@@ -1,24 +1,18 @@
 """Asynchronous trajectory execution manager on a deterministic tick clock.
 
 New submissions enter a continuous queue. On every tick the manager, in fixed
-order: completes finished trajectories, moves backlog entries whose blockers
-terminated back into the queue unless their deadline has come, aborts backlog
-entries at or past their deadline, drains the queue through the collision
-gate (admit or backlog; a new submission whose timeout ran out before its
-first tick aborts), and runs the periodic composite-state monitor. Every
-arm's motion is one `collision.Timeline`: admission adds a run that stops at
-the tick that completes it, and a cancel or halt stops it there and then.
-The monitor measures only the pairs that may have come within the margin
-since they were last measured (`collision.Monitor`). Once some pair is due,
-the manager hands it a window: the check instants from now to the first one
-at or after the last stop of the involved arms, with the timeline read at
-them. Admission makes every pair of the admitted arm due and hands the
-monitor the run's link boxes, and a stop off the plan (a cancel or a halt)
-makes them due too; a completion parks the arm where the window already has
-it. Admission may fail against a running trajectory
-(blocker = its id), against another arm parked in the way (blocker
-"idle:<group>", re-checked when that arm's posture changes), or against a
-static obstacle (blocker "static", which only a timeout clears).
+order: (1) completes finished trajectories, (2) moves backlog entries whose
+blockers terminated back into the queue unless their deadline has come, (3)
+aborts backlog entries at or past their deadline, (4) drains the queue through
+the collision gate (admit or backlog; a new submission whose timeout ran out
+before its first tick aborts), and (5) runs the periodic composite-state
+monitor. Every arm's motion is one `collision.Timeline`: admission adds a run
+that stops at the tick that completes it, and a cancel or halt stops it there
+and then. The monitor measures only the pairs that may have come within the
+margin since they were last measured (`collision.Monitor`). Admission may fail
+against a running trajectory (blocker = its id), another arm parked in the
+way (blocker "idle:<group>", re-checked when that arm's posture changes), or
+a static obstacle (blocker "static", which only a timeout clears).
 
 Each group keeps a chain: its unfinished entries in submission order. Only
 the head of a chain may run; any later entry that reaches the gate is
@@ -27,9 +21,17 @@ An entry leaves its chain when it ends, whichever way it ends, and the run
 is over when every chain is empty. An arm leaves the running set, by
 completion, cancel or halt, parked where its trajectory has it.
 
-The clock is simulated: controllers track trajectories perfectly and the
-clock advances only through tick(). Identical inputs produce byte-identical
-event logs.
+Each scheduler time becomes a tick once, by the float rule of `_tick_at`: an
+entry's deadline tick, a run's stop tick, the harness's submit ticks. The
+steps compare ticks; the float clock is what the log prints. `_wake` is the
+earliest stop tick of a running arm, deadline tick of a backlog entry and,
+while an arm runs, monitor tick. Step 1 acts only at a stop tick, 3 only at a
+deadline tick, 5 only at a monitor tick while an arm runs, 4 only on a queued
+entry and 2 only when a requeue is due, and only the steps, submit (which
+queues) and cancel (which makes a requeue due) change these. So a tick before
+`_wake`, with the queue empty and no requeue due, is one at which no step
+could act: it only advances the clock. Controllers track trajectories
+perfectly, so identical inputs produce byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ _CLOCK_EPS = 1e-9
 
 # Tolerance for the first-waypoint-equals-held-posture admission rule.
 _START_TOL = 1e-9
+
+
+def _tick_at(t: float, tick_length: float, k: int = 0) -> int:
+    """The first tick from k on whose clock + _CLOCK_EPS >= t, or 2**53, which
+    no run reaches, if that comes first: the one float rule of scheduler time."""
+    k = max(k, math.floor(min((t - _CLOCK_EPS) / tick_length, 2**53)) - 1)
+    while k < 2**53 and k * tick_length + _CLOCK_EPS < t:
+        k += 1
+    return k
 
 
 class StatusKind(str, Enum):
@@ -143,6 +154,7 @@ class _Entry:
     trajectory: JointTrajectory
     seq: int
     deadline: float
+    deadline_tick: int
     status: ExecStatus
     blocker_tokens: tuple = ()
     placed: Placed | None = None
@@ -194,6 +206,7 @@ class ExecutionManager:
         # a requeue trigger can fire only after an entry ended or a posture
         # changed; set by _finish, _stop and admission, cleared by step 2
         self._requeue_due = False
+        self._wake = math.inf  # no step acts before this tick (see the module docstring)
         self._monitor = Monitor(scene.layout, self.params.margin)
         self.events: list[Event] = []
         # serializes external callers (submit/cancel/status) against tick()
@@ -255,6 +268,7 @@ class ExecutionManager:
                 trajectory=traj,
                 seq=self._seq,
                 deadline=self.clock + timeout,
+                deadline_tick=_tick_at(self.clock + timeout, self.tick_length),
                 status=ExecStatus(StatusKind.PENDING),
             )
             self._seq += 1
@@ -296,13 +310,16 @@ class ExecutionManager:
 
     def _tick_locked(self) -> list[Event]:
         self._tick_index += 1
+        k = self._tick_index
+        if k < self._wake and not self._queue and not self._requeue_due:
+            return []
         clock = self.clock
         first_new = len(self.events)
 
         # 1) complete running trajectories at the stop their admission set
         for g, entry in list(self._running.items()):
             run = self._timeline.runs[g][-1]
-            if run.stop <= clock:
+            if run.stop_tick <= k:
                 self._stop(g, run.trajectory.duration)
                 self._finish(entry, "COMPLETED", f"finish={clock:.6f}", StatusKind.SUCCEEDED,
                              start_time=run.start_time, finish=clock)
@@ -315,7 +332,7 @@ class ExecutionManager:
             self._requeue_due = False
             triggered = []
             for entry in self._backlog:
-                if clock + _CLOCK_EPS >= entry.deadline:
+                if k >= entry.deadline_tick:
                     continue
                 trigger = self._requeue_trigger(entry)
                 if trigger is not None:
@@ -329,7 +346,7 @@ class ExecutionManager:
 
         # 3) abort backlog entries past their deadline
         for entry in list(self._backlog):
-            if clock + _CLOCK_EPS >= entry.deadline:
+            if k >= entry.deadline_tick:
                 self._backlog.remove(entry)
                 self._timeout(entry, clock)
 
@@ -338,7 +355,7 @@ class ExecutionManager:
             self._try_admit(self._queue.popleft(), clock)
 
         # 5) periodic composite-state monitor
-        if self._running and self._tick_index % self.monitor_period == 0:
+        if self._running and k % self.monitor_period == 0:
             report = self._monitor.check(clock, self._window)
             if report.colliding:
                 witness = f"{owner_str(report.witness[0])}|{owner_str(report.witness[1])}"
@@ -348,6 +365,11 @@ class ExecutionManager:
                     self._finish(entry, "COLLISION_HALT", detail, StatusKind.ABORTED_COLLISION,
                                  start_time=entry.status.start_time, at=clock, witness=report.witness)
 
+        # a tick that logged leaves the recompute to the next tick, which then runs the steps
+        if k >= self._wake and len(self.events) == first_new:
+            ticks = [self._timeline.runs[g][-1].stop_tick for g in self._running]
+            ticks += [k - k % self.monitor_period + self.monitor_period] if ticks else []
+            self._wake = min(ticks + [e.deadline_tick for e in self._backlog], default=math.inf)
         return self.events[first_new:]
 
     # internal helpers
@@ -368,7 +390,7 @@ class ExecutionManager:
         parked before its end, it left the motion the monitor's last window
         planned for it, so its pairs are due again."""
         del self._running[g]
-        self._timeline.park(g, self.clock, elapsed)
+        self._timeline.park(g, self.clock, elapsed, self._tick_index)
         self._requeue_due = True
         if elapsed < self._timeline.runs[g][-1].trajectory.duration:
             self._monitor.wake(g)
@@ -379,9 +401,9 @@ class ExecutionManager:
         running arms of `groups`, cut to `limit` (the third value says whether
         they were), each bit for bit the clock of its live check, and the
         timeline read at them."""
-        stops = [self._timeline.runs[g][-1].stop for g in groups if g in self._running]
+        stops = [self._timeline.runs[g][-1].stop_tick for g in groups if g in self._running]
         k0, period = self._tick_index, self.monitor_period
-        last = k0 + -(-(round(max(stops, default=self.clock) / self.tick_length) - k0) // period) * period
+        last = k0 + -(-(max(stops, default=k0) - k0) // period) * period
         end = min(last, k0 + (limit - 1) * period)
         times = np.arange(k0, end + 1, period) * self.tick_length
         return times, self._timeline.at(groups, times), last > end
@@ -407,6 +429,7 @@ class ExecutionManager:
         entry.blocker_tokens = tokens
         entry.status = ExecStatus(StatusKind.BACKLOGGED, blockers=frozenset(labels))
         self._backlog.append(entry)
+        self._wake = min(self._wake, entry.deadline_tick)
         self._event(
             "BACKLOGGED",
             entry,
@@ -423,7 +446,7 @@ class ExecutionManager:
 
         # step 2 requeues only entries before their deadline, so this is a
         # new submission with a timeout shorter than the wait for its tick
-        if clock + _CLOCK_EPS >= entry.deadline:
+        if self._tick_index >= entry.deadline_tick:
             self._timeout(entry, clock)
             return
 
@@ -476,16 +499,14 @@ class ExecutionManager:
             self._to_backlog(entry, tuple(tokens), checks, states)
             return
         # the run stops at the first tick at or after its end, whose step 1 completes it
-        end = clock + duration
-        k = max(self._tick_index, math.floor((end - _CLOCK_EPS) / self.tick_length) - 1)
-        while end > k * self.tick_length + _CLOCK_EPS:
-            k += 1
+        k = _tick_at(clock + duration, self.tick_length, self._tick_index)
         box = entry.placed and entry.placed.run_box(self.scene.robots[g], self.params)
-        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, box)
+        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, box, k)
         entry.placed = None
         self._timeline.runs[g].append(run)
         self._running[g] = entry
         self._requeue_due = True
+        self._wake = min(self._wake, self._tick_index)  # for a later tick to recompute it
         self._monitor.admit(g, box)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
         self._event("ADMITTED", entry, f"start={clock:.6f};checks={checks};states={states}")

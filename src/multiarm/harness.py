@@ -23,7 +23,7 @@ import numpy as np
 
 from .collision import PAIR_SAMPLES, CheckParams, RunningRecord, Scene, Timeline, pair_clearances
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
-from .executor import ExecutionManager, ExecStatus, ExecHandle
+from .executor import ExecutionManager, ExecStatus, ExecHandle, _tick_at
 from .geometry import Capsule, PlacedPrimitive, Sphere
 from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, _is_index, pose, within_limits
 from .trajectory import JointTrajectory, time_grid
@@ -50,7 +50,7 @@ _MAX_GRID = 100_000
 
 # ticks a run may take to cover any time it states (its last submit_time, its
 # longest planned motion, its longest timeout): the clock advances one tick
-# per step, and 1 000 000 idle ticks take ~2 s on a 2-vCPU x86-64 VM; a longer
+# per step, and 1 000 000 idle ticks take ~1 s on a 2-vCPU x86-64 VM; a longer
 # stated time or a finer tick is refused before the run starts
 _MAX_TICKS = 1_000_000
 
@@ -195,6 +195,7 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
         serialized=(mode == "sync"),
     )
     order = sorted(range(len(scenario.tasks)), key=lambda i: scenario.tasks[i].submit_time)
+    submit_ticks = [_tick_at(scenario.tasks[i].submit_time, mgr.tick_length) for i in order]
     handles: list[ExecHandle] = []
     idx = 0
     budget = sum(t.duration for t in trajectories) + sum(timeouts) + (last_submit + 1.0)
@@ -202,7 +203,7 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     # an entry ends only on a tick that logs it, so ask only after such ticks
     logged = True
     while True:
-        while idx < len(order) and scenario.tasks[order[idx]].submit_time <= mgr.clock + 1e-9:
+        while idx < len(order) and submit_ticks[idx] <= mgr.tick_index:
             handles.append(mgr.submit(trajectories[order[idx]], timeouts[order[idx]]))
             idx += 1
         if idx == len(order) and logged and mgr.all_terminal():

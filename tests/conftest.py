@@ -349,9 +349,15 @@ def work_counts():
     """Count, inside the block, the `ArmStack.place` calls (`calls`), the
     configurations they place (`rows`), the layout-wide endpoint arrays
     `Layout.spread` builds for the kernel (`arrays`), the collision kernel's
-    calls (`kernels`) and the pair-samples it measures (`pair_samples`)."""
-    counts = {"calls": 0, "rows": 0, "arrays": 0, "kernels": 0, "pair_samples": 0}
+    calls (`kernels`), the pair-samples it measures (`pair_samples`), the
+    `ExecutionManager.tick` calls (`ticks`) and those that ran the scheduler's
+    five steps (`full_ticks`). The steps start by reading the manager's
+    `clock`; a tick that only advances the clock never reads it."""
+    counts = {"calls": 0, "rows": 0, "arrays": 0, "kernels": 0, "pair_samples": 0,
+              "ticks": 0, "full_ticks": 0}
     stack_place, spread, kernel = ArmStack.place, Layout.spread, collision.pair_clearances
+    tick, clock = ExecutionManager.tick, ExecutionManager.clock
+    read = [False]
 
     def spy_stack(self, q, arms):
         counts["calls"] += 1
@@ -367,7 +373,20 @@ def work_counts():
         counts["pair_samples"] += len(p0) * len(ii)
         return kernel(p0, p1, radii, ii, jj, margin)
 
+    def spy_clock(self):
+        read[0] = True
+        return clock.fget(self)
+
+    def spy_tick(self):
+        read[0] = False
+        events = tick(self)
+        counts["ticks"] += 1
+        counts["full_ticks"] += read[0]
+        return events
+
     with mock.patch.object(ArmStack, "place", spy_stack), \
             mock.patch.object(Layout, "spread", spy_spread), \
-            mock.patch.object(collision, "pair_clearances", spy_kernel):
+            mock.patch.object(collision, "pair_clearances", spy_kernel), \
+            mock.patch.object(ExecutionManager, "clock", property(spy_clock)), \
+            mock.patch.object(ExecutionManager, "tick", spy_tick):
         yield counts

@@ -10,6 +10,11 @@ and `forward_kinematics` are thin scalar wrappers of the library's batched
 kernels (`segment_distance`, `ArmStack.place`), so that tests can compare one
 pair or one arm against the oracles.
 
+`deadline_passed`, `stop_tick_search` and `submit_due` are the float rules by
+which the scheduler placed its times on the tick clock before it kept them as
+integer ticks: the abort test of a deadline, admission's search for the tick
+that completes a run, and the harness's test for a due submission.
+
 `sweep_reads`, `monitor_window` and `replay_motions` are the three builders
 of arm motion that `collision.Timeline` replaced, as they were: admission's
 reads of the running arms, the monitor's look-ahead window, and the replay
@@ -343,13 +348,27 @@ def sweep_reads(candidate, now, params, running):
                    for rec, o in zip(running, offsets)}
 
 
-def _end_tick(mgr, rec) -> int:
-    """The tick whose step 1 completes `rec`, which is running now."""
-    end = rec.start_time + rec.trajectory.duration
-    k = max(mgr._tick_index, math.floor((end - _CLOCK_EPS) / mgr.tick_length) - 1)
-    while end > k * mgr.tick_length + _CLOCK_EPS:
+def deadline_passed(clock: float, deadline: float) -> bool:
+    """Whether an entry is at or past its deadline at `clock`."""
+    return clock + _CLOCK_EPS >= deadline
+
+
+def stop_tick_search(k0: int, tick_length: float, end: float) -> int:
+    """The first tick from k0 on at whose clock a run that ends at `end` is over."""
+    k = max(k0, math.floor((end - _CLOCK_EPS) / tick_length) - 1)
+    while end > k * tick_length + _CLOCK_EPS:
         k += 1
     return k
+
+
+def submit_due(clock: float, submit_time: float) -> bool:
+    """Whether a task is due for submission at `clock`."""
+    return submit_time <= clock + 1e-9
+
+
+def _end_tick(mgr, rec) -> int:
+    """The tick whose step 1 completes `rec`, which is running now."""
+    return stop_tick_search(mgr._tick_index, mgr.tick_length, rec.start_time + rec.trajectory.duration)
 
 
 def monitor_window(mgr, running, postures, groups, limit):
