@@ -14,6 +14,7 @@ from .collision import (
 from .errors import (
     DimensionMismatch,
     JointLimitViolation,
+    LogInvalid,
     MissingGroupState,
     MultiArmError,
     NegativeTime,

@@ -484,7 +484,7 @@ def candidate_sweep(
     if unknown:
         raise UnknownGroup(f"no robot model for groups {sorted(unknown)}")
     runs = [timeline.runs[g][-1] for g in running]
-    if len(set(groups)) < len(groups) or any(run.start_time > now + 1e-9 for run in runs):
+    if len(set(groups)) < len(groups) or any(run.start_time > now for run in runs):
         raise ValueError("the candidate, running and parked arms must be distinct groups, "
                          "and running arms must have started their runs by `now`")
     margin, half = params.margin, params.margin / 2.0

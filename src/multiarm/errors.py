@@ -37,6 +37,10 @@ class ScenarioInvalid(MultiArmError):
     """Scenario file failed structural or semantic validation."""
 
 
+class LogInvalid(MultiArmError):
+    """An event-log line does not follow the event schema."""
+
+
 class TickBudgetExceeded(MultiArmError, RuntimeError):
     """A run did not reach a quiescent state within its tick budget."""
 

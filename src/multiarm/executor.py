@@ -31,25 +31,27 @@ entry and 2 only when a requeue is due, and only the steps, submit (which
 queues) and cancel (which makes a requeue due) change these. So a tick before
 `_wake`, with the queue empty and no requeue due, is one at which no step
 could act: it only advances the clock. Controllers track trajectories
-perfectly, so identical inputs produce byte-identical event logs.
+perfectly, so identical inputs produce byte-identical event logs. An event
+keeps typed values, formatted only when its line is read, by `EVENT_FIELDS`:
+the one schema by which `Event.line` writes each kind and `Event.parse` reads it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-# composite_state_check is not called here: the monitor runs Monitor.check.
-# It stays imported only because perfbench's tests look it up here. The
-# benchmark's collision.composite_state_check trace site and its run_share
-# metric are stale: they read 0 because they wrap a function the monitor no
-# longer calls, not because the monitor got cheaper.
+# composite_state_check is not called here (the monitor runs Monitor.check),
+# only looked up here by perfbench's tests; the benchmark's trace site and
+# run_share metric for it read 0 for that reason, not for a cheaper monitor.
 from .collision import (
     CheckParams,
     Monitor,
@@ -61,23 +63,31 @@ from .collision import (
     composite_state_check,
     required_margin,
 )
-from .errors import UnknownGroup, UnknownHandle, ValidationFailed
+from .errors import LogInvalid, UnknownGroup, UnknownHandle, ValidationFailed
 from .geometry import Owner, owner_str
 from .kinematics import JointState, _is_index
 from .trajectory import JointTrajectory, grid_size, validate
 
 log = logging.getLogger(__name__)
 
-EVENT_KINDS = (
-    "SUBMITTED",
-    "ADMITTED",
-    "BACKLOGGED",
-    "REQUEUED",
-    "TIMEOUT_ABORT",
-    "COLLISION_HALT",
-    "COMPLETED",
-    "CANCELLED",
-)
+# The event schema: each kind's detail fields in log order, with the printf
+# format each value is written in (and its type: "f" float, "d" int, "s" str).
+EVENT_FIELDS = {
+    "SUBMITTED": {"group": "s", "timeout": ".6f"},
+    "ADMITTED": {"start": ".6f", "checks": "d", "states": "d"},
+    "BACKLOGGED": {"blockers": "s", "deadline": ".6f", "checks": "d", "states": "d"},
+    "REQUEUED": {"trigger": "s"},
+    "TIMEOUT_ABORT": {"deadline": ".6f"},
+    "COLLISION_HALT": {"witness": "s", "clearance": ".9f"},
+    "COMPLETED": {"finish": ".6f"},
+    "CANCELLED": {"reason": "s"},
+}
+EVENT_KINDS = tuple(EVENT_FIELDS)
+# by kind: the format of its line, the pattern that reads its detail back, each value's type
+_SCHEMA = {kind: (f"%.6f\t{kind}\t%s\t" + ";".join(f"{k}=%{f}" for k, f in spec.items()),
+                  re.compile(";".join(f"{k}=([^;]*)" for k in spec)),
+                  [{"f": float, "d": int, "s": str}[f[-1]] for f in spec.values()])
+           for kind, spec in EVENT_FIELDS.items()}
 
 # Absolute slack for clock comparisons (ticks are >= 1e-3 s in practice).
 _CLOCK_EPS = 1e-9
@@ -105,12 +115,7 @@ class StatusKind(str, Enum):
     CANCELLED = "Cancelled"
 
 
-_TERMINAL = {
-    StatusKind.SUCCEEDED,
-    StatusKind.ABORTED_TIMEOUT,
-    StatusKind.ABORTED_COLLISION,
-    StatusKind.CANCELLED,
-}
+_TERMINAL = set(StatusKind) - {StatusKind.PENDING, StatusKind.RUNNING, StatusKind.BACKLOGGED}
 
 
 @dataclass(frozen=True)
@@ -133,15 +138,40 @@ class ExecHandle:
     group_id: str
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One log line; `values` are its kind's `EVENT_FIELDS`, in order."""
+
     clock: float
     kind: str
     trajectory_id: str
-    detail: str
+    values: tuple
+
+    @property
+    def fields(self) -> dict:
+        return dict(zip(EVENT_FIELDS[self.kind], self.values, strict=True))
+
+    @property
+    def detail(self) -> str:
+        return self.line().split("\t", 3)[3]
 
     def line(self) -> str:
-        return f"{self.clock:.6f}\t{self.kind}\t{self.trajectory_id}\t{self.detail}"
+        return _SCHEMA[self.kind][0] % (self.clock, self.trajectory_id, *self.values)
+
+    @classmethod
+    def parse(cls, line: str) -> Event:
+        """`line`'s inverse, each value read by its format; `LogInvalid` if the schema has no such line."""
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != 4 or cols[1] not in _SCHEMA:
+            raise LogInvalid(f"not 4 tab-separated columns with a known event kind: {line!r}")
+        clock, kind, trajectory_id, detail = cols
+        match = _SCHEMA[kind][1].fullmatch(detail)
+        if match is None:
+            raise LogInvalid(f"{kind} needs the keys {list(EVENT_FIELDS[kind])} in this order: {line!r}")
+        try:
+            values = tuple([t(v) for t, v in zip(_SCHEMA[kind][2], match.groups())])
+            return cls(float(clock), kind, trajectory_id, values)
+        except ValueError as exc:
+            raise LogInvalid(f"{exc}: {line!r}") from None
 
 
 # Blocker tokens: ("traj", entry) | ("idle", group, its last run) | ("static",);
@@ -275,7 +305,7 @@ class ExecutionManager:
             self._entries[handle.id] = entry
             self._chains[traj.group_id].append(entry)
             self._queue.append(entry)
-            self._event("SUBMITTED", entry, f"group={traj.group_id};timeout={timeout:.6f}")
+            self._event("SUBMITTED", entry, traj.group_id, timeout)
             return handle
 
     def status(self, handle: ExecHandle) -> ExecStatus:
@@ -295,8 +325,7 @@ class ExecutionManager:
                 self._queue.remove(entry)
             elif entry.status.kind is StatusKind.BACKLOGGED:
                 self._backlog.remove(entry)
-            self._finish(entry, "CANCELLED", "reason=user", StatusKind.CANCELLED,
-                         start_time=start_time)
+            self._finish(entry, "CANCELLED", StatusKind.CANCELLED, "user", start_time=start_time)
             return entry.status
 
     def tick(self) -> list[Event]:
@@ -321,7 +350,7 @@ class ExecutionManager:
             run = self._timeline.runs[g][-1]
             if run.stop_tick <= k:
                 self._stop(g, run.trajectory.duration)
-                self._finish(entry, "COMPLETED", f"finish={clock:.6f}", StatusKind.SUCCEEDED,
+                self._finish(entry, "COMPLETED", StatusKind.SUCCEEDED, clock,
                              start_time=run.start_time, finish=clock)
 
         # 2) re-queue backlog entries whose blockers went away; an entry at
@@ -342,13 +371,13 @@ class ExecutionManager:
                 entry.status = ExecStatus(StatusKind.PENDING)
                 entry.blocker_tokens = ()
                 self._queue.append(entry)
-                self._event("REQUEUED", entry, f"trigger={trigger}")
+                self._event("REQUEUED", entry, trigger)
 
         # 3) abort backlog entries past their deadline
         for entry in list(self._backlog):
             if k >= entry.deadline_tick:
                 self._backlog.remove(entry)
-                self._timeout(entry, clock)
+                self._finish(entry, "TIMEOUT_ABORT", StatusKind.ABORTED_TIMEOUT, entry.deadline, at=clock)
 
         # 4) drain the continuous queue through the collision gate
         while self._queue:
@@ -358,11 +387,10 @@ class ExecutionManager:
         if self._running and k % self.monitor_period == 0:
             report = self._monitor.check(clock, self._window)
             if report.colliding:
-                witness = f"{owner_str(report.witness[0])}|{owner_str(report.witness[1])}"
-                detail = f"witness={witness};clearance={report.min_clearance_seen:.9f}"
+                halt = ("|".join(map(owner_str, report.witness)), report.min_clearance_seen)
                 for g, entry in list(self._running.items()):
                     self._stop(g, clock - entry.status.start_time)
-                    self._finish(entry, "COLLISION_HALT", detail, StatusKind.ABORTED_COLLISION,
+                    self._finish(entry, "COLLISION_HALT", StatusKind.ABORTED_COLLISION, *halt,
                                  start_time=entry.status.start_time, at=clock, witness=report.witness)
 
         # a tick that logged leaves the recompute to the next tick, which then runs the steps
@@ -380,10 +408,8 @@ class ExecutionManager:
             raise UnknownHandle(f"unknown handle '{handle.id}'")
         return entry
 
-    def _event(self, kind: str, entry: _Entry, detail: str):
-        self.events.append(
-            Event(clock=self.clock, kind=kind, trajectory_id=entry.trajectory.id, detail=detail)
-        )
+    def _event(self, kind: str, entry: _Entry, *values):
+        self.events.append(Event(self.clock, kind, entry.trajectory.id, values))
 
     def _stop(self, g: str, elapsed: float):
         """Take group g off the running set, parked `elapsed` s into its run;
@@ -408,20 +434,19 @@ class ExecutionManager:
         times = np.arange(k0, end + 1, period) * self.tick_length
         return times, self._timeline.at(groups, times), last > end
 
-    def _finish(self, entry: _Entry, event: str, detail: str, kind: StatusKind, **status):
+    def _finish(self, entry: _Entry, event: str, kind: StatusKind, *values, **status):
         """The one terminal transition: final status, out of the chain, logged."""
         entry.status = ExecStatus(kind, **status)
         entry.placed = None
         self._chains[entry.handle.group_id].remove(entry)
         self._requeue_due = True
-        self._event(event, entry, detail)
+        self._event(event, entry, *values)
 
     def _requeue_trigger(self, entry: _Entry) -> str | None:
         for token in entry.blocker_tokens:
-            if token[0] == "traj" and token[1].status.terminal:
-                return token[1].trajectory.id
-            if token[0] == "idle" and self._timeline.runs.get(token[1], [None])[-1] is not token[2]:
-                return f"idle:{token[1]}"
+            if (token[0] == "traj" and token[1].status.terminal
+                    or token[0] == "idle" and self._timeline.runs.get(token[1], [None])[-1] is not token[2]):
+                return _token_label(token)
         return None
 
     def _to_backlog(self, entry: _Entry, tokens: tuple, checks: int, states: int):
@@ -430,16 +455,7 @@ class ExecutionManager:
         entry.status = ExecStatus(StatusKind.BACKLOGGED, blockers=frozenset(labels))
         self._backlog.append(entry)
         self._wake = min(self._wake, entry.deadline_tick)
-        self._event(
-            "BACKLOGGED",
-            entry,
-            f"blockers={','.join(labels)};deadline={entry.deadline:.6f}"
-            f";checks={checks};states={states}",
-        )
-
-    def _timeout(self, entry: _Entry, clock: float):
-        self._finish(entry, "TIMEOUT_ABORT", f"deadline={entry.deadline:.6f}",
-                     StatusKind.ABORTED_TIMEOUT, at=clock)
+        self._event("BACKLOGGED", entry, ",".join(labels), entry.deadline, checks, states)
 
     def _try_admit(self, entry: _Entry, clock: float):
         g = entry.handle.group_id
@@ -447,7 +463,7 @@ class ExecutionManager:
         # step 2 requeues only entries before their deadline, so this is a
         # new submission with a timeout shorter than the wait for its tick
         if self._tick_index >= entry.deadline_tick:
-            self._timeout(entry, clock)
+            self._finish(entry, "TIMEOUT_ABORT", StatusKind.ABORTED_TIMEOUT, entry.deadline, at=clock)
             return
 
         # one controller per group, in per-group submission order: an entry
@@ -466,7 +482,7 @@ class ExecutionManager:
         # anything else means the chain was broken (abort/cancel upstream)
         # and the trajectory needs replanning
         if np.abs(entry.trajectory.positions[0] - self._timeline.at([g], [clock])[g]).max() > _START_TOL:
-            self._finish(entry, "CANCELLED", "reason=mismatched_start", StatusKind.CANCELLED)
+            self._finish(entry, "CANCELLED", StatusKind.CANCELLED, "mismatched_start")
             return
 
         # one sweep against every running arm, then the obstacles and parked
@@ -509,4 +525,4 @@ class ExecutionManager:
         self._wake = min(self._wake, self._tick_index)  # for a later tick to recompute it
         self._monitor.admit(g, box)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
-        self._event("ADMITTED", entry, f"start={clock:.6f};checks={checks};states={states}")
+        self._event("ADMITTED", entry, clock, checks, states)

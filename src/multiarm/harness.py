@@ -23,7 +23,7 @@ import numpy as np
 
 from .collision import PAIR_SAMPLES, CheckParams, RunningRecord, Scene, Timeline, pair_clearances
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
-from .executor import ExecutionManager, ExecStatus, ExecHandle, _tick_at
+from .executor import Event, ExecutionManager, ExecStatus, ExecHandle, _tick_at
 from .geometry import Capsule, PlacedPrimitive, Sphere
 from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, _is_index, pose, within_limits
 from .trajectory import JointTrajectory, time_grid
@@ -221,49 +221,28 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     )
 
 
-def parse_event_line(line: str) -> tuple[float, str, str, dict[str, str]]:
-    clock_s, kind, traj_id, detail = line.rstrip("\n").split("\t")
-    fields = {}
-    if detail:
-        for part in detail.split(";"):
-            key, _, value = part.partition("=")
-            fields[key] = value
-    return float(clock_s), kind, traj_id, fields
-
-
 def metrics_from_events(lines, mode: str) -> Metrics:
     """Recompute all metrics purely from event-log lines.
 
     The per-group execution lower bound (for the overhead column) uses
-    admitted-to-completed spans, so everything derives from the log.
+    admitted-to-completed spans, so everything derives from the log. A line
+    the event schema does not describe raises `LogInvalid`.
     """
-    parsed = [parse_event_line(line) for line in lines]
+    events = [Event.parse(line) for line in lines]
     submitted: dict[str, float] = {}
     groups: dict[str, str] = {}
     admitted: dict[str, float] = {}
     completed: dict[str, float] = {}
-    backlog_entries = 0
-    timeout_aborts = 0
-    halt_clocks = set()
-    pairwise_checks = 0
-    state_evaluations = 0
-    for clock, kind, traj_id, fields in parsed:
-        if kind == "SUBMITTED":
-            submitted.setdefault(traj_id, clock)
-            groups[traj_id] = fields["group"]
-        elif kind == "ADMITTED":
-            admitted.setdefault(traj_id, clock)
-        elif kind == "COMPLETED":
-            completed[traj_id] = clock
-        elif kind == "BACKLOGGED":
-            backlog_entries += 1
-        elif kind == "TIMEOUT_ABORT":
-            timeout_aborts += 1
-        elif kind == "COLLISION_HALT":
-            halt_clocks.add(clock)
-        if "checks" in fields:
-            pairwise_checks += int(fields["checks"])
-            state_evaluations += int(fields["states"])
+    for e in events:
+        if e.kind == "SUBMITTED":
+            submitted.setdefault(e.trajectory_id, e.clock)
+            groups[e.trajectory_id] = e.fields["group"]
+        elif e.kind == "ADMITTED":
+            admitted.setdefault(e.trajectory_id, e.clock)
+        elif e.kind == "COMPLETED":
+            completed[e.trajectory_id] = e.clock
+    kinds = [e.kind for e in events]
+    attempts = [e.fields for e in events if e.kind in ("ADMITTED", "BACKLOGGED")]
 
     makespan = 0.0
     if submitted and completed:
@@ -280,11 +259,11 @@ def metrics_from_events(lines, mode: str) -> Metrics:
         mode=mode,
         makespan=makespan,
         mean_wait=mean_wait,
-        backlog_entries=backlog_entries,
-        timeout_aborts=timeout_aborts,
-        collision_halts=len(halt_clocks),
-        pairwise_checks=pairwise_checks,
-        state_evaluations=state_evaluations,
+        backlog_entries=kinds.count("BACKLOGGED"),
+        timeout_aborts=kinds.count("TIMEOUT_ABORT"),
+        collision_halts=len({e.clock for e in events if e.kind == "COLLISION_HALT"}),
+        pairwise_checks=sum(f["checks"] for f in attempts),
+        state_evaluations=sum(f["states"] for f in attempts),
         overhead=makespan - lower_bound,
     )
 
@@ -301,8 +280,7 @@ def write_metrics(metrics, path) -> None:
 
 def write_events(lines, path) -> None:
     with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10) -> float:
@@ -313,23 +291,23 @@ def replay_min_clearance(scenario: Scenario, result: RunResult, factor: int = 10
     tick_length/factor, and returns the minimum cross-robot / robot-static
     clearance over the whole run. Self-collision pairs are not part of this
     audit. Returns +inf for runs with no sampled interaction. `factor` must be
-    finite and > 0.
+    finite and > 0. A line the event schema does not describe raises `LogInvalid`.
     """
     if not 0 < factor < math.inf:
         raise ValueError(f"factor must be finite and > 0, got {factor!r}")
-    parsed = [parse_event_line(l) for l in result.lines]
-    if not parsed:
+    events = [Event.parse(line) for line in result.lines]
+    if not events:
         return float("inf")
-    end = max(p[0] for p in parsed)
+    end = max(e.clock for e in events)
     timeline = Timeline(dict(scenario.scene.idle_postures))
-    for clock, kind, traj_id, _ in parsed:
-        traj = result.trajectories[traj_id]
+    for e in events:
+        traj = result.trajectories[e.trajectory_id]
         run = timeline.runs.get(traj.group_id, [None])[-1]
-        if kind == "ADMITTED":
-            timeline.runs[traj.group_id].append(RunningRecord(traj, clock))
-        elif kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and run and run.trajectory is traj:
-            elapsed = traj.duration if kind == "COMPLETED" else clock - run.start_time
-            timeline.park(traj.group_id, clock, elapsed)
+        if e.kind == "ADMITTED":
+            timeline.runs[traj.group_id].append(RunningRecord(traj, e.clock))
+        elif e.kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and run and run.trajectory is traj:
+            elapsed = traj.duration if e.kind == "COMPLETED" else e.clock - run.start_time
+            timeline.park(traj.group_id, e.clock, elapsed)
 
     # all cross-robot and robot-static pairs of the scene's layout, unfiltered
     # (infinite margin), a bounded number of samples per kernel call

@@ -18,7 +18,11 @@ that completes a run, and the harness's test for a due submission.
 `sweep_reads`, `monitor_window` and `replay_motions` are the three builders
 of arm motion that `collision.Timeline` replaced, as they were: admission's
 reads of the running arms, the monitor's look-ahead window, and the replay
-audit's motions. `state_at` is the scalar view of `states_at`.
+audit's motions. `sweep_reads` alone gained one rule since: from a run's
+stop on, it reads the run's `elapsed`, as the old window builder did. Without
+it, an offset `now - start + t` that falls an ulp short of a run's duration
+read the trajectory there and not at its end. `state_at` is the scalar view
+of `states_at`.
 `loop_validate` is `trajectory.validate` as it was before its checks became
 array tests: waypoint by waypoint.
 """
@@ -29,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from multiarm.errors import JointLimitViolation, MultiArmError
-from multiarm.executor import _CLOCK_EPS
+from multiarm.executor import _CLOCK_EPS, Event
 from multiarm.geometry import Capsule, PlacedPrimitive, Sphere, segment_distance, segment_of
-from multiarm.harness import parse_event_line
 from multiarm.kinematics import _LIMIT_SLACK, ArmStack, JointState, within_limits
 from multiarm.trajectory import _VEL_SLACK, Violation, states_at, time_grid
 
@@ -340,11 +343,13 @@ def state_at(traj, t: float) -> JointState:
 
 
 def sweep_reads(candidate, now, params, running):
-    """Admission's time grid, and each running record's positions on it."""
+    """Admission's time grid, and each running record's positions on it,
+    held `elapsed` s in from its stop on."""
     offsets = [max(0.0, now - rec.start_time) for rec in running]
     remaining = [rec.trajectory.duration - o for rec, o in zip(running, offsets)]
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
-    return times, {rec.trajectory.group_id: states_at(rec.trajectory, o + times)
+    return times, {rec.trajectory.group_id:
+                   states_at(rec.trajectory, np.where(now + times >= rec.stop, rec.elapsed, o + times))
                    for rec, o in zip(running, offsets)}
 
 
@@ -390,15 +395,15 @@ def monitor_window(mgr, running, postures, groups, limit):
 
 def replay_motions(scenario, result, factor: int = 10):
     """The replay audit's sample times and every group's executed motion at them."""
-    parsed = [parse_event_line(l) for l in result.lines]
-    end = max(p[0] for p in parsed)
+    events = [Event.parse(line) for line in result.lines]
+    end = max(e.clock for e in events)
     starts: dict[str, float] = {}
     stops: dict[str, float] = {}
-    for clock, kind, traj_id, _ in parsed:
-        if kind == "ADMITTED":
-            starts[traj_id] = clock
-        elif kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and traj_id in starts:
-            stops[traj_id] = clock
+    for e in events:
+        if e.kind == "ADMITTED":
+            starts[e.trajectory_id] = e.clock
+        elif e.kind in ("COMPLETED", "COLLISION_HALT", "CANCELLED") and e.trajectory_id in starts:
+            stops[e.trajectory_id] = e.clock
 
     ts = time_grid(end, scenario.params.tick_length / factor) if end > 0 else np.zeros(1)
     groups = sorted(scenario.scene.robots)

@@ -21,7 +21,8 @@ from multiarm import (
     write_metrics,
 )
 from multiarm.geometry import Capsule, PlacedPrimitive, Sphere, segments_of
-from multiarm.harness import FIXTURES, parse_event_line
+from multiarm.executor import Event
+from multiarm.harness import FIXTURES
 
 from conftest import crossing_case, planar_arm, random_scenario, running_check
 from oracles import (
@@ -187,9 +188,7 @@ def test_criterion_6_timeout_and_liveness(fixture_scenarios, random_runs):
     result = run(sc, "async")
     aborted = [s for s in result.statuses.values() if s.kind is StatusKind.ABORTED_TIMEOUT]
     assert len(aborted) == 1
-    submit_clock = min(
-        clock for clock, kind, tid, _ in map(parse_event_line, result.lines) if kind == "SUBMITTED"
-    )
+    submit_clock = min(e.clock for e in map(Event.parse, result.lines) if e.kind == "SUBMITTED")
     assert abs(aborted[0].at - (submit_clock + 2.0)) <= TICK + 1e-9
 
     for sc, res in random_runs:

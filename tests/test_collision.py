@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,17 @@ def test_candidate_sweep_rejects_own_group_and_future_records():
     for g, q in parked.items():
         with pytest.raises(ValueError):
             timeline_sweep(cand, now, params, layout, [running], {g: q})
+
+
+def test_candidate_sweep_refuses_a_record_that_starts_one_ulp_after_now():
+    # the executor's start clocks and `now` are tick multiples, a start's at
+    # or below now's, so the test needs no slack
+    cand, running_traj, start, now, params, models = crossing_case(np.random.default_rng(3))
+    layout = scene_of(list(models.values()), [[0.0, 0.0], [0.0, 0.0]]).layout
+    later = RunningRecord(running_traj, math.nextafter(now, math.inf))
+    with pytest.raises(ValueError):
+        timeline_sweep(cand, now, params, layout, [later])
+    timeline_sweep(cand, now, params, layout, [RunningRecord(running_traj, now)])  # started at now
 
 
 def static_check(candidate, scene, postures=None):

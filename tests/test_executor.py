@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from multiarm import (
     fixture_path,
     load_scenario,
 )
-from multiarm.executor import EVENT_KINDS
+from multiarm.executor import EVENT_KINDS, Event
 
 from conftest import facing_pair, planar_arm, scene_of, sweep_traj
 from oracles import state_at
@@ -229,7 +231,7 @@ def test_mismatched_start_cancelled():
     h = mgr.submit(sweep_traj(left, [1.0, 0.0], [2.0, 0.0], "t"), timeout=10.0)
     mgr.tick()
     assert mgr.status(h).kind is StatusKind.CANCELLED
-    assert any(e.kind == "CANCELLED" and "mismatched_start" in e.detail for e in mgr.events)
+    assert any(e.kind == "CANCELLED" and e.fields["reason"] == "mismatched_start" for e in mgr.events)
 
 
 def test_chained_tasks_defer_to_predecessor():
@@ -276,9 +278,9 @@ def test_chain_head_blocks_a_later_entry_after_the_middle_one_left(leave):
         assert mgr.tick_index < 1000
     assert mgr.status(h3).kind is StatusKind.SUCCEEDED
     assert mgr.status(h3).finish == mgr.clock
-    requeues = [(e.clock, e.detail) for e in mgr.events
+    requeues = [(e.clock, e.fields["trigger"]) for e in mgr.events
                 if e.kind == "REQUEUED" and e.trajectory_id == "last"]
-    assert requeues == [(mgr.status(h1).finish, "trigger=head")]
+    assert requeues == [(mgr.status(h1).finish, "head")]
 
 
 @pytest.mark.parametrize("leave", ["cancel", "timeout"])
@@ -299,9 +301,9 @@ def test_a_head_that_ends_without_running_requeues_the_next_tick(leave):
         tick_until(mgr, lambda: mgr.status(head).terminal)
     ended = mgr.clock
     mgr.tick()
-    requeues = [(e.clock, e.detail) for e in mgr.events
+    requeues = [(e.clock, e.fields["trigger"]) for e in mgr.events
                 if e.kind == "REQUEUED" and e.trajectory_id == "next"]
-    assert requeues == [(ended + mgr.tick_length, "trigger=tl")]
+    assert requeues == [(ended + mgr.tick_length, "tl")]
 
 
 def hub_and_pokes_setup():
@@ -375,11 +377,10 @@ def test_monitor_halts_on_unchecked_conflict():
     st = mgr.status(h)
     assert st.kind is StatusKind.ABORTED_COLLISION
     assert st.witness is not None
-    halt_events = [e for e in mgr.events if e.kind == "COLLISION_HALT"]
+    halt_events = [e for e in map(Event.parse, mgr.event_lines()) if e.kind == "COLLISION_HALT"]
     assert len(halt_events) == 1
     # monitor soundness: the reported clearance is at or below the margin
-    clearance = float(halt_events[0].detail.split("clearance=")[1])
-    assert clearance <= mgr.params.margin + 1e-12
+    assert halt_events[0].fields["clearance"] <= mgr.params.margin + 1e-12
     # the arm froze at its interpolated state, not the goal
     frozen = mgr.current_states()["right"].positions
     assert not np.allclose(frozen, tr.positions[-1])
@@ -402,11 +403,10 @@ def test_event_log_format():
     mgr.submit(sweep_traj(left, [0, 0], [0.5, 0], "t"), timeout=10.0)
     tick_until(mgr, lambda: mgr.all_terminal())
     for line in mgr.event_lines():
-        clock, kind, traj_id, detail = line.split("\t")
-        assert kind in EVENT_KINDS
-        float(clock)
-        assert len(clock.split(".")[1]) == 6
-        assert traj_id == "t"
+        event = Event.parse(line)
+        assert event.kind in EVENT_KINDS and event.line() == line
+        assert re.match(r"\d+\.\d{6}\t", line)
+        assert event.trajectory_id == "t"
 
 
 def test_determinism_identical_logs():

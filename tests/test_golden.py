@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from multiarm import fixture_path, load_scenario, replay_min_clearance, run
+from multiarm.executor import Event
 from multiarm.harness import scenario_from_dict
 
 from conftest import PINNED_RUNS, pinned_scenario
@@ -96,7 +97,7 @@ def test_halting_ring16_event_log_matches_pinned_digest(period):
     data = json.loads((DATA / "ring16_901.json").read_text())
     data["params"].update(check_static=False, monitor_period=period)
     lines = run(scenario_from_dict(data), "async").lines
-    assert sum(line.split("\t")[1] == "COLLISION_HALT" for line in lines) == 16
+    assert sum(Event.parse(line).kind == "COLLISION_HALT" for line in lines) == 16
     assert digest(lines) == RING16_901_HALTING[period]
 
 

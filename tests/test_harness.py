@@ -20,7 +20,8 @@ from multiarm import (
     validate,
     write_metrics,
 )
-from multiarm.harness import CSV_HEADER, FIXTURES, parse_event_line, scenario_from_dict, write_events
+from multiarm.executor import Event
+from multiarm.harness import CSV_HEADER, FIXTURES, scenario_from_dict, write_events
 
 from conftest import planar_arm, random_scenario, scene_of
 
@@ -170,9 +171,10 @@ def test_event_lines_parse_roundtrip(tmp_path):
     out = tmp_path / "events.log"
     write_events(result.lines, out)
     for line in out.read_text().splitlines():
-        clock, kind, traj_id, fields = parse_event_line(line)
-        assert clock >= 0.0
-        assert traj_id.startswith("t")
+        event = Event.parse(line)
+        assert event.line() == line
+        assert event.clock >= 0.0
+        assert event.trajectory_id.startswith("t")
 
 
 def test_async_never_slower_than_sync(rng):
@@ -290,9 +292,9 @@ def test_staggered_submission():
     sc2 = Scenario(scene=sc.scene, tasks=tasks, seed=sc.seed, params=sc.params)
     result = run(sc2, "async")
     submitted = {
-        traj_id: clock
-        for clock, kind, traj_id, _ in map(parse_event_line, result.lines)
-        if kind == "SUBMITTED"
+        e.trajectory_id: e.clock
+        for e in map(Event.parse, result.lines)
+        if e.kind == "SUBMITTED"
     }
     assert submitted["t0"] == 0.0
     assert 0.5 <= submitted["t1"] <= 0.5 + tick() + 1e-9

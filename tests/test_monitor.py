@@ -25,6 +25,7 @@ from multiarm import (
     run,
 )
 from multiarm.collision import CollisionReport, Layout, Monitor
+from multiarm.executor import Event
 from multiarm.geometry import FAR, PlacedPrimitive, owner_str
 from multiarm.harness import FIXTURES, scenario_from_dict
 
@@ -168,8 +169,8 @@ def test_a_cancel_mid_motion_wakes_the_pairs_of_the_parked_arm():
     full = composite_state_check(mgr.current_states(), scene, 0.02)
     assert full.colliding and status.witness == full.witness
     witness = "|".join(owner_str(o) for o in full.witness)
-    assert mgr.event_lines()[-1] == (f"{status.at:.6f}\tCOLLISION_HALT\tsweep\t"
-                                     f"witness={witness};clearance={full.min_clearance_seen:.9f}")
+    halt = Event(status.at, "COLLISION_HALT", "sweep", (witness, full.min_clearance_seen))
+    assert mgr.event_lines()[-1] == halt.line()
 
 
 @pytest.mark.parametrize("first", [0.0, -1.0])

@@ -61,6 +61,18 @@ def test_random_submit_cancel_tick_sequences_keep_scheduler_invariants(check_sta
         drive(scene, check_static, sequence)
 
 
+def test_a_run_read_an_ulp_short_of_its_stop_is_held_at_its_end():
+    """`right` starts a 0.6 s run at 1.2000000000000002 and stops at 1.8. At
+    `left`'s admission check at 1.25, row 11 of the grid reads the run at
+    0.05 + 0.55 = 0.5999999999999999 s, an ulp short of its duration, at an
+    instant past its stop. Both the timeline and `timeline_oracle` must read
+    the run's end there."""
+    scene = scene_of(facing_pair(gap=1.2), [IDLE["left"], IDLE["right"]])
+    with monitor_oracle(scene), timeline_oracle() as counts:
+        drive(scene, True, [("tick", 23), ("submit", "left", 1, 0.3), ("submit", "right", 2, 0.3)])
+    assert counts["admission"] > 0
+
+
 def drive(scene, check_static, sequence):
     """Run one generated sequence, checking the scheduler invariants as it goes."""
     mgr = ExecutionManager(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from multiarm import JointState, RunningRecord, Timeline, replay_min_clearance, run
-from multiarm.harness import parse_event_line
+from multiarm.executor import Event
 
 from conftest import PINNED_RUNS, pinned_scenario, planar_arm, same_bits, sweep_traj, timeline_oracle
 from oracles import replay_motions, state_at
@@ -69,11 +69,11 @@ def completed_early(scenario, result, ts):
     """By group, the samples at which the old builder read a completed run at
     its logged stop - start below its duration, until the arm's next run."""
     starts, stops = {}, {}
-    for clock, kind, tid, _ in map(parse_event_line, result.lines):
-        if kind == "ADMITTED":
-            starts[tid] = clock
-        elif kind == "COMPLETED":
-            stops[tid] = clock
+    for e in map(Event.parse, result.lines):
+        if e.kind == "ADMITTED":
+            starts[e.trajectory_id] = e.clock
+        elif e.kind == "COMPLETED":
+            stops[e.trajectory_id] = e.clock
     early = {g: np.zeros(len(ts), dtype=bool) for g in scenario.scene.robots}
     for g in early:
         runs = [t for t in starts if result.trajectories[t].group_id == g]

@@ -4,7 +4,9 @@ A tick before the manager's wake tick, with the queue empty and no requeue
 due, only advances the clock. `FullTicks` is a manager that runs the five
 steps on every tick. Driven side by side with a plain manager on the same
 submit, cancel and tick sequences, the two must log the same lines and report
-the same statuses after every operation.
+the same statuses after every operation. On the generated sequences, every
+monitor check and timeline read is also checked against its oracle
+(`monitor_oracle`, `timeline_oracle`).
 
 Each scheduler time becomes a tick by one rule, `executor._tick_at`. The
 property tests compare it with the float rules it replaced, kept in
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multiarm import CheckParams, ExecutionManager, JointTrajectory, PlacedPrimitive, Sphere, run
-from multiarm.executor import EVENT_KINDS, _tick_at
+from multiarm.executor import EVENT_KINDS, Event, _tick_at
 from multiarm.harness import _MAX_TICKS
 
 from conftest import (
@@ -29,6 +31,7 @@ from conftest import (
     planar_arm,
     scene_of,
     sweep_traj,
+    timeline_oracle,
     work_counts,
 )
 from oracles import _end_tick, deadline_passed, stop_tick_search, submit_due
@@ -96,7 +99,7 @@ class Twins:
 def test_fast_path_logs_what_full_ticks_log_on_generated_sequences(check_static, sequence):
     scene = scene_of(facing_pair(gap=1.2), [IDLE["left"], IDLE["right"]])
     cursor = dict(IDLE)
-    with monitor_oracle(scene):
+    with monitor_oracle(scene), timeline_oracle():
         twins = Twins(scene, params=CheckParams(dt=TICK, margin=0.02), tick_length=TICK,
                       monitor_period=2, check_static=check_static)
         for op in sequence:
@@ -182,7 +185,7 @@ def test_the_tick_after_a_cancel_sweeps_the_backlog():
     twins.tick(3)
     twins.cancel(0)
     twins.tick()
-    assert [line.split("\t")[1] for line in twins.fast.event_lines()[-2:]] == ["REQUEUED", "CANCELLED"]
+    assert [Event.parse(line).kind for line in twins.fast.event_lines()[-2:]] == ["REQUEUED", "CANCELLED"]
 
 
 # Mutation checks, each on a copy of the library, each failing the
@@ -316,7 +319,7 @@ def test_only_ticks_at_which_a_step_can_act_run_the_steps(monkeypatch, name):
     monkeypatch.setattr(ExecutionManager, "submit", spy_submit)
     with work_counts() as counts:
         result = run(pinned_scenario(name), "async")
-    last = float(result.lines[-1].split("\t")[0])
+    last = Event.parse(result.lines[-1]).clock
     assert counts["ticks"] == round(last / pinned_scenario(name).params.tick_length)
     followers = {k + 1 for k in logged}
     assert len(logged) <= counts["full_ticks"] <= len(logged | followers | monitor | submitted)
