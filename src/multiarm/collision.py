@@ -9,13 +9,16 @@ clearance (segment distance minus radii) of every pair at every sample. A
 pair whose AABBs, inflated by margin/2, do not overlap reads infinitely
 clear (`FAR`), which is sound because its clearance exceeds the margin.
 
-Two broadphases cull pairs before anything is placed. Every row lies within
-a fixed sphere (an arm's links around its first joint origin, an obstacle
-around its midpoint), so the gap of two spheres bounds a pair's clearance
-from below at any configuration (`Layout.cull`). And each link has a box
-that holds it over a whole motion, so a pair whose boxes, inflated by
-margin/2, are apart on some axis is one the AABB test prunes at every
-instant. A culled pair reads `FAR`, and an arm left with no pair is not placed.
+The cull: one `BoxTable` per manager, which admission and the monitor both
+read, culls pairs before anything is placed. Each row's box, inflated by
+margin/2, holds the row at every instant until the next admission of its arm:
+an obstacle's is fixed; an arm that never ran is unbounded until a sweep
+places its idle posture, then boxed there; a running arm has its run's box
+(`Placed.run_box`); a stopped arm keeps that box until a sweep places its
+held row, then has that row's. A candidate's links are boxed over its motion
+alike. A pair whose boxes are apart on some axis is one the AABB test prunes
+at every instant, so it reads `FAR` unmeasured, and an arm left with no pair
+is neither read nor placed.
 
 A configuration is *colliding* when the minimum clearance is <= margin. The
 witness of a colliding check is the first pair, in the check's pair order,
@@ -24,16 +27,15 @@ pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
 
 The periodic `Monitor` also skips pairs over time. A check that finds pairs
-due puts to sleep for good those whose boxes are apart (an arm's box is its
-last run's, which holds it until its next admission), measures the rest at
-every remaining check instant of the planned motion at once, its window, and
-puts each to sleep until its first instant at or below the margin: for good
-if there is none, as the arms are still from the window's last instant on,
-or until that instant if the window was cut short to bound its memory. A
-window sample is the value a live check at that instant computes, so a pair
-the monitor skips at a check was measured above the margin at exactly that
-instant. An arm that leaves its plan (a new motion, or a stop before its
-end) wakes its pairs.
+due puts to sleep for good those the cull drops (an admission, which
+replaces its arm's boxes, wakes them), measures the rest at every remaining
+check instant of the planned motion at once, its window, and puts each to
+sleep until its first instant at or below the margin: for good if there is
+none, as the arms are still from the window's last instant on, or until that
+instant if the window was cut short to bound its memory. A window sample is
+the value a live check at that instant computes, so a pair the monitor skips
+at a check was measured above the margin at exactly that instant. An arm
+that leaves its plan (a new motion, or a stop before its end) wakes its pairs.
 """
 
 from __future__ import annotations
@@ -86,18 +88,12 @@ class Scene:
 
 @dataclass(frozen=True, eq=False)
 class RunningRecord:
-    """A trajectory run from the absolute `start_time`, held `elapsed` s in from `stop` on.
-
-    `box`, if given, is (L, 6): row l (lo xyz, hi xyz) bounds link l's
-    capsule at every instant of the run and after its stop. Admission sets
-    it from `Placed.run_box`. A run without one is never culled by box.
-    """
+    """A trajectory run from the absolute `start_time`, held `elapsed` s in from `stop` on."""
 
     trajectory: JointTrajectory
     start_time: float
     stop: float = math.inf
     elapsed: float = math.inf
-    box: np.ndarray | None = None
     stop_tick: int | None = None  # the index of the executor's tick at `stop`, if known
 
     def __post_init__(self):
@@ -124,7 +120,7 @@ class Timeline:
     def park(self, g: str, stop: float, elapsed: float, stop_tick: int | None = None):
         """Hold arm g `elapsed` s into its last run from `stop` (tick `stop_tick`) on."""
         run = self.runs[g][-1]  # built directly: `dataclasses.replace` costs twice as much
-        self.runs[g][-1] = RunningRecord(run.trajectory, run.start_time, stop, elapsed, run.box, stop_tick)
+        self.runs[g][-1] = RunningRecord(run.trajectory, run.start_time, stop, elapsed, stop_tick)
 
     def at(self, groups, times, since: float = 0.0) -> dict[str, np.ndarray]:
         """Each arm's (n, J) positions at the instants `since + times` (ascending),
@@ -200,22 +196,6 @@ def _report(times, clear, owners, ii, jj, margin) -> CollisionReport:
     return CollisionReport(True, float(times[k]), (owners[ii[j]], owners[jj[j]]), min_seen)
 
 
-@dataclass(frozen=True, eq=False)
-class Cull:
-    """A layout's pairs that can come within one margin.
-
-    `ii`, `jj` is the monitor's pair list cut to those pairs, in its order.
-    `arms[g]` are the other arms that arm g can reach. `boxes` (S, 6) is each
-    row's box at the margin as far as the layout fixes it: an obstacle's,
-    and an arm's unbounded.
-    """
-
-    ii: np.ndarray
-    jj: np.ndarray
-    arms: dict[str, frozenset[str]]
-    boxes: np.ndarray
-
-
 class Layout:
     """Flat segment layout of a set of arms and the static obstacles.
 
@@ -226,13 +206,8 @@ class Layout:
     order that defines its witness: the self pairs of each arm not exempted
     by allowed_pairs (arms in sorted order), then the cross pairs of arms
     gi < gj (links of gi major), then each arm's links against every
-    obstacle. The first `n_self` pairs are the self pairs.
-
-    `gap[i, j]` is a lower bound on the clearance of rows i and j at any
-    configuration: each row lies within `reach` of a fixed centre (an arm's
-    first joint origin, or an obstacle's midpoint), so the rows are at least
-    the centres' distance minus both reaches apart. `cull(margin)` keeps,
-    once per margin, what can come within it; everything else is `FAR`.
+    obstacle. The first `n_self` pairs are the self pairs. `arm` is each
+    row's arm, by index into `groups` (`index`); obstacles get the last index.
     """
 
     def __init__(self, robots: dict[str, RobotModel], static_obstacles: list[PlacedPrimitive]):
@@ -266,47 +241,9 @@ class Layout:
         pairs += [(i, j) for r in rows for i in r for j in self.static_rows]
         self.ii, self.jj = np.array(pairs, dtype=int).reshape(-1, 2).T
 
-        # a link lies within its model's `_reach` of its arm's first joint
-        # origin; an obstacle within half its length plus its radius of its
-        # midpoint
-        centres, reach = [], []
-        for g in self.groups:
-            m = robots[g]
-            if m.links:
-                origin = (m.base_pose @ m.joints[0].origin_offset)[:3, 3]
-                centres.append(np.tile(origin, (m.n_links, 1)))
-                reach.append(m._reach)
-        centres.append((s0 + s1) / 2.0)
-        reach.append(np.linalg.norm(s1 - s0, axis=1) / 2.0 + sr)
-        centres, reach = np.concatenate(centres), np.concatenate(reach)
-        distance = np.linalg.norm(centres[:, None] - centres[None], axis=-1)
-        self.gap = distance - reach[:, None] - reach[None]
-        self._culls: dict[float, Cull] = {}
-        # by (arm, margin): the held row candidate_sweep last placed for a
-        # parked arm (its bytes), its links' endpoints and their box. The
-        # managers of one scene share it; an entry is replaced whole and
-        # checked against the row read, so a racing sweep at worst places
-        # a row again
-        self._held: dict[tuple[str, float], tuple] = {}
-
-    def cull(self, margin: float) -> Cull:
-        """What can come within `margin` of what, memoised per margin."""
-        cull = self._culls.get(margin)
-        if cull is None:
-            near = self.gap <= margin + 1e-9
-            keep = near[self.ii, self.jj]
-            reached = {g: near[rows].any(axis=0) for g, rows in self.rows.items()}
-            boxes = _OPEN.repeat(len(self.owners), axis=0)
-            s = slice(self.static_rows.start, self.static_rows.stop)
-            boxes[s] = _box(*(e[None] for e in self._static_ends), self.radii[s], margin / 2.0)
-            cull = self._culls[margin] = Cull(
-                self.ii[keep],
-                self.jj[keep],
-                arms={g: frozenset(h for h in self.groups if h != g and reached[g][self.rows[h]].any())
-                      for g in self.groups},
-                boxes=boxes,
-            )
-        return cull
+        self.index = {g: k for k, g in enumerate(self.groups)}
+        counts = [robots[g].n_links for g in self.groups] + [len(static_obstacles)]
+        self.arm = np.repeat(np.arange(len(counts)), counts)
 
     def place(self, q: dict[str, np.ndarray]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Each arm's links placed: {g: (e0, e1)}, each (m, L, 3) with row
@@ -422,31 +359,40 @@ class Placed:
         return _grown(self.box, pad - params.margin / 2.0)
 
 
-def _keep(layout: Layout, margin: float, placed: Placed, g0: str, q, rows):
-    """From `rows`, which hold `Layout.place(q)`'s: candidate g0's, if q has
-    them, into `placed`, and each other arm held at one row onto the layout,
-    with boxes. A held row is copied, so the memo does not pin the block of
-    the call that placed it."""
-    for g, qg in q.items():
-        e0, e1 = rows[g]
-        box = _box(e0, e1, layout.radii[layout.rows[g]], margin / 2.0)
-        if g == g0:
-            placed.e0, placed.e1, placed.box = e0, e1, box
-        elif len(qg) == 1:
-            layout._held[g, margin] = (qg.tobytes(), e0.copy(), e1.copy(), box)
+class BoxTable:
+    """The cull's box of every row of a layout at one margin (see the module
+    docstring): `boxes` (S, 6), each row's (lo xyz, hi xyz) inflated by
+    margin/2, and `held[g]`, the placed endpoints (e0, e1), each (1, L, 3),
+    of a parked arm g's row since a check placed it. A manager keeps one,
+    its monitor's: `admit` writes an arm's run, and a sweep `hold`s the
+    parked arms it places.
+    """
 
+    def __init__(self, layout: Layout, margin: float):
+        self.layout, self.margin = layout, margin
+        self.boxes = _OPEN.repeat(len(layout.owners), axis=0)
+        s = slice(layout.static_rows.start, layout.static_rows.stop)
+        self.boxes[s] = _box(*(e[None] for e in layout._static_ends), layout.radii[s], margin / 2.0)
+        self.held: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-def _kept(layout: Layout, g: str, margin: float, row: np.ndarray) -> tuple | None:
-    """What the layout keeps of arm g held at `row`, if placed there: (e0, e1, box)."""
-    kept = layout._held.get((g, margin))
-    return kept[1:] if kept is not None and len(row) == 1 and kept[0] == row.tobytes() else None
+    def admit(self, g: str, box: np.ndarray | None):
+        """Arm g runs within its (L, 6) link boxes `box` (None: unbounded)."""
+        rows = slice(self.layout.rows[g].start, self.layout.rows[g].stop)
+        self.boxes[rows] = _OPEN if box is None else _grown(box, self.margin / 2.0)
+        self.held.pop(g, None)
+
+    def hold(self, g: str, e0: np.ndarray, e1: np.ndarray):
+        """Arm g is parked, until its next admission, at the row placed as `e0`, `e1`."""
+        rows = self.layout.rows[g]
+        self.boxes[rows.start : rows.stop] = _box(e0, e1, self.layout.radii[rows], self.margin / 2.0)
+        self.held[g] = e0.copy(), e1.copy()  # not the block of the call that placed it
 
 
 def candidate_sweep(
     candidate: JointTrajectory,
     now: float,
     params: CheckParams,
-    layout: Layout,
+    table: BoxTable,
     timeline: Timeline,
     running: list[str],
     parked: list[str] | None = None,
@@ -458,27 +404,25 @@ def candidate_sweep(
     horizon (its duration or a running arm's remaining motion), held at its
     end past it, and the other arms are read from `timeline` at `now` plus
     the grid. The candidate's links are paired with the links of every
-    `running` arm it can reach, then with the static obstacles and the
-    `parked` arms (in sorted group order) it can reach, and one kernel call
-    gives all clearances. Running and parked arms out of reach are not read.
+    `running` arm, then with the static obstacles and the `parked` arms (in
+    sorted group order), and one kernel call gives all clearances.
 
     A candidate's first sweep places it, at every instant a grid reads it
-    at, in one call with each parked arm in reach whose held row the layout
-    does not keep; `placed` keeps it and its link boxes for later sweeps.
-    One test of its link boxes against a stacked array of every body's (a
-    running arm's run `box` grown by margin/2, a kept parked arm's, each
-    obstacle's; unbounded if none) drops, in order, each pair whose boxes
-    are apart, which the AABB test would prune at every sample. A running
-    arm left with no pair is neither read nor placed, and a sweep left with
-    none calls no kernel. One more call places the running arms left and any
-    parked arm not kept, and `Layout.spread` builds the kernel's arrays.
+    at, and boxes its links; `placed` keeps both for later sweeps. The same
+    call places each parked arm that `table`, the box table of the layout at
+    params.margin, does not hold yet, and the table then holds it: a parked
+    arm must be held from `now` until its next admission. One test of the
+    candidate's link boxes against the table drops, in order, each pair that
+    the cull of the module docstring drops, and a sweep left with no pair
+    calls no kernel. One more call places the running arms left with a
+    pair, and `Layout.spread` builds the kernel's arrays.
 
     Returns one report per running arm, in order, then, unless `parked` is
     None, one for the static obstacles and the parked arms together; a
     block with no pair left is reported clear at `FAR`, as the full sweep
     reports it. Times in the reports are relative to the candidate start.
     """
-    fixed = sorted(parked or ())
+    layout, fixed = table.layout, sorted(parked or ())
     groups = [candidate.group_id] + list(running) + fixed
     unknown = set(groups) - set(layout.robots)
     if unknown:
@@ -487,53 +431,49 @@ def candidate_sweep(
     if len(set(groups)) < len(groups) or any(run.start_time > now for run in runs):
         raise ValueError("the candidate, running and parked arms must be distinct groups, "
                          "and running arms must have started their runs by `now`")
-    margin, half = params.margin, params.margin / 2.0
-    cull = layout.cull(margin)
-    g0, reach = candidate.group_id, cull.arms[candidate.group_id]
-    # the grid spans every running arm, in reach or not, so that it does not
-    # depend on what the cull left out
+    g0, margin = candidate.group_id, params.margin
     remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
     times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
+    # the candidate's first placement, in one call with every parked arm the
+    # table does not hold yet, which it then holds
     placed = Placed() if placed is None else placed
-    held = timeline.at([g for g in fixed if g in reach], times, since=now)
-    if placed.e0 is None:
-        q = {g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
-        q.update((g, row) for g, row in held.items()
-                 if len(row) == 1 and _kept(layout, g, margin, row) is None)
-        _keep(layout, margin, placed, g0, q, layout.place(q))
-    # what the layout keeps of each parked arm in reach (None: to place), and the
-    # bodies in pair order, (block, rows, boxes at the margin, None if not boxed
-    # yet): the running arms in reach, then the obstacles and parked arms
-    kept = {g: _kept(layout, g, margin, row) for g, row in held.items()}
-    bodies = [(k, layout.rows[g], _grown(run.box, half))
-              for k, (g, run) in enumerate(zip(running, runs)) if g in reach]
+    fresh = [g for g in fixed if g not in table.held]
+    q = {} if placed.e0 is not None else {
+        g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
+    q.update(timeline.at(fresh, times, since=now))
+    if q:
+        put = layout.place(q)
+        for g in fresh:
+            table.hold(g, *put[g])
+        if placed.e0 is None:
+            placed.e0, placed.e1 = put[g0]
+            placed.box = _box(placed.e0, placed.e1, layout.radii[layout.rows[g0]], margin / 2.0)
+    # each row's body in pair order (-1: not in the sweep): the running arms,
+    # then the obstacles, then the parked arms; then the pairs of candidate
+    # link i and row j whose boxes overlap, body by body and i major
+    rank = np.full(len(layout.groups) + 1, -1)
+    rank[[layout.index[g] for g in running]] = np.arange(len(running))
     if parked is not None:
-        bodies.append((len(running), layout.static_rows, cull.boxes[layout.static_rows.start :]))
-        bodies += [(len(running), layout.rows[g], k and k[2]) for g, k in kept.items()]
-    # each body row's box, layout row, body and block; then the pairs of candidate
-    # link i and body row c whose boxes overlap, body by body and i major
-    boxes = np.concatenate([cull.boxes[r] if b is None else b for _, r, b in bodies] + [_OPEN[:0]])
-    cols, body, block = np.array([(j, b, k) for b, (k, r, _) in enumerate(bodies) for j in r],
-                                 dtype=int).reshape(-1, 3).T
-    i, c = (~_apart(placed.box[:, None], boxes[None])).nonzero()
-    order = body[c].argsort(kind="stable")
-    ii, jj = layout.rows[g0].start + i[order], cols[c[order]]
-    bounds = block[c[order]].searchsorted(np.arange(len(running) + (parked is not None) + 1))
+        rank[[-1] + [layout.index[g] for g in fixed]] = len(running) + np.arange(len(fixed) + 1)
+    body = rank[layout.arm]
+    i, jj = ((body >= 0) & ~_apart(placed.box[:, None], table.boxes[None])).nonzero()
+    order = body[jj].argsort(kind="stable")
+    ii, jj = layout.rows[g0].start + i[order], jj[order]
+    blocks = len(running) + (parked is not None)
+    bounds = np.minimum(body[jj], len(running)).searchsorted(np.arange(blocks + 1))
     if not ii.size:
-        return [_CLEAR] * (len(bounds) - 1)
+        return [_CLEAR] * blocks
 
-    # place only the arms left with a pair: running ones, and parked ones not kept
-    touched = {layout.owners[j][0] for j in set(jj.tolist())}
+    # place only the running arms left with a pair
+    touched = set(layout.arm[jj].tolist())
     put = {g0: (placed.e0, placed.e1)}
     if len(times) < len(placed.e0):  # the grid's rows: all below its end, then the end
         sel = np.append(np.arange(len(times) - 1), len(placed.e0) - 1)
         put[g0] = placed.e0[sel], placed.e1[sel]
-    put.update((g, k[:2]) for g, k in kept.items() if k is not None and g in touched)
-    fresh = {g: held[g] for g, k in kept.items() if k is None and g in touched}
-    q = {**fresh, **timeline.at([g for g in running if g in touched], times, since=now)}
+    put.update((g, table.held[g]) for g in fixed if layout.index[g] in touched)
+    q = timeline.at([g for g in running if layout.index[g] in touched], times, since=now)
     if q:
         put.update(layout.place(q))
-        _keep(layout, margin, placed, g0, fresh, put)
     p0, p1 = layout.spread(put)
     clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
     return [
@@ -545,28 +485,23 @@ def candidate_sweep(
 class Monitor:
     """The composite-state check of a layout at one margin, over the planned motion.
 
-    Keeps a `safe_until` time for each pair in reach (the Cull's, in order):
+    Keeps a `safe_until` time for each pair of the layout's list, in order:
     a pair is due at a check whose clock has reached it; a new monitor has
     every pair due. `wake(g)` makes g's pairs due, for an arm that leaves the
     motion the last window saw; `admit(g, box)` also does it for a new run,
-    whose link boxes grown by margin/2 become g's rows of the box table (an
-    obstacle's are fixed, and an arm that never ran is unbounded). `_next`,
-    the earliest `safe_until`, lets a check before it find nothing due.
+    whose link boxes it writes into `table`, the cull's (see the module
+    docstring). `_next`, the earliest `safe_until`, lets a check before it
+    find nothing due.
     """
 
     def __init__(self, layout: Layout, margin: float):
-        cull = layout.cull(margin)
-        self.layout, self.margin, self.ii, self.jj = layout, margin, cull.ii, cull.jj
-        # each row's arm, by index into layout.groups; obstacles get the last index
-        arm = np.full(len(layout.owners), len(layout.groups))
-        for k, g in enumerate(layout.groups):
-            arm[layout.rows[g]] = k
-        self._a, self._b = arm[self.ii], arm[self.jj]
+        self.layout, self.margin, self.ii, self.jj = layout, margin, layout.ii, layout.jj
+        self.table = BoxTable(layout, margin)
+        self._a, self._b = layout.arm[self.ii], layout.arm[self.jj]
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
                        for k, g in enumerate(layout.groups)}
         self.safe_until = np.full(len(self.ii), -math.inf)
         self._next = -math.inf if len(self.ii) else math.inf
-        self._boxes = cull.boxes.copy()
 
     def wake(self, g: str):
         if self._pairs[g].size:
@@ -574,20 +509,19 @@ class Monitor:
 
     def admit(self, g: str, box: np.ndarray | None):
         """Wake g's pairs for a new run with (L, 6) link boxes `box` (None: unbounded)."""
-        rows = slice(self.layout.rows[g].start, self.layout.rows[g].stop)
-        self._boxes[rows] = _OPEN if box is None else _grown(box, self.margin / 2.0)
+        self.table.admit(g, box)
         self.wake(g)
 
     def check(self, clock: float, window) -> CollisionReport:
         """One check at `clock`, reported from the state at `clock` alone (a
         colliding report's first_collision_time is 0.0, relative to `clock`).
 
-        A due pair whose boxes are apart sleeps for good, as each arm stays
-        in its box until an admission replaces it. For the pairs left, if
-        any, `window(groups, limit)` gives the look-ahead of their arms:
-        `(times, q, cut)`, at most `limit` check instants from `clock` on,
-        each arm's positions at them as `Timeline.at` gives them, and whether
-        the instants stop short of the end of those arms' motions. Places
+        A due pair that the table's cull drops (see the module docstring)
+        sleeps for good. For the pairs left, if any, `window(groups, limit)`
+        gives the look-ahead of their arms: `(times, q, cut)`, at most
+        `limit` check instants from `clock` on, each arm's positions at them
+        as `Timeline.at` gives them, and whether the instants stop short of
+        the end of those arms' motions. Places
         (and checks the limits of) only those arms, and measures the pairs at
         every instant in one kernel call at the margin, whose AABB test reads
         a pair it prunes as `FAR`. Each sleeps until its first instant at or
@@ -599,7 +533,8 @@ class Monitor:
         if clock < self._next:
             return _CLEAR
         due = np.flatnonzero(self.safe_until <= clock)
-        apart = _apart(self._boxes[self.ii[due]], self._boxes[self.jj[due]])
+        boxes = self.table.boxes
+        apart = _apart(boxes[self.ii[due]], boxes[self.jj[due]])
         self.safe_until[due[apart]] = math.inf
         due = due[~apart]
         if not due.size:

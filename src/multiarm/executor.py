@@ -497,11 +497,10 @@ class ExecutionManager:
         states = sum(grid_size(max(duration, run.trajectory.duration - (clock - run.start_time)), dt)
                      for run in (self._timeline.runs[h][-1] for h in running))
         states += grid_size(duration, dt) if parked is not None else 0
-        reports = []
-        if checks:
-            entry.placed = entry.placed or Placed()
-            reports = candidate_sweep(entry.trajectory, clock, self.params, self.scene.layout,
-                                      self._timeline, running, parked, entry.placed)
+        # a sweep with nothing to check still places the candidate, to box its run
+        entry.placed = entry.placed or Placed()
+        reports = candidate_sweep(entry.trajectory, clock, self.params, self._monitor.table,
+                                  self._timeline, running, parked, entry.placed)
         tokens = [("traj", self._running[h]) for h, rep in zip(running, reports) if rep.colliding]
         if parked is not None and reports[-1].colliding:
             blocking_owner = reports[-1].witness[1]
@@ -517,7 +516,7 @@ class ExecutionManager:
         # the run stops at the first tick at or after its end, whose step 1 completes it
         k = _tick_at(clock + duration, self.tick_length, self._tick_index)
         box = entry.placed and entry.placed.run_box(self.scene.robots[g], self.params)
-        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, box, k)
+        run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, k)
         entry.placed = None
         self._timeline.runs[g].append(run)
         self._running[g] = entry

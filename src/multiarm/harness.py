@@ -386,8 +386,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         idles = {}
         for rd in data["robots"]:
             model, idle = robot_from_dict(rd)
-            if not isinstance(model.group_id, str) or model.group_id in robots:
-                raise ScenarioInvalid(f"group_id {model.group_id!r} is not a new string")
+            # the event log separates its columns by tabs and lines, and its fields by ';'
+            if not isinstance(model.group_id, str) or model.group_id in robots \
+                    or any(c in model.group_id for c in ";\t\r\n"):
+                raise ScenarioInvalid(f"group_id {model.group_id!r} is not a new string "
+                                      "free of ';', tabs and line breaks")
             robots[model.group_id] = model
             idles[model.group_id] = idle
         obstacles = [

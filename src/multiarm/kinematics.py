@@ -124,10 +124,9 @@ class RobotModel:
     any point of any placed primitive while every joint respects its velocity
     limit: sum_j vlim_j * reach_j, where reach_j bounds, by the triangle
     inequality, how far a surface point of a link that joint j moves can be
-    from joint j's origin. Both come from one offset chain: `chain[f]` sums the
-    norms of the offsets of joints 1..f, so a link of frame f lies within
-    `chain[f]` plus its farthest surface point (`_reach`) of joint 0's origin,
-    and within `chain[f] - chain[j]` plus the same of joint j's origin.
+    from joint j's origin: `chain[f]` sums the norms of the offsets of joints
+    1..f, so a link of frame f lies within `chain[f] - chain[j]` plus its
+    farthest surface point of joint j's origin.
     """
 
     group_id: str
@@ -178,7 +177,6 @@ class RobotModel:
             np.linalg.norm(self._local_p0, axis=1), np.linalg.norm(self._local_p1, axis=1)
         ) + self._radii
         chain = np.append(0.0, np.cumsum(np.linalg.norm(self._t_off[1:], axis=1)))
-        self._reach = chain[self._frames] + far
         moved = self._frames >= np.arange(len(self.joints))[:, None]  # (J, L)
         reach = np.where(moved, chain[self._frames] - chain[:, None] + far, 0.0).max(axis=1, initial=0.0)
         self.max_cartesian_speed_bound = float(self.joint_velocity_limits @ reach)

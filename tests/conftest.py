@@ -33,7 +33,7 @@ from multiarm import (
     plan_joint_line,
     pose,
 )
-from multiarm.collision import Layout, Monitor
+from multiarm.collision import BoxTable, Layout, Monitor
 from multiarm.harness import FIXTURES, scenario_from_dict
 from multiarm.kinematics import ArmStack
 
@@ -120,7 +120,7 @@ def timeline_sweep(candidate, now, params, layout, running, parked=None):
         timeline.held.setdefault(g, JointState(g, rec.trajectory.positions[0]))
         timeline.runs[g].append(rec)
     groups = [rec.trajectory.group_id for rec in running]
-    return candidate_sweep(candidate, now, params, layout, timeline, groups,
+    return candidate_sweep(candidate, now, params, BoxTable(layout, params.margin), timeline, groups,
                            None if parked is None else list(parked))
 
 
@@ -279,14 +279,14 @@ def timeline_oracle():
         counts["window"] += len(groups)
         return times, q, cut
 
-    def checked_sweep(candidate, now, params, layout, timeline, running, parked_groups, *rest):
+    def checked_sweep(candidate, now, params, table, timeline, running, parked_groups, *rest):
         times, want = sweep_reads(candidate, now, params, [timeline.runs[g][-1] for g in running])
         want.update((g, parked(timeline)[g].positions[None]) for g in parked_groups or ())
         got = timeline.at(want, times, since=now)
         for g in want:
             assert same_bits(got[g], want[g]), (now, g)
         counts["admission"] += len(want)
-        return sweep(candidate, now, params, layout, timeline, running, parked_groups, *rest)
+        return sweep(candidate, now, params, table, timeline, running, parked_groups, *rest)
 
     with mock.patch.object(ExecutionManager, "_stop", checked_stop), \
             mock.patch.object(ExecutionManager, "_window", checked_window), \
@@ -305,22 +305,20 @@ def no_box_apart(a, b):
 
 
 @contextmanager
-def cull_oracle(scene):
-    """Check every admission sweep of the managers built on `scene` inside the
-    block against the same sweep with no boxes: no two boxes apart, so every
-    running and parked arm in reach placed and paired, no placement kept from
-    an earlier sweep, and a layout of its own that keeps no parked arm's
-    placement. Every report must be the same, field for field.
+def cull_oracle():
+    """Check every admission sweep inside the block against the same sweep
+    with no boxes: no two boxes apart, so every running and parked arm placed
+    and paired, no placement kept from an earlier sweep, and a box table of
+    its own. Every report must be the same, field for field.
 
-    Yields counts of the sweeps, and of the running arms in reach that the
-    link boxes left with no pair, reported `FAR` without placing them.
+    Yields counts of the sweeps, and of the running arms that the box table
+    left with no pair, reported `FAR` without placing them.
     """
     counts = {"sweeps": 0, "culled": 0}
     sweep = executor.candidate_sweep
-    bare = Layout(scene.robots, scene.static_obstacles)
     place = Layout.place
 
-    def checked(candidate, now, params, layout, timeline, running, parked, *rest):
+    def checked(candidate, now, params, table, timeline, running, parked, *rest):
         placed_groups = []
 
         def spy(self, q, *args):
@@ -328,16 +326,15 @@ def cull_oracle(scene):
             return place(self, q, *args)
 
         with mock.patch.object(Layout, "place", spy):
-            got = sweep(candidate, now, params, layout, timeline, running, parked, *rest)
-        bare._held.clear()
+            got = sweep(candidate, now, params, table, timeline, running, parked, *rest)
         with mock.patch.object(collision, "_apart", no_box_apart):
-            want = sweep(candidate, now, params, bare, timeline, running, parked)
+            want = sweep(candidate, now, params, BoxTable(table.layout, params.margin), timeline,
+                         running, parked)
         assert len(got) == len(want)
         for report, reference in zip(got, want):
             assert same_report(report, reference), (now, candidate.id)
-        reach = layout.cull(params.margin).arms[candidate.group_id]
         counts["sweeps"] += 1
-        counts["culled"] += sum(g in reach and g not in placed_groups for g in running)
+        counts["culled"] += sum(g not in placed_groups for g in running)
         return got
 
     with mock.patch.object(executor, "candidate_sweep", checked):

@@ -1,12 +1,13 @@
-"""The link boxes of admission: a pair of a candidate link and a link or
-obstacle whose boxes stay more than the margin apart is not paired, and an
-arm left with no pair is not placed.
+"""The box table of admission: a pair of a candidate link and a link or
+obstacle whose boxes stay more than the margin apart is not paired, and a
+running arm left with no pair is not placed.
 
 Every sweep of the pinned runs and of the scheduler's random sequences must
 report what a sweep with no boxes reports (`conftest.cull_oracle`); each row
 of a run's box must hold its link at every instant the timeline can read;
 and on the 16-arm ring the boxes must cut the forward kinematics and the
-kernel's work.
+kernel's work. `test_wake.py` checks that the table holds every arm after
+every operation of its random cells.
 """
 
 import json
@@ -24,12 +25,13 @@ from multiarm import (
     JointTrajectory,
     RunningRecord,
     Timeline,
+    collision,
     executor,
     fixture_path,
     load_scenario,
     run,
 )
-from multiarm.collision import Layout, Placed, candidate_sweep
+from multiarm.collision import BoxTable, Layout, Placed, candidate_sweep
 from multiarm.geometry import segment_aabbs
 from multiarm.harness import FIXTURES, scenario_from_dict
 
@@ -37,6 +39,7 @@ from conftest import (
     PINNED_RUNS,
     cull_oracle,
     facing_pair,
+    no_box_apart,
     pinned_scenario,
     planar_arm,
     same_report,
@@ -52,7 +55,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name, mode, period", PINNED_RUNS)
 def test_every_sweep_of_the_pinned_runs_reports_as_with_no_boxes(name, mode, period):
     scenario = pinned_scenario(name, period)
-    with cull_oracle(scenario.scene) as counts:
+    with cull_oracle() as counts:
         run(scenario, mode)
     assert counts["sweeps"] > 0
     if name == "ring16_901.json":
@@ -64,7 +67,7 @@ def test_every_sweep_of_the_pinned_runs_reports_as_with_no_boxes(name, mode, per
 @given(st.booleans(), ops)
 def test_every_sweep_of_random_sequences_reports_as_with_no_boxes(check_static, sequence):
     scene = scene_of(facing_pair(gap=1.2), [IDLE["left"], IDLE["right"]])
-    with cull_oracle(scene):
+    with cull_oracle():
         drive(scene, check_static, sequence)
 
 
@@ -73,8 +76,10 @@ def run_box(model, traj, dt):
     placed = Placed()
     g = model.group_id
     timeline = Timeline({g: JointState(g, traj.positions[0])})
-    candidate_sweep(traj, 0.0, CheckParams(dt=dt), Layout({g: model}, []), timeline, [], None, placed)
-    return placed.run_box(model, CheckParams(dt=dt))
+    params = CheckParams(dt=dt)
+    table = BoxTable(Layout({g: model}, []), params.margin)
+    candidate_sweep(traj, 0.0, params, table, timeline, [], None, placed)
+    return placed.run_box(model, params)
 
 
 MODELS = {
@@ -115,7 +120,7 @@ def test_a_run_box_holds_the_arm_at_every_instant_the_timeline_reads(
 
     start = 0.7
     now = start + late * traj.duration
-    timeline.runs[g].append(RunningRecord(traj, start, box=box))
+    timeline.runs[g].append(RunningRecord(traj, start))
     if parked_at is not None:
         timeline.park(g, now, parked_at * traj.duration)
     instants = np.concatenate([np.asarray(offsets) * (traj.duration + 2 * dt), start + times - now])
@@ -140,7 +145,7 @@ def test_a_run_box_holds_a_turn_between_two_samples(dt, phase, angle, back):
     traj = JointTrajectory("arm", [0.0, turn, 2.0 * turn], [[start], [angle], [start]])
     box = run_box(model, traj, dt)
     timeline = Timeline({"arm": JointState("arm", [start])})
-    timeline.runs["arm"].append(RunningRecord(traj, 0.0, box=box))
+    timeline.runs["arm"].append(RunningRecord(traj, 0.0))
     layout = Layout({"arm": model}, [])
     p0, p1 = layout.spread(layout.place(timeline.at(["arm"], turn + np.array([-dt, 0.0, dt]) / 2)))
     lo, hi = segment_aabbs(p0, p1, model._radii)
@@ -156,20 +161,23 @@ def test_an_arm_within_the_margin_of_the_candidate_start_is_measured(other):
     a = planar_arm("a", lengths=(0.5,), vlim=3.0)
     b = planar_arm("b", (1.11, 0.0, 0.0), lengths=(0.5,), vlim=0.1)
     params = CheckParams(dt=0.1, margin=0.02)
-    layout, bare = Layout({"a": a, "b": b}, []), Layout({"a": a, "b": b}, [])
+    layout = Layout({"a": a, "b": b}, [])
     cand = sweep_traj(a, [0.0], [-1.0], "cand")
     timeline = Timeline({"a": JointState("a", [0.0]), "b": JointState("b", [np.pi])})
-    unboxed = Timeline(dict(timeline.held))
+    table = BoxTable(layout, params.margin)
     running, parked = [], ["b"]
     if other == "running":
         motion = sweep_traj(b, [np.pi], [np.pi + 0.05], "b")
-        timeline.runs["b"].append(RunningRecord(motion, 0.0, box=run_box(b, motion, params.dt)))
-        unboxed.runs["b"].append(RunningRecord(motion, 0.0))
+        timeline.runs["b"].append(RunningRecord(motion, 0.0))
+        table.admit("b", run_box(b, motion, params.dt))
         running, parked = ["b"], []
     placed = Placed()
     for _ in range(2):
-        got = candidate_sweep(cand, 0.0, params, layout, timeline, running, parked, placed)
-        want = candidate_sweep(cand, 0.0, params, bare, unboxed, running, parked)
+        got = candidate_sweep(cand, 0.0, params, table, timeline, running, parked, placed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collision, "_apart", no_box_apart)
+            bare = BoxTable(layout, params.margin)
+            want = candidate_sweep(cand, 0.0, params, bare, timeline, running, parked)
         assert want[0].colliding and want[0].first_collision_time == 0.0
         assert all(same_report(report, reference) for report, reference in zip(got, want))
 
@@ -177,7 +185,7 @@ def test_an_arm_within_the_margin_of_the_candidate_start_is_measured(other):
 def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
     """Blocked by the running left arm, the right arm's task waits in the
     backlog; its retry places only the parked left arm, and its entry drops
-    its placement once admitted, keeping one box per link on its run."""
+    its placement once admitted, the box table keeping its run's boxes."""
     left, right = facing_pair(gap=1.5)
     ql, qr = [np.pi / 2 - 1.0, 0.0], [-np.pi / 2 + 1.0, 0.0]
     scene = scene_of([left, right], [ql, qr])
@@ -215,8 +223,8 @@ def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
     assert [groups for _, groups in placements] == [["left", "right"], ["right"], ["left"], ["left"]]
     assert placements[-1][0] > first and mgr.status(blocked).start_time == placements[-1][0]
     assert entry.placed is None
-    box = mgr._timeline.runs["right"][-1].box
-    assert isinstance(box, np.ndarray) and box.shape == (right.n_links, 6)
+    rows = scene.layout.rows["right"]
+    assert np.isfinite(mgr._monitor.table.boxes[rows.start : rows.stop]).all()
 
 
 def test_admission_places_and_pairs_less_on_the_ring():
@@ -224,27 +232,31 @@ def test_admission_places_and_pairs_less_on_the_ring():
     measured 505 176 pair-samples. With one box per arm it placed 14 136 in
     170 FK calls, and made 159 kernel calls on 159 layout-wide arrays that
     measured 162 726 pair-samples; with placements that built their own
-    arrays, it built 239 of them."""
+    arrays, it built 239 of them. With link boxes, reach spheres and a
+    parked-arm memo per layout it placed 11 562 in 160 calls, and measured
+    44 503 in 108 kernel calls."""
     with work_counts() as counts:
         run(scenario_from_dict(json.loads((DATA / "ring16_901.json").read_text())), "async")
-    assert counts["rows"] <= 11_600
-    assert counts["pair_samples"] <= 45_000
-    assert counts["calls"] <= 160
-    assert counts["arrays"] <= 108
-    assert counts["kernels"] <= 108
+    assert counts["rows"] <= 10_987
+    assert counts["pair_samples"] <= 17_116
+    assert counts["calls"] <= 150
+    assert counts["arrays"] <= 92
+    assert counts["kernels"] <= 92
 
 
 def test_the_fixtures_make_few_kinematics_calls():
     """A call's fixed cost is that of some forty to fifty configurations, so the
     count of calls, not of rows, sets the fixtures' decision time. With one
     box per arm they made 43 kernel calls on 43 arrays, measuring 13 990
-    pair-samples; with placements that built their own arrays, they built 66."""
+    pair-samples; with placements that built their own arrays, they built 66.
+    With link boxes, reach spheres and a parked-arm memo per layout they made
+    48 FK calls on 1 997 rows and 29 kernel calls measuring 9 608."""
     with work_counts() as counts:
         for name in FIXTURES:
             for mode in ("async", "sync"):
                 run(load_scenario(fixture_path(name)), mode)
-    assert counts["calls"] <= 48
-    assert counts["rows"] <= 2_000
-    assert counts["arrays"] <= 29
-    assert counts["kernels"] <= 29
-    assert counts["pair_samples"] <= 9_700
+    assert counts["calls"] <= 46
+    assert counts["rows"] <= 1_596
+    assert counts["arrays"] <= 26
+    assert counts["kernels"] <= 26
+    assert counts["pair_samples"] <= 5_011

@@ -9,6 +9,8 @@ from multiarm.cli import main
 from multiarm.executor import Event
 from multiarm.harness import CSV_HEADER
 
+from test_harness import renamed_group
+
 
 def run_cli(tmp_path, name, *extra):
     metrics = tmp_path / "metrics.csv"
@@ -320,6 +322,16 @@ def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrup
     path.write_text(json.dumps(data))  # writes Infinity / NaN, which json.load reads back
     assert main(["run", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("char", [";", "\t", "\r", "\n"])
+def test_a_group_id_that_would_break_the_log_exits_one_before_the_run(tmp_path, capsys, char):
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(renamed_group(f"left{char}x")))
+    events = tmp_path / "events.log"
+    assert main(["run", "--scenario", str(path), "--events-out", str(events)]) == 1
+    assert "group_id" in capsys.readouterr().err
+    assert not events.exists()
 
 
 def test_tick_budget_overrun_exits_one(tmp_path, capsys, monkeypatch):

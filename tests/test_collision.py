@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from multiarm import (
     RunningRecord,
     Scene,
     Sphere,
+    Timeline,
     UnknownGroup,
+    collision,
     composite_state_check,
     fixture_path,
     load_scenario,
@@ -24,7 +28,8 @@ from multiarm import (
     required_margin,
     run,
 )
-from multiarm.collision import Layout
+from multiarm.collision import BoxTable, Layout, Monitor, Placed, _apart, candidate_sweep
+from multiarm.harness import scenario_from_dict
 from multiarm.geometry import FAR
 
 from conftest import (
@@ -44,6 +49,9 @@ from oracles import (
     unculled_sweep,
 )
 
+DATA = Path(__file__).parent / "data"
+# of the ring run's 1 096 pairs, those the box table retires at its first monitor check
+RING_FIRST_RETIRED = 1_094
 
 def cross_check(left, qa, right, qb, margin):
     """The monitor on a two-arm scene; the 2-link arms exempt all self pairs."""
@@ -535,25 +543,6 @@ def skewed_cell(rng):
     return scene_of(arms, [[0.0, 0.0, 0.0]] * 3, obstacles)
 
 
-@pytest.mark.parametrize("name", ["panda_like_shared", "ring16", "skewed"])
-def test_gap_bounds_every_row_pair_clearance(name, rng):
-    if name == "ring16":
-        scene = planar_ring()
-    elif name == "skewed":
-        scene = skewed_cell(rng)
-    else:
-        scene = load_scenario(fixture_path(f"{name}.json")).scene
-    gap = scene.layout.gap
-    assert np.all(np.isfinite(gap))
-    for k in range(6):
-        states = random_states(scene, rng, spread=(0.5, 1.0)[k % 2])
-        rows = [p for g in sorted(scene.robots) for p in forward_kinematics(scene.robots[g], states[g])]
-        rows += scene.static_obstacles
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                assert gap[i, j] <= primitive_clearance(rows[i], rows[j]).signed_distance + 1e-9
-
-
 def gapped_ring():
     """The planar ring with small obstacles in some of the gaps between arms,
     which two neighbours can reach, besides the central one no arm can."""
@@ -574,7 +563,7 @@ def same_verdict(got, want):
 
 
 @pytest.mark.parametrize("margin", [0.02, 0.05])
-def test_culled_monitor_matches_the_full_pair_list(margin, rng):
+def test_culled_monitor_matches_the_full_pair_list(margin, rng, monkeypatch):
     for scene in (gapped_ring(), skewed_cell(rng)):
         seen = {True: 0, False: 0}
         for k in range(30):
@@ -582,7 +571,20 @@ def test_culled_monitor_matches_the_full_pair_list(margin, rng):
             report = composite_state_check(states, scene, margin)
             seen[same_verdict(report, unculled_monitor(states, scene, margin))] += 1
         assert seen[True] and seen[False]
-    assert len(planar_ring().layout.cull(0.05).ii) == 208  # of 1096 pairs
+    # the ring run's first monitor check has every pair due, and the box table retires most
+    first = []
+    check = Monitor.check
+
+    def spy(self, clock, window):
+        if not first:
+            due = np.flatnonzero(self.safe_until <= clock)
+            boxes = self.table.boxes
+            first.append((due.size, int(_apart(boxes[self.ii[due]], boxes[self.jj[due]]).sum())))
+        return check(self, clock, window)
+
+    monkeypatch.setattr(Monitor, "check", spy)
+    run(scenario_from_dict(json.loads((DATA / "ring16_901.json").read_text())), "async")
+    assert first == [(1096, RING_FIRST_RETIRED)]
 
 
 @pytest.mark.parametrize("margin", [0.02, 0.05])
@@ -609,30 +611,42 @@ def test_culled_sweep_matches_the_full_pair_list(margin, rng):
     assert seen[True] and seen[False]
 
 
-def test_far_arms_are_never_placed(monkeypatch):
-    placed = []
-    place = Layout.place
+def test_a_far_arm_is_placed_at_most_once_at_its_idle_posture_and_never_paired(monkeypatch):
+    placed, pairs = [], []
+    place, kernel = Layout.place, collision.pair_clearances
 
     def spy(self, q, *rest):
-        placed.append(sorted(q))
+        placed.append(q)
         return place(self, q, *rest)
 
+    def spy_kernel(p0, p1, radii, ii, jj, margin):
+        pairs.append(len(ii))
+        return kernel(p0, p1, radii, ii, jj, margin)
+
     monkeypatch.setattr(Layout, "place", spy)
-    # disjoint's arms stand 10 m apart: the monitor places neither, and each
-    # admission places its candidate alone, not the other, parked or running
+    monkeypatch.setattr(collision, "pair_clearances", spy_kernel)
+    # disjoint's arms stand 10 m apart: left's admission places the parked
+    # right arm at its idle posture, with its own motion; right's places its
+    # motion alone, as the table culls the running left arm; the monitor
+    # places neither, and no pair is measured
     scenario = load_scenario(fixture_path("disjoint.json"))
     run(scenario, "async")
-    assert ["left"] in placed and ["right"] in placed
-    assert all(len(groups) <= 1 for groups in placed)
-    placed.clear()
+    assert [sorted(q) for q in placed] == [["left", "right"], ["right"]]
+    assert np.array_equal(placed[0]["right"], scenario.scene.idle_postures["right"].positions[None])
+    assert pairs == []
     clear = CollisionReport(False, None, None, FAR)
     assert composite_state_check(scenario.scene.idle_postures, scenario.scene, 0.02) == clear
-    assert all(groups == [] for groups in placed)
-    # a sweep against a running arm 4 m away places the candidate only
+    # a sweep against a running arm 4 m away, whose run box the table has, places the candidate only
     cand, _, _, now, params, models = crossing_case(np.random.default_rng(5))
     far = planar_arm("far", (4.0, 0.0, 0.0), lengths=(0.5, 0.5))
     layout = Layout({cand.group_id: models[cand.group_id], "far": far}, [])
+    motion = sweep_traj(far, [0.0, 0.0], [1.0, 0.0], "far")
+    run_placed, table = Placed(), BoxTable(layout, params.margin)
+    timeline = Timeline({"far": JointState("far", [0.0, 0.0]),
+                         cand.group_id: JointState(cand.group_id, cand.positions[0])})
+    candidate_sweep(motion, 0.0, params, BoxTable(layout, params.margin), timeline, [], None, run_placed)
+    timeline.runs["far"].append(RunningRecord(motion, 0.0))
+    table.admit("far", run_placed.run_box(far, params))
     placed.clear()
-    running = RunningRecord(sweep_traj(far, [0.0, 0.0], [1.0, 0.0], "far"), 0.0)
-    assert timeline_sweep(cand, now, params, layout, [running]) == [clear]
-    assert placed == [[cand.group_id]]
+    assert candidate_sweep(cand, now, params, table, timeline, ["far"]) == [clear]
+    assert [sorted(q) for q in placed] == [[cand.group_id]]

@@ -223,6 +223,22 @@ def test_scenario_validation_errors():
         run(ok, "both")
 
 
+def renamed_group(name):
+    """disjoint.json with its left arm and left's tasks renamed to `name`."""
+    data = json.loads(fixture_path("disjoint.json").read_text())
+    for item in data["robots"] + data["tasks"]:
+        if item["group_id"] == "left":
+            item["group_id"] = name
+    return data
+
+
+@pytest.mark.parametrize("char", [";", "\t", "\r", "\n"])
+def test_a_group_id_that_would_break_the_log_is_refused(char):
+    """The log writes a group id into its SUBMITTED lines, between tabs and ';'."""
+    with pytest.raises(ScenarioInvalid, match="group_id"):
+        scenario_from_dict(renamed_group(f"left{char}x"))
+
+
 def test_malformed_scenario_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"robots": [{"group_id": "x"}]}))

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from multiarm import CheckParams, ExecutionManager, JointTrajectory, PlacedPrimitive, Sphere, run
 from multiarm.executor import EVENT_KINDS, Event, _tick_at
+from multiarm.geometry import segment_aabbs
 from multiarm.harness import _MAX_TICKS
 
 from conftest import (
@@ -140,36 +141,78 @@ def random_cell(rng):
     return scene_of(models, idle, obstacles), idle, settings_
 
 
+def drive_random_cell(seed, twins_class=Twins):
+    """Random submits, cancels and ticks on `random_cell(seed)`, run to the end."""
+    rng = np.random.default_rng(1700 + seed)
+    scene, idle, kwargs = random_cell(rng)
+    twins = twins_class(scene, **kwargs)
+    tick = kwargs["tick_length"]
+    cursor = dict(zip(sorted(scene.robots), idle))
+    groups = sorted(scene.robots)
+    # timeouts below one tick, of a few ticks, and long enough to wait a motion out
+    timeouts = [0.4 * tick, tick, 3 * tick, 1.0, 5.0, 30.0]
+    for step in range(int(rng.integers(8, 20))):
+        op = rng.choice(["submit", "submit", "tick", "tick", "cancel"])
+        if op == "submit":
+            g = groups[int(rng.integers(len(groups)))]
+            goal = np.clip(np.asarray(cursor[g]) + rng.uniform(-2.0, 2.0, 2), -4.0, 4.0)
+            twins.submit(sweep_traj(scene.robots[g], cursor[g], goal, f"c{step}"),
+                         float(rng.choice(timeouts)))
+            cursor[g] = goal
+        elif op == "cancel":
+            twins.cancel(int(rng.integers(64)), live=True)
+        else:
+            twins.tick(int(rng.integers(1, 60)))
+    twins.finish()
+    return twins
+
+
 def test_fast_path_logs_what_full_ticks_log_in_random_cells():
     kinds, skippable, ticks = set(), 0, 0
     for seed in range(100):
-        rng = np.random.default_rng(1700 + seed)
-        scene, idle, kwargs = random_cell(rng)
-        twins = Twins(scene, **kwargs)
-        tick = kwargs["tick_length"]
-        cursor = dict(zip(sorted(scene.robots), idle))
-        groups = sorted(scene.robots)
-        # timeouts below one tick, of a few ticks, and long enough to wait a motion out
-        timeouts = [0.4 * tick, tick, 3 * tick, 1.0, 5.0, 30.0]
-        for step in range(int(rng.integers(8, 20))):
-            op = rng.choice(["submit", "submit", "tick", "tick", "cancel"])
-            if op == "submit":
-                g = groups[int(rng.integers(len(groups)))]
-                goal = np.clip(np.asarray(cursor[g]) + rng.uniform(-2.0, 2.0, 2), -4.0, 4.0)
-                twins.submit(sweep_traj(scene.robots[g], cursor[g], goal, f"c{step}"),
-                             float(rng.choice(timeouts)))
-                cursor[g] = goal
-            elif op == "cancel":
-                twins.cancel(int(rng.integers(64)), live=True)
-            else:
-                twins.tick(int(rng.integers(1, 60)))
-        twins.finish()
+        twins = drive_random_cell(seed)
         kinds.update(e.kind for e in twins.fast.events)
         skippable += twins.skippable
         ticks += twins.fast.tick_index
     # every way an entry ends, and most ticks skippable
     assert kinds == set(EVENT_KINDS)
     assert skippable > ticks / 2
+
+
+class BoxedTwins(Twins):
+    """Twins that also check, after every operation, that each arm's capsules
+    at the clock lie in its rows of each manager's box table, that each arm
+    the table holds is placed where the table keeps it, and collect the
+    kinds of row they checked."""
+
+    def __init__(self, scene, **kwargs):
+        super().__init__(scene, **kwargs)
+        self.kinds = set()
+
+    def check(self):
+        super().check()
+        for mgr in (self.fast, self.full):
+            table, layout = mgr._monitor.table, mgr.scene.layout
+            p0, p1 = layout.spread(layout.place(mgr._timeline.at(layout.groups, [mgr.clock])))
+            lo, hi = segment_aabbs(p0[0], p1[0], layout.radii)
+            assert np.all(lo >= table.boxes[:, :3]) and np.all(hi <= table.boxes[:, 3:]), mgr.clock
+            for g, (e0, e1) in table.held.items():  # the endpoints a sweep pairs in place of placing g
+                rows = slice(layout.rows[g].start, layout.rows[g].stop)
+                assert np.array_equal(e0[0], p0[0, rows]) and np.array_equal(e1[0], p1[0, rows])
+            for g in layout.groups:
+                ran = bool(mgr._timeline.runs.get(g))
+                held = ", held" if g in table.held else ""
+                self.kinds.add("running" if g in mgr._running else ("stopped" if ran else "never run") + held)
+
+
+def test_the_box_table_holds_every_arm_after_every_operation_in_random_cells():
+    kinds, events = set(), set()
+    for seed in range(40):
+        twins = drive_random_cell(seed, BoxedTwins)
+        kinds |= twins.kinds
+        events.update(e.kind for e in twins.fast.events)
+    assert kinds == {"never run", "never run, held", "running", "stopped", "stopped, held"}
+    assert "COLLISION_HALT" in events and "CANCELLED" in events
 
 
 def test_the_tick_after_a_cancel_sweeps_the_backlog():
