@@ -449,6 +449,48 @@ def test_concurrent_submit_and_status_smoke():
     assert mgr.status(h1).kind is StatusKind.SUCCEEDED
 
 
+def test_submit_cancel_and_status_from_a_second_thread_while_ticking():
+    """`tick()` takes the lock by hand. A second thread submits, cancels and
+    polls while the main thread ticks: nothing raises, every entry ends, and
+    every log line reads back as it was written."""
+    import threading
+    import time
+
+    left, right, scene = disjoint_setup()
+    mgr = manager(scene)
+    handles, submit_ticks, errors, done = [], [], [], threading.Event()
+
+    def client():
+        try:
+            for i in range(60):
+                arm = (left, right)[i % 2]
+                q0, q1 = ([0, 0], [1, 0]) if i // 2 % 2 == 0 else ([1, 0], [0, 0])
+                handles.append(mgr.submit(sweep_traj(arm, q0, q1, f"t{i}"), timeout=5.0))
+                submit_ticks.append(mgr.tick_index)
+                if i % 3 == 2:
+                    mgr.cancel(handles[-1])
+                for handle in handles:
+                    mgr.status(handle)
+                time.sleep(0.001)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            done.set()
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    while not (done.is_set() and mgr.all_terminal()):
+        mgr.tick()
+        assert mgr.tick_index < 10**6
+    thread.join()
+    assert not errors
+    assert len(set(submit_ticks)) > 1  # the submits interleaved with the ticks
+    assert all(mgr.status(h).terminal for h in handles)
+    lines = mgr.event_lines()
+    assert [Event.parse(line).line() for line in lines] == lines
+    assert {Event.parse(line).kind for line in lines} >= {"ADMITTED", "COMPLETED", "CANCELLED"}
+
+
 def test_liveness_bound():
     scene, tl_slow, tr = blocked_corridor_setup()
     mgr = manager(scene)
