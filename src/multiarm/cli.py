@@ -7,12 +7,11 @@ cancellation), 3 if the online monitor halted execution.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .errors import MultiArmError, ScenarioInvalid
+from .errors import MultiArmError
 from .executor import StatusKind
-from .harness import Scenario, run, scenario_from_dict, write_events, write_metrics
+from .harness import load_scenario, run, write_events, write_metrics
 
 # scenario params keys, each overridden by the option whose argparse dest it is
 PARAMS = ("time_step", "tick", "margin", "default_timeout", "monitor_period")
@@ -39,24 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_scenario(args) -> Scenario:
-    """The scenario file, with the params given as options written into its
-    params mapping, so that one loader validates file and options alike."""
-    with open(args.scenario) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ScenarioInvalid(f"{args.scenario} is not a JSON document: {exc}") from exc
-    given = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
-    if given and isinstance(data, dict) and isinstance(data.get("params", {}), dict):
-        data["params"] = {**data.get("params", {}), **given}
-    return scenario_from_dict(data)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    given = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     try:
-        result = run(read_scenario(args), mode=args.mode)
+        result = run(load_scenario(args.scenario, given), mode=args.mode)
         if args.metrics_out:
             write_metrics(result.metrics, args.metrics_out)
         if args.events_out:

@@ -315,11 +315,6 @@ _OPEN = np.array([[-math.inf] * 3 + [math.inf] * 3])
 _SIGN = np.repeat([-1.0, 1.0], 3)
 
 
-def _grown(box: np.ndarray | None, pad: float) -> np.ndarray | None:
-    """`box` grown by `pad` on every side (None, unbounded, stays None)."""
-    return None if box is None else box + pad * _SIGN
-
-
 def _apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether boxes a and b (..., 6), broadcast together, are apart on some axis (NaN: never)."""
     return (np.maximum(a[..., :3], b[..., :3]) > np.minimum(a[..., 3:], b[..., 3:])).any(axis=-1)
@@ -350,13 +345,13 @@ class Placed:
     def __init__(self):
         self.e0 = self.e1 = self.box = None
 
-    def run_box(self, model: RobotModel, params: CheckParams) -> np.ndarray | None:
+    def run_box(self, model: RobotModel, params: CheckParams) -> np.ndarray:
         """(L, 6) boxes, each around one link's capsule at every instant of a
-        run of this motion (None if nothing is placed yet): its box over the
-        rows (at most dt apart in time), radius included, grown by the
-        farthest a point of the arm moves in dt / 2, with slack for rounding."""
+        run of this motion, once a sweep placed it: its box over the rows
+        (at most dt apart in time), radius included, grown by the farthest a
+        point of the arm moves in dt / 2, with slack for rounding."""
         pad = model.max_cartesian_speed_bound * (1.0 + 1e-6) * params.dt / 2.0 + 1e-9
-        return _grown(self.box, pad - params.margin / 2.0)
+        return self.box + (pad - params.margin / 2.0) * _SIGN
 
 
 class BoxTable:
@@ -375,10 +370,10 @@ class BoxTable:
         self.boxes[s] = _box(*(e[None] for e in layout._static_ends), layout.radii[s], margin / 2.0)
         self.held: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def admit(self, g: str, box: np.ndarray | None):
-        """Arm g runs within its (L, 6) link boxes `box` (None: unbounded)."""
+    def admit(self, g: str, box: np.ndarray):
+        """Arm g runs within its (L, 6) link boxes `box`."""
         rows = slice(self.layout.rows[g].start, self.layout.rows[g].stop)
-        self.boxes[rows] = _OPEN if box is None else _grown(box, self.margin / 2.0)
+        self.boxes[rows] = box + self.margin / 2.0 * _SIGN
         self.held.pop(g, None)
 
     def hold(self, g: str, e0: np.ndarray, e1: np.ndarray):
@@ -410,18 +405,21 @@ def candidate_sweep(
     A candidate's first sweep places it, at every instant a grid reads it
     at, and boxes its links; `placed` keeps both for later sweeps. The same
     call places each parked arm that `table`, the box table of the layout at
-    params.margin, does not hold yet, and the table then holds it: a parked
-    arm must be held from `now` until its next admission. One test of the
-    candidate's link boxes against the table drops, in order, each pair that
-    the cull of the module docstring drops, and a sweep left with no pair
-    calls no kernel. One more call places the running arms left with a
-    pair, and `Layout.spread` builds the kernel's arrays.
+    params.margin (`ValueError` for a table at another margin), does not
+    hold yet, and the table then holds it: a parked arm must be held from
+    `now` until its next admission. One test of the candidate's link boxes
+    against the table drops, in order, each pair that the cull of the module
+    docstring drops, and a sweep left with no pair calls no kernel. One more
+    call places the running arms left with a pair, and `Layout.spread`
+    builds the kernel's arrays.
 
     Returns one report per running arm, in order, then, unless `parked` is
     None, one for the static obstacles and the parked arms together; a
     block with no pair left is reported clear at `FAR`, as the full sweep
     reports it. Times in the reports are relative to the candidate start.
     """
+    if table.margin != params.margin:
+        raise ValueError(f"the table's margin {table.margin} is not the sweep's {params.margin}")
     layout, fixed = table.layout, sorted(parked or ())
     groups = [candidate.group_id] + list(running) + fixed
     unknown = set(groups) - set(layout.robots)
@@ -507,8 +505,8 @@ class Monitor:
         if self._pairs[g].size:
             self.safe_until[self._pairs[g]] = self._next = -math.inf
 
-    def admit(self, g: str, box: np.ndarray | None):
-        """Wake g's pairs for a new run with (L, 6) link boxes `box` (None: unbounded)."""
+    def admit(self, g: str, box: np.ndarray):
+        """Wake g's pairs for a new run with (L, 6) link boxes `box` (`Placed.run_box`)."""
         self.table.admit(g, box)
         self.wake(g)
 

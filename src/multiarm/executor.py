@@ -108,6 +108,14 @@ def _tick_at(t: float, tick_length: float, k: int = 0) -> int:
     return k
 
 
+def check_clock(tick_length: float, monitor_period: int) -> None:
+    """The one check of a clock: a finite tick > 0 and a monitor period of whole ticks >= 1."""
+    if not 0.0 < tick_length < math.inf:
+        raise ValueError(f"tick must be finite and > 0, got {tick_length!r}")
+    if not _is_index(monitor_period) or monitor_period < 1:
+        raise ValueError(f"monitor_period must be an integer >= 1, got {monitor_period!r}")
+
+
 class StatusKind(str, Enum):
     PENDING = "Pending"
     RUNNING = "Running"
@@ -217,10 +225,7 @@ class ExecutionManager:
         check_static: bool = True,
         serialized: bool = False,
     ):
-        if not 0.0 < tick_length < math.inf:
-            raise ValueError("tick_length must be finite and > 0")
-        if not _is_index(monitor_period) or monitor_period < 1:
-            raise ValueError("monitor_period must be an integer >= 1")
+        check_clock(tick_length, monitor_period)
         self.scene = scene
         self.params = params or CheckParams()
         self.tick_length = float(tick_length)
@@ -528,7 +533,7 @@ class ExecutionManager:
             return
         # the run stops at the first tick at or after its end, whose step 1 completes it
         k = _tick_at(clock + duration, self.tick_length, self._tick_index)
-        box = entry.placed and entry.placed.run_box(self.scene.robots[g], self.params)
+        box = entry.placed.run_box(self.scene.robots[g], self.params)
         run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, k)
         entry.placed = None
         self._timeline.runs[g].append(run)

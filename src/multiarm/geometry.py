@@ -21,13 +21,19 @@ FAR = math.inf
 # Squared-length threshold below which a segment is treated as a point.
 _EPS2 = 1e-16
 
+# The largest coordinate or radius [m] of any shape, base pose or joint offset.
+# From a short segment within 1 m of one 2L long, `segment_distance` errs by
+# ~1e-16 m at L = 1e6 m, ~1e-9 m at 1e10, cm at 1e14 and metres at 1e16, and
+# overflows to NaN further out: a larger scene would be measured wrong.
+MAX_EXTENT = 1e6
 
-def _vec3(x) -> np.ndarray:
+
+def _vec3(x, what: str = "a shape point") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"expected a finite 3-vector, got {v.tolist()}")
+    if not np.all(np.abs(v) <= MAX_EXTENT):
+        raise ValueError(f"{what} needs finite coordinates within {MAX_EXTENT:g} m, got {v.tolist()}")
     return v
 
 
@@ -38,8 +44,8 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center))
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError("sphere radius must be finite and > 0")
+        if not 0.0 < self.radius <= MAX_EXTENT:
+            raise ValueError(f"sphere radius must be > 0 and at most {MAX_EXTENT:g} m")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +59,8 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "p0", _vec3(self.p0))
         object.__setattr__(self, "p1", _vec3(self.p1))
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError("capsule radius must be finite and > 0")
+        if not 0.0 < self.radius <= MAX_EXTENT:
+            raise ValueError(f"capsule radius must be > 0 and at most {MAX_EXTENT:g} m")
 
 
 Shape = Sphere | Capsule

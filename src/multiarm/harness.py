@@ -1,7 +1,7 @@
 """Scenario files, a straight-line joint planner, run drivers, and metrics.
 
 A scenario is a JSON document with top-level keys `robots`, `obstacles`,
-`tasks`, `params`, `seed` (lengths in meters, angles in radians). Tasks are
+`tasks`, `params` (lengths in meters, angles in radians). Tasks are
 planned as straight joint-space segments chained per group (each task starts
 at the previous task's goal) and submitted to the execution manager at their
 submit times. `run` drives either the asynchronous manager or the serialized
@@ -23,9 +23,9 @@ import numpy as np
 
 from .collision import PAIR_SAMPLES, CheckParams, RunningRecord, Scene, Timeline, pair_clearances
 from .errors import JointLimitViolation, ScenarioInvalid, TickBudgetExceeded
-from .executor import Event, ExecutionManager, ExecStatus, ExecHandle, _tick_at
+from .executor import Event, ExecutionManager, ExecStatus, ExecHandle, _tick_at, check_clock
 from .geometry import Capsule, PlacedPrimitive, Sphere
-from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, _is_index, pose, within_limits
+from .kinematics import JointSpec, JointState, LinkGeometry, RobotModel, pose, within_limits
 from .trajectory import JointTrajectory, time_grid
 
 CSV_HEADER = [
@@ -62,8 +62,14 @@ class Task:
     submit_time: float = 0.0
     timeout: float | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.submit_time < math.inf:
+            raise ValueError(f"a task of {self.group_id!r} needs a finite submit_time >= 0")
+        if self.timeout is not None and not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"a task of {self.group_id!r} needs a finite timeout > 0")
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunParams:
     check: CheckParams = field(default_factory=CheckParams)
     tick_length: float = 0.01
@@ -71,13 +77,33 @@ class RunParams:
     default_timeout: float = 30.0
     check_static: bool = True
 
+    def __post_init__(self):
+        check_clock(self.tick_length, self.monitor_period)
+        if not 0.0 < self.default_timeout < math.inf:
+            raise ValueError("default_timeout must be finite and > 0")
+        if not isinstance(self.check_static, bool):
+            raise ValueError(f"check_static must be true or false, got {self.check_static!r}")
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A scene, the tasks its arms run and the run's settings; `ValueError`
+    if a task names an arm the scene lacks or a goal that arm cannot take."""
+
     scene: Scene
-    tasks: list[Task]
-    seed: int = 0
+    tasks: tuple[Task, ...]
     params: RunParams = field(default_factory=RunParams)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        for i, task in enumerate(self.tasks):
+            if not isinstance(task.group_id, str) or task.group_id not in self.scene.robots:
+                raise ValueError(f"task {i} references unknown group '{task.group_id}'")
+            model = self.scene.robots[task.group_id]
+            if task.goal.positions.shape != (model.n_joints,):
+                raise ValueError(f"task {i} goal needs {model.n_joints} joint values")
+            if not within_limits(model, task.goal):
+                raise ValueError(f"task {i} goal outside joint limits")
 
 
 @dataclass
@@ -128,32 +154,6 @@ def plan_joint_line(
     return JointTrajectory(group_id=model.group_id, times=times, positions=positions, **kwargs)
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    p = scenario.params
-    if not 0.0 < p.tick_length < math.inf:
-        raise ScenarioInvalid("tick must be finite and > 0")
-    if not _is_index(p.monitor_period) or p.monitor_period < 1:
-        raise ScenarioInvalid(f"monitor_period must be an integer >= 1, got {p.monitor_period!r}")
-    if not _is_index(scenario.seed):
-        raise ScenarioInvalid(f"seed must be an integer, got {scenario.seed!r}")
-    if not 0.0 < p.default_timeout < math.inf:
-        raise ScenarioInvalid("default_timeout must be finite and > 0")
-    if not isinstance(p.check_static, bool):
-        raise ScenarioInvalid(f"check_static must be true or false, got {p.check_static!r}")
-    for i, task in enumerate(scenario.tasks):
-        if not isinstance(task.group_id, str) or task.group_id not in scenario.scene.robots:
-            raise ScenarioInvalid(f"task {i} references unknown group '{task.group_id}'")
-        model = scenario.scene.robots[task.group_id]
-        if task.goal.positions.shape != (model.n_joints,):
-            raise ScenarioInvalid(f"task {i} goal needs {model.n_joints} joint values")
-        if not within_limits(model, task.goal):
-            raise ScenarioInvalid(f"task {i} goal outside joint limits")
-        if not 0.0 <= task.submit_time < math.inf:
-            raise ScenarioInvalid(f"task {i} needs a finite submit_time >= 0")
-        if task.timeout is not None and not 0.0 < task.timeout < math.inf:
-            raise ScenarioInvalid(f"task {i} needs a finite timeout > 0")
-
-
 def plan_tasks(scenario: Scenario) -> list[JointTrajectory]:
     """Chained straight-line trajectories, one per task, ids t0, t1, ..."""
     cursors = {g: scenario.scene.idle_postures[g] for g in scenario.scene.robots}
@@ -170,7 +170,6 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     """Execute a scenario end to end and collect metrics from the event log."""
     if mode not in ("async", "sync"):
         raise ScenarioInvalid(f"mode must be 'async' or 'sync', got '{mode}'")
-    validate_scenario(scenario)
     trajectories = plan_tasks(scenario)
     p = scenario.params
     longest = max((t.duration for t in trajectories), default=0.0)
@@ -418,18 +417,21 @@ def scenario_from_dict(data: dict) -> Scenario:
             default_timeout=_number(pd.get("default_timeout", 30.0), "default_timeout"),
             check_static=pd.get("check_static", True),
         )
-        scenario = Scenario(scene=scene, tasks=tasks, seed=data.get("seed", 0), params=params)
-    except ScenarioInvalid:
-        raise
+        return Scenario(scene=scene, tasks=tasks, params=params)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioInvalid(f"malformed scenario: {exc}") from exc
-    validate_scenario(scenario)
-    return scenario
 
 
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        data = json.load(fh)
+def load_scenario(path, params=None) -> Scenario:
+    """The one reader of scenario files: a UTF-8 JSON file, each key of `params`
+    written over its own params; `ScenarioInvalid` if it is not a scenario."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        raise ScenarioInvalid(f"{path} is not a JSON document: {exc}") from exc
+    if params and isinstance(data, dict) and isinstance(data.get("params", {}), dict):
+        data["params"] = {**data.get("params", {}), **params}
     return scenario_from_dict(data)
 
 

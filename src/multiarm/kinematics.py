@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Shape, segment_of
+from .geometry import Shape, _vec3, segment_of
 
 # Interpolated states may overshoot a limit by rounding; FK tolerates this much.
 _LIMIT_SLACK = 1e-9
@@ -82,6 +82,7 @@ class JointSpec:
         origin = np.asarray(self.origin_offset, dtype=float)
         if origin.shape != (4, 4) or not np.all(np.isfinite(origin)):
             raise ValueError("origin_offset must be a finite 4x4 transform")
+        _vec3(origin[:3, 3], "a joint's origin_offset")
         lo, hi = (float(v) for v in self.position_limits)
         if not -math.inf < lo <= hi < math.inf:
             raise ValueError("position limits must be finite and satisfy lo <= hi")
@@ -141,6 +142,7 @@ class RobotModel:
         self.base_pose = np.asarray(self.base_pose, dtype=float)
         if self.base_pose.shape != (4, 4) or not np.all(np.isfinite(self.base_pose)):
             raise ValueError("base_pose must be a finite 4x4 transform")
+        _vec3(self.base_pose[:3, 3], f"the base_pose of '{self.group_id}'")
         self.joint_velocity_limits = np.asarray(self.joint_velocity_limits, dtype=float).reshape(-1)
         if len(self.joint_velocity_limits) != len(self.joints):
             raise ValueError("need one velocity limit per joint")

@@ -88,6 +88,18 @@ MODELS = {
     "panda": load_scenario(fixture_path("panda_like_shared.json")).scene.robots["arm_a"],
 }
 
+
+def test_a_sweep_refuses_a_table_at_another_margin():
+    """A table at a smaller margin would cull pairs within the sweep's margin."""
+    model = MODELS["one_link"]
+    traj = JointTrajectory("arm", [0.0, 1.0], [[0.0], [1.0]])
+    timeline = Timeline({"arm": JointState("arm", [0.0])})
+    table = BoxTable(Layout({"arm": model}, []), 0.01)
+    with pytest.raises(ValueError, match="margin"):
+        candidate_sweep(traj, 0.0, CheckParams(dt=0.05, margin=0.02), table, timeline, [])
+    assert candidate_sweep(traj, 0.0, CheckParams(dt=0.05, margin=0.01), table, timeline, []) == []
+
+
 fractions = st.floats(0.0, 1.0)
 
 

@@ -104,7 +104,7 @@ def test_unwritable_output_path_exits_one(tmp_path, capsys, option, target):
     assert not (tmp_path / "missing_dir").exists()
 
 
-@pytest.mark.parametrize("content", ["{bad", "[1]"])
+@pytest.mark.parametrize("content", ["{bad", "[1]", "[" * 100_000])
 def test_scenario_that_is_not_a_json_object_exits_one(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_text(content)
@@ -265,16 +265,25 @@ def _allowed_pair_bool(data):
     data["robots"][1]["allowed_pairs"] = [[True, 0]]
 
 
-def _seed_bool(data):
-    data["seed"] = True
+def _across(length):
+    """A capsule obstacle 2 * length long across both crossing arms' paths."""
+    return [{"capsule": {"p0": [-length, 0.0, 0.0], "p1": [length, 0.0, 0.0], "radius": 0.1}}]
 
 
-def _seed_fractional(data):
-    data["seed"] = 1.5
+def _obstacle_across_1e50(data):
+    data["obstacles"] = _across(1e50)
 
 
-def _seed_string(data):
-    data["seed"] = "12"
+def _obstacle_across_1e150(data):
+    data["obstacles"] = _across(1e150)
+
+
+def _obstacle_across_1e308(data):
+    data["obstacles"] = _across(1e308)
+
+
+def _base_xyz_1e308(data):
+    data["robots"][1]["base_pose"]["xyz"] = [1e308, 0.75, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -310,9 +319,10 @@ def _seed_string(data):
         _obstacle_centre_bool,
         _allowed_pair_fractional,
         _allowed_pair_bool,
-        _seed_bool,
-        _seed_fractional,
-        _seed_string,
+        _obstacle_across_1e50,
+        _obstacle_across_1e150,
+        _obstacle_across_1e308,
+        _base_xyz_1e308,
     ],
 )
 def test_malformed_scenario_exits_one_without_traceback(tmp_path, capsys, corrupt):

@@ -7,7 +7,7 @@ from multiarm import (
     Sphere,
     pair_clearances,
 )
-from multiarm.geometry import segment_aabbs, segment_distance, segment_of, segments_of
+from multiarm.geometry import MAX_EXTENT, segment_aabbs, segment_distance, segment_of, segments_of
 
 from oracles import (
     NonFiniteInput,
@@ -201,8 +201,18 @@ def test_invalid_shapes_rejected():
         Sphere((0, 0, 0), 0.0)
     with pytest.raises(ValueError):
         Capsule((0, 0, 0), (1, 0, 0), -0.1)
-    for radius in (np.inf, np.nan):
+    # past MAX_EXTENT the kernel would measure the shape wrong; at it, it is exact
+    over = np.nextafter(MAX_EXTENT, np.inf)
+    for radius in (np.inf, np.nan, over):
         with pytest.raises(ValueError):
             Sphere((0, 0, 0), radius)
         with pytest.raises(ValueError):
             Capsule((0, 0, 0), (1, 0, 0), radius)
+    for point in ((over, 0, 0), (0, -over, 0), (0, 0, 1e308)):
+        with pytest.raises(ValueError, match="within"):
+            Sphere(point, 0.1)
+        with pytest.raises(ValueError, match="within"):
+            Capsule((0, 0, 0), point, 0.1)
+    Sphere((0, 0, -MAX_EXTENT), MAX_EXTENT)
+    Capsule((-MAX_EXTENT, 0, 0), (MAX_EXTENT, 0, 0), MAX_EXTENT)
+    assert segment_distance([-MAX_EXTENT, 0, 0], [MAX_EXTENT, 0, 0], [0.3, 0.5, 0], [0.3, 0.5, 1]) == 0.5

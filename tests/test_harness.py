@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from multiarm import (
@@ -21,6 +23,7 @@ from multiarm import (
     write_metrics,
 )
 from multiarm.executor import Event
+from multiarm.geometry import MAX_EXTENT
 from multiarm.harness import CSV_HEADER, FIXTURES, scenario_from_dict, write_events
 
 from conftest import planar_arm, random_scenario, scene_of
@@ -201,26 +204,84 @@ def test_replay_refuses_a_factor_that_is_not_finite_and_positive(factor):
 
 
 def test_scenario_validation_errors():
+    # a Scenario is refused where it is built, with a ValueError like the scene's
     arm = planar_arm("arm", limits=(-1.0, 1.0))
     scene = scene_of([arm], [[0.0, 0.0]])
-    bad_goal = Scenario(
-        scene=scene, tasks=[Task("arm", JointState("arm", [2.0, 0.0]))], params=RunParams()
-    )
-    with pytest.raises(ScenarioInvalid):
-        run(bad_goal, "async")
-    unknown = Scenario(
-        scene=scene, tasks=[Task("ghost", JointState("ghost", [0.0, 0.0]))], params=RunParams()
-    )
-    with pytest.raises(ScenarioInvalid):
-        run(unknown, "async")
-    short_goal = Scenario(
-        scene=scene, tasks=[Task("arm", JointState("arm", [0.0]))], params=RunParams()
-    )
-    with pytest.raises(ScenarioInvalid):
-        run(short_goal, "async")
+    with pytest.raises(ValueError, match="goal outside joint limits"):
+        Scenario(scene=scene, tasks=[Task("arm", JointState("arm", [2.0, 0.0]))], params=RunParams())
+    with pytest.raises(ValueError, match="unknown group 'ghost'"):
+        Scenario(scene=scene, tasks=[Task("ghost", JointState("ghost", [0.0, 0.0]))], params=RunParams())
+    with pytest.raises(ValueError, match="goal needs 2 joint values"):
+        Scenario(scene=scene, tasks=[Task("arm", JointState("arm", [0.0]))], params=RunParams())
     ok = Scenario(scene=scene, tasks=[], params=RunParams())
     with pytest.raises(ScenarioInvalid):
         run(ok, "both")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RunParams(default_timeout=math.inf),
+    lambda: RunParams(check_static="false"),
+    lambda: Task("arm", JointState("arm", [0.0, 0.0]), submit_time=-1.0),
+    lambda: Task("arm", JointState("arm", [0.0, 0.0]), timeout=0.0),
+])
+def test_run_params_and_tasks_are_refused_where_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("tick, period", [(0.0, 5), (math.nan, 5), (math.inf, 5), (0.01, 0), (0.01, 2.5),
+                                          (0.01, True)])
+def test_run_params_and_the_manager_refuse_a_clock_alike(tick, period):
+    scene = scene_of([planar_arm("arm")], [[0.0, 0.0]])
+    with pytest.raises(ValueError) as params:
+        RunParams(tick_length=tick, monitor_period=period)
+    with pytest.raises(ValueError) as manager:
+        ExecutionManager(scene, tick_length=tick, monitor_period=period)
+    assert str(params.value) == str(manager.value)
+
+
+def crossing_data():
+    return json.loads(fixture_path("crossing.json").read_text())
+
+
+def test_the_loader_ignores_a_seed_key():
+    for seed in (3, "12", 1.5, None):
+        scenario = scenario_from_dict({**crossing_data(), "seed": seed})
+        assert run(scenario, "async").lines == run(fixture("crossing.json"), "async").lines
+
+
+def test_load_scenario_writes_the_params_given_over_the_file_s():
+    sc = load_scenario(fixture_path("crossing.json"), {"tick": 0.005, "monitor_period": 10})
+    assert (sc.params.tick_length, sc.params.monitor_period) == (0.005, 10)
+    assert sc.params.check == fixture("crossing.json").params.check
+    with pytest.raises(ScenarioInvalid, match="monitor_period"):
+        load_scenario(fixture_path("crossing.json"), {"monitor_period": 2.5})
+
+
+@pytest.mark.parametrize("damage", ["truncated", "latin-1", "nested"])
+def test_a_file_that_is_not_utf8_json_is_refused(tmp_path, damage):
+    text = fixture_path("crossing.json").read_text()
+    path = tmp_path / "bad.json"
+    if damage == "truncated":
+        path.write_text(text[: len(text) // 2])
+    elif damage == "latin-1":
+        path.write_bytes(text.replace('"left"', '"l\u00e9ft"').encode("latin-1"))
+    else:  # deeper than the parser's recursion limit
+        path.write_text("[" * 100_000)
+    with pytest.raises(ScenarioInvalid, match="not a JSON document"):
+        load_scenario(path)
+
+
+def test_a_scene_at_the_extent_bound_loads_and_backlogs_both_crossing_tasks():
+    data = crossing_data()
+    data["obstacles"] = [{"capsule": {"p0": [-MAX_EXTENT, 0, 0], "p1": [MAX_EXTENT, 0, 0], "radius": 0.1}}]
+    events = [Event.parse(line) for line in run(scenario_from_dict(data), "async").lines]
+    assert [(e.trajectory_id, e.fields["blockers"]) for e in events if e.kind == "BACKLOGGED"] == [
+        ("t0", "static"), ("t1", "static")]
+    assert [e.trajectory_id for e in events if e.kind == "TIMEOUT_ABORT"] == ["t0", "t1"]
+    data["obstacles"][0]["capsule"]["p1"][0] = float(np.nextafter(MAX_EXTENT, np.inf))
+    with pytest.raises(ScenarioInvalid, match="within"):
+        scenario_from_dict(data)
 
 
 def renamed_group(name):
@@ -305,7 +366,7 @@ def test_staggered_submission():
         Task(t.group_id, t.goal, submit_time=0.5 * i, timeout=t.timeout)
         for i, t in enumerate(sc.tasks)
     ]
-    sc2 = Scenario(scene=sc.scene, tasks=tasks, seed=sc.seed, params=sc.params)
+    sc2 = Scenario(scene=sc.scene, tasks=tasks, params=sc.params)
     result = run(sc2, "async")
     submitted = {
         e.trajectory_id: e.clock

@@ -21,6 +21,7 @@ from multiarm import (
 from multiarm import CheckParams, ExecutionManager, fixture_path, load_scenario, run
 from multiarm.collision import Layout
 from multiarm.harness import FIXTURES, scenario_from_dict
+from multiarm.geometry import MAX_EXTENT
 from multiarm.kinematics import _LIMIT_SLACK, ArmStack, rotation_about_axis, rpy_matrix
 
 from conftest import planar_arm
@@ -339,11 +340,19 @@ def test_joint_spec_validation():
         JointSpec.from_xyz_rpy(axis=(0, 0, 2))
     with pytest.raises(ValueError):
         JointSpec.from_xyz_rpy(axis=(0, 0, 1), limits=(1.0, -1.0))
+    JointSpec.from_xyz_rpy(axis=(0, 0, 1), xyz=(0.0, 0.0, -MAX_EXTENT))
+    for xyz in ((np.nextafter(MAX_EXTENT, np.inf), 0.0, 0.0), (0.0, 0.0, -1e308)):
+        with pytest.raises(ValueError, match="origin_offset"):
+            JointSpec.from_xyz_rpy(axis=(0, 0, 1), xyz=xyz)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
         planar_arm("arm", vlim=-1.0)
+    planar_arm("arm", base_xyz=(MAX_EXTENT, -MAX_EXTENT, 0.0))
+    for xyz in ((np.nextafter(MAX_EXTENT, np.inf), 0.0, 0.0), (0.0, 0.0, -1e308)):
+        with pytest.raises(ValueError, match="base_pose"):
+            planar_arm("arm", base_xyz=xyz)
     with pytest.raises(ValueError):
         RobotModel(
             group_id="arm",

@@ -2,17 +2,18 @@
 
 Inputs are the `crossing` fixture with one to three of its values replaced
 by odd JSON values (wrong types, nested lists, booleans, NaN, infinities,
-empty containers) or deleted. Whatever loads must also run without any
-error but the library's own (the CLI turns those into exit 1). The values
-are small, so that every run that loads ends within its tick budget in well
-under a second: a huge submit_time or timeout, or a tiny tick, would make a
-valid scenario tick for minutes.
+huge magnitudes, empty containers) or deleted. Whatever loads must also run
+without any error but the library's own (the CLI turns those into exit 1).
+The huge values reach the extent bound of the shapes and poses and `run`'s
+guards on run cost. No value is a tiny positive number: a tick that small
+passes the guards with a run of up to a million ticks, about a second each,
+which would slow the test down.
 """
 
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from multiarm import MultiArmError, ScenarioInvalid, fixture_path, run
@@ -20,8 +21,8 @@ from multiarm.harness import scenario_from_dict
 
 BASE = json.loads(fixture_path("crossing.json").read_text())
 DELETE = object()
-ODD = [None, True, False, 0, -1, 0.5, 2.57, math.nan, math.inf, -math.inf, "1",
-       [], [0.0], [[2.57, 0.0]], {}, DELETE]
+ODD = [None, True, False, 0, -1, 0.5, 2.57, 1e7, 1e150, -1e308, math.nan, math.inf, -math.inf,
+       "1", [], [0.0], [[2.57, 0.0]], {}, DELETE]
 
 
 def paths(node, prefix=()):
@@ -67,6 +68,10 @@ def edited(edits):
 @settings(derandomize=True, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(edits, st.sampled_from(["async", "sync"]))
+# a huge time reaches `run`'s tick guard on three paths only (the submit times and
+# the default timeout), which few of the random edits hit
+@example([(("tasks", 0, "submit_time"), 1e7)], "async")
+@example([(("params", "default_timeout"), 1e150)], "sync")
 def test_every_scenario_dict_loads_or_is_invalid(edits, mode):
     data = edited(edits)
     try:

@@ -127,17 +127,21 @@ def test_fast_path_logs_what_full_ticks_log_on_generated_sequences(check_static,
         twins.finish()
 
 
-def random_cell(rng):
+def random_cell(rng, across=False):
     """2-4 two-link arms facing each other across a ring, folded at rest,
-    0-2 spherical obstacles inside it, and the manager's settings."""
+    0-2 spherical obstacles inside it, and the manager's settings. With
+    `across`, the ring is smaller, arm a0 rests stretched out across its
+    centre, in its neighbours' way, and the check against parked arms is on."""
     n = int(rng.integers(2, 5))
-    ring = float(rng.uniform(1.1, 1.5))
+    ring = float(rng.uniform(0.85, 0.95) if across else rng.uniform(1.1, 1.5))
     models, idle = [], []
     for i in range(n):
         a = 2 * np.pi * i / n
         models.append(planar_arm(f"a{i}", (ring * np.cos(a), ring * np.sin(a), 0.0), (0.5, 0.4),
                                  0.04, float(rng.uniform(0.5, 2.0)), base_rpy=(0.0, 0.0, a + np.pi)))
         idle.append([float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.2, 2.0))])
+    if across:
+        idle[0] = [float(v) for v in rng.uniform(-0.1, 0.1, 2)]
     obstacles = [PlacedPrimitive(Sphere(center=[*rng.uniform(-0.6, 0.6, 2), 0.0], radius=0.05),
                                  ("static", k))
                  for k in range(int(rng.integers(0, 3)))]
@@ -146,22 +150,29 @@ def random_cell(rng):
         params=CheckParams(dt=tick, margin=0.02),
         tick_length=tick,
         monitor_period=int(rng.choice([1, 5])),
-        check_static=bool(rng.integers(0, 2)),
+        check_static=bool(rng.integers(0, 2)) or across,
         serialized=bool(rng.integers(0, 2)),
     )
     return scene_of(models, idle, obstacles), idle, settings_
 
 
-def drive_random_cell(seed, twins_class=Twins):
-    """Random submits, cancels and ticks on `random_cell(seed)`, run to the end."""
+def drive_random_cell(seed, twins_class=Twins, across=False):
+    """Random submits, cancels and ticks on `random_cell(seed, across)`, run to the end."""
     rng = np.random.default_rng(1700 + seed)
-    scene, idle, kwargs = random_cell(rng)
+    scene, idle, kwargs = random_cell(rng, across)
     twins = twins_class(scene, **kwargs)
     tick = kwargs["tick_length"]
     cursor = dict(zip(sorted(scene.robots), idle))
     groups = sorted(scene.robots)
     # timeouts below one tick, of a few ticks, and long enough to wait a motion out
     timeouts = [0.4 * tick, tick, 3 * tick, 1.0, 5.0, 30.0]
+    if across:  # a1 stretches out through the centre, and waits on a0; then a0 bends its elbow
+        opening = [("a1", [float(rng.uniform(-0.1, 0.1)), 0.0]),
+                   ("a0", [cursor["a0"][0], float(rng.choice([-0.5, 0.5]))])]
+        for g, goal in opening:
+            twins.submit(sweep_traj(scene.robots[g], cursor[g], goal, f"open_{g}"), 30.0)
+            cursor[g] = goal
+            twins.tick(int(rng.integers(1, 4)))
     for step in range(int(rng.integers(8, 20))):
         op = rng.choice(["submit", "submit", "tick", "tick", "cancel"])
         if op == "submit":
@@ -188,6 +199,29 @@ def test_fast_path_logs_what_full_ticks_log_in_random_cells():
     # every way an entry ends, and most ticks skippable
     assert kinds == set(EVENT_KINDS)
     assert skippable > ticks / 2
+
+
+def admission_requeues(events):
+    """The REQUEUED events whose trigger `idle:g` an admission of arm g made
+    stale: g's last event before them is an ADMITTED."""
+    group, last, found = {}, {}, []
+    for e in events:
+        if e.kind == "SUBMITTED":
+            group[e.trajectory_id] = e.fields["group"]
+            continue
+        if e.kind == "REQUEUED" and e.values[0].startswith("idle:") and last.get(e.values[0][5:]) == "ADMITTED":
+            found.append(e)
+        last[group[e.trajectory_id]] = e.kind
+    return found
+
+
+def test_fast_path_logs_what_full_ticks_log_in_cells_with_an_arm_parked_across():
+    """An entry waits on `idle:a0`, and a0's admission alone can requeue it on
+    the next tick; a manager that left that requeue for a later trigger
+    would log it later than `FullTicks` does."""
+    requeues = sum(len(admission_requeues(drive_random_cell(seed, across=True).fast.events))
+                   for seed in range(40))
+    assert requeues >= 20
 
 
 class BoxedTwins(Twins):
@@ -263,10 +297,11 @@ def test_the_tick_after_an_admission_sweeps_the_entries_it_unblocked():
 # (both random drives fail); `submit` not lowering the wake (the cancel test
 # and the float-rules test fail); `_finish` making a requeue due without
 # lowering the wake (the cancel test fails); admission never making a requeue
-# due (the admission test and the ring16 count fail); admission always making
-# one (both counts fail); and `FullTicks` forcing full ticks from inside
-# `_tick_locked`, which the fast path in `tick()` never reaches (its
-# clock-read check fails in every test that drives `Twins`).
+# due (the parked-across cells' differential check, the admission test and
+# the ring16 count fail); admission always making one (both counts fail); and
+# `FullTicks` forcing full ticks from inside `_tick_locked`, which the fast
+# path in `tick()` never reaches (its clock-read check fails in every test
+# that drives `Twins`).
 
 
 def test_a_run_stops_and_an_entry_aborts_on_the_tick_the_float_rules_chose():
