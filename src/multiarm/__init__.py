@@ -6,7 +6,6 @@ from .collision import (
     RunningRecord,
     Scene,
     Timeline,
-    candidate_sweep,
     composite_state_check,
     pair_clearances,
     required_margin,

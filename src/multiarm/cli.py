@@ -43,10 +43,13 @@ def main(argv=None) -> int:
     given = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     try:
         result = run(load_scenario(args.scenario, given), mode=args.mode)
-        if args.metrics_out:
-            write_metrics(result.metrics, args.metrics_out)
-        if args.events_out:
-            write_events(result.lines, args.events_out)
+        for write, data, path in ((write_metrics, result.metrics, args.metrics_out),
+                                  (write_events, result.lines, args.events_out)):
+            try:
+                if path:
+                    write(data, path)
+            except ValueError as exc:  # a name no file can have, such as one with a NUL byte
+                raise OSError(f"cannot write {path!r}: {exc}") from exc
     except (MultiArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

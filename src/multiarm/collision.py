@@ -9,12 +9,13 @@ clearance (segment distance minus radii) of every pair at every sample. A
 pair whose AABBs, inflated by margin/2, do not overlap reads infinitely
 clear (`FAR`), which is sound because its clearance exceeds the margin.
 
-The cull: one `BoxTable` per manager, which admission and the monitor both
-read, culls pairs before anything is placed. Each row's box, inflated by
-margin/2, holds the row at every instant until the next admission of its arm:
-an obstacle's is fixed; an arm that never ran is unbounded until a sweep
+The cull, and all other collision state a manager keeps between calls,
+has one owner: its `Monitor`, whose admission sweeps (`Monitor.sweep`) and
+checks both read its box table. Each row's box, inflated by margin/2, holds
+the row at every instant until the next admission of its arm: an
+obstacle's is fixed; an arm that never ran is unbounded until a sweep
 places its idle posture, then boxed there; a running arm has its run's box
-(`Placed.run_box`); a stopped arm keeps that box until a sweep places its
+(`Monitor.admit`); a stopped arm keeps that box until a sweep places its
 held row, then has that row's. A candidate's links are boxed over its motion
 alike. A pair whose boxes are apart on some axis is one the AABB test prunes
 at every instant, so it reads `FAR` unmeasured, and an arm left with no pair
@@ -26,7 +27,7 @@ that attains the minimum at the first colliding sample. Culling keeps the
 pair order and drops only pairs whose clearance exceeds the margin, so it
 changes neither verdicts nor witnesses, nor the minimum of a colliding check.
 
-The periodic `Monitor` also skips pairs over time. A check that finds pairs
+`Monitor.check` also skips pairs over time. A check that finds pairs
 due puts to sleep for good those the cull drops (an admission, which
 replaces its arm's boxes, wakes them), measures the rest at every remaining
 check instant of the planned motion at once, its window, and puts each to
@@ -330,191 +331,152 @@ def _motion_times(duration: float, dt: float) -> np.ndarray:
     return np.append(np.arange(k) * dt, duration)
 
 
-class Placed:
-    """A candidate's links placed at every instant a sweep's grid reads it at
-    (`_motion_times`), as `Layout.place` gives them (so cut at a held tail,
-    which the grid's end reads too), and their (L, 6) link boxes at the margin.
+class Monitor:
+    """All of a manager's collision state, for one layout at one CheckParams;
+    the module docstring states the rules it keeps.
 
-    Pass one to every sweep of a candidate on one layout with one
-    CheckParams: the first sweep fills it, and no later one places the
-    candidate again.
+    - `boxes` (S, 6): the cull's box of each row (lo xyz, hi xyz), inflated
+      by margin/2. `held[g]`: the placed endpoints (e0, e1), each (1, L, 3),
+      of the row a parked arm g holds (`hold`).
+    - `candidates[g]`: `(trajectory, e0, e1, box)`, the trajectory arm g last
+      swept, placed at every instant a sweep's grid reads it (`_motion_times`,
+      cut at a held tail as `Layout.place` cuts), and its (L, 6) link boxes.
+    - `safe_until`: a time for each pair of the layout's list. A pair is due
+      at a check whose clock has reached it; a new monitor has every pair
+      due. `_next`, the earliest, lets a check before it find nothing due.
     """
 
-    __slots__ = ("e0", "e1", "box")
-
-    def __init__(self):
-        self.e0 = self.e1 = self.box = None
-
-    def run_box(self, model: RobotModel, params: CheckParams) -> np.ndarray:
-        """(L, 6) boxes, each around one link's capsule at every instant of a
-        run of this motion, once a sweep placed it: its box over the rows
-        (at most dt apart in time), radius included, grown by the farthest a
-        point of the arm moves in dt / 2, with slack for rounding."""
-        pad = model.max_cartesian_speed_bound * (1.0 + 1e-6) * params.dt / 2.0 + 1e-9
-        return self.box + (pad - params.margin / 2.0) * _SIGN
-
-
-class BoxTable:
-    """The cull's box of every row of a layout at one margin (see the module
-    docstring): `boxes` (S, 6), each row's (lo xyz, hi xyz) inflated by
-    margin/2, and `held[g]`, the placed endpoints (e0, e1), each (1, L, 3),
-    of a parked arm g's row since a check placed it. A manager keeps one,
-    its monitor's: `admit` writes an arm's run, and a sweep `hold`s the
-    parked arms it places.
-    """
-
-    def __init__(self, layout: Layout, margin: float):
-        self.layout, self.margin = layout, margin
+    def __init__(self, layout: Layout, params: CheckParams):
+        self.layout, self.params, self.ii, self.jj = layout, params, layout.ii, layout.jj
         self.boxes = _OPEN.repeat(len(layout.owners), axis=0)
         s = slice(layout.static_rows.start, layout.static_rows.stop)
-        self.boxes[s] = _box(*(e[None] for e in layout._static_ends), layout.radii[s], margin / 2.0)
+        self.boxes[s] = _box(*(e[None] for e in layout._static_ends), layout.radii[s], params.margin / 2.0)
         self.held: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def admit(self, g: str, box: np.ndarray):
-        """Arm g runs within its (L, 6) link boxes `box`."""
-        rows = slice(self.layout.rows[g].start, self.layout.rows[g].stop)
-        self.boxes[rows] = box + self.margin / 2.0 * _SIGN
-        self.held.pop(g, None)
-
-    def hold(self, g: str, e0: np.ndarray, e1: np.ndarray):
-        """Arm g is parked, until its next admission, at the row placed as `e0`, `e1`."""
-        rows = self.layout.rows[g]
-        self.boxes[rows.start : rows.stop] = _box(e0, e1, self.layout.radii[rows], self.margin / 2.0)
-        self.held[g] = e0.copy(), e1.copy()  # not the block of the call that placed it
-
-
-def candidate_sweep(
-    candidate: JointTrajectory,
-    now: float,
-    params: CheckParams,
-    table: BoxTable,
-    timeline: Timeline,
-    running: list[str],
-    parked: list[str] | None = None,
-    placed: Placed | None = None,
-) -> list[CollisionReport]:
-    """Check a candidate starting at `now` against everything else in one sweep.
-
-    The candidate is sampled at params.dt on one grid over the longest
-    horizon (its duration or a running arm's remaining motion), held at its
-    end past it, and the other arms are read from `timeline` at `now` plus
-    the grid. The candidate's links are paired with the links of every
-    `running` arm, then with the static obstacles and the `parked` arms (in
-    sorted group order), and one kernel call gives all clearances.
-
-    A candidate's first sweep places it, at every instant a grid reads it
-    at, and boxes its links; `placed` keeps both for later sweeps. The same
-    call places each parked arm that `table`, the box table of the layout at
-    params.margin (`ValueError` for a table at another margin), does not
-    hold yet, and the table then holds it: a parked arm must be held from
-    `now` until its next admission. One test of the candidate's link boxes
-    against the table drops, in order, each pair that the cull of the module
-    docstring drops, and a sweep left with no pair calls no kernel. One more
-    call places the running arms left with a pair, and `Layout.spread`
-    builds the kernel's arrays.
-
-    Returns one report per running arm, in order, then, unless `parked` is
-    None, one for the static obstacles and the parked arms together; a
-    block with no pair left is reported clear at `FAR`, as the full sweep
-    reports it. Times in the reports are relative to the candidate start.
-    """
-    if table.margin != params.margin:
-        raise ValueError(f"the table's margin {table.margin} is not the sweep's {params.margin}")
-    layout, fixed = table.layout, sorted(parked or ())
-    groups = [candidate.group_id] + list(running) + fixed
-    unknown = set(groups) - set(layout.robots)
-    if unknown:
-        raise UnknownGroup(f"no robot model for groups {sorted(unknown)}")
-    runs = [timeline.runs[g][-1] for g in running]
-    if len(set(groups)) < len(groups) or any(run.start_time > now for run in runs):
-        raise ValueError("the candidate, running and parked arms must be distinct groups, "
-                         "and running arms must have started their runs by `now`")
-    g0, margin = candidate.group_id, params.margin
-    remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
-    times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
-    # the candidate's first placement, in one call with every parked arm the
-    # table does not hold yet, which it then holds
-    placed = Placed() if placed is None else placed
-    fresh = [g for g in fixed if g not in table.held]
-    q = {} if placed.e0 is not None else {
-        g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
-    q.update(timeline.at(fresh, times, since=now))
-    if q:
-        put = layout.place(q)
-        for g in fresh:
-            table.hold(g, *put[g])
-        if placed.e0 is None:
-            placed.e0, placed.e1 = put[g0]
-            placed.box = _box(placed.e0, placed.e1, layout.radii[layout.rows[g0]], margin / 2.0)
-    # each row's body in pair order (-1: not in the sweep): the running arms,
-    # then the obstacles, then the parked arms; then the pairs of candidate
-    # link i and row j whose boxes overlap, body by body and i major
-    rank = np.full(len(layout.groups) + 1, -1)
-    rank[[layout.index[g] for g in running]] = np.arange(len(running))
-    if parked is not None:
-        rank[[-1] + [layout.index[g] for g in fixed]] = len(running) + np.arange(len(fixed) + 1)
-    body = rank[layout.arm]
-    i, jj = ((body >= 0) & ~_apart(placed.box[:, None], table.boxes[None])).nonzero()
-    order = body[jj].argsort(kind="stable")
-    ii, jj = layout.rows[g0].start + i[order], jj[order]
-    blocks = len(running) + (parked is not None)
-    bounds = np.minimum(body[jj], len(running)).searchsorted(np.arange(blocks + 1))
-    if not ii.size:
-        return [_CLEAR] * blocks
-
-    # place only the running arms left with a pair
-    touched = set(layout.arm[jj].tolist())
-    put = {g0: (placed.e0, placed.e1)}
-    if len(times) < len(placed.e0):  # the grid's rows: all below its end, then the end
-        sel = np.append(np.arange(len(times) - 1), len(placed.e0) - 1)
-        put[g0] = placed.e0[sel], placed.e1[sel]
-    put.update((g, table.held[g]) for g in fixed if layout.index[g] in touched)
-    q = timeline.at([g for g in running if layout.index[g] in touched], times, since=now)
-    if q:
-        put.update(layout.place(q))
-    p0, p1 = layout.spread(put)
-    clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
-    return [
-        _report(times, clear[:, a:b], layout.owners, ii[a:b], jj[a:b], margin)
-        for a, b in zip(bounds, bounds[1:])
-    ]
-
-
-class Monitor:
-    """The composite-state check of a layout at one margin, over the planned motion.
-
-    Keeps a `safe_until` time for each pair of the layout's list, in order:
-    a pair is due at a check whose clock has reached it; a new monitor has
-    every pair due. `wake(g)` makes g's pairs due, for an arm that leaves the
-    motion the last window saw; `admit(g, box)` also does it for a new run,
-    whose link boxes it writes into `table`, the cull's (see the module
-    docstring). `_next`, the earliest `safe_until`, lets a check before it
-    find nothing due.
-    """
-
-    def __init__(self, layout: Layout, margin: float):
-        self.layout, self.margin, self.ii, self.jj = layout, margin, layout.ii, layout.jj
-        self.table = BoxTable(layout, margin)
+        self.candidates: dict[str, tuple] = {}
         self._a, self._b = layout.arm[self.ii], layout.arm[self.jj]
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
                        for k, g in enumerate(layout.groups)}
         self.safe_until = np.full(len(self.ii), -math.inf)
         self._next = -math.inf if len(self.ii) else math.inf
 
+    def hold(self, g: str, e0: np.ndarray, e1: np.ndarray):
+        """Arm g is parked, until its next admission, at the row placed as `e0`, `e1`."""
+        rows = self.layout.rows[g]
+        self.boxes[rows.start : rows.stop] = _box(e0, e1, self.layout.radii[rows], self.params.margin / 2.0)
+        self.held[g] = e0.copy(), e1.copy()  # not the block of the call that placed it
+
     def wake(self, g: str):
+        """Make g's pairs due, for an arm that leaves the motion the last window saw."""
         if self._pairs[g].size:
             self.safe_until[self._pairs[g]] = self._next = -math.inf
 
-    def admit(self, g: str, box: np.ndarray):
-        """Wake g's pairs for a new run with (L, 6) link boxes `box` (`Placed.run_box`)."""
-        self.table.admit(g, box)
+    def admit(self, g: str, trajectory: JointTrajectory):
+        """Arm g runs `trajectory`, the candidate it last swept, whose placement
+        goes: wake g's pairs, and box each link at every instant of the run by
+        its box over the placed rows (at most dt apart in time), grown by the
+        farthest a point of the arm moves in dt / 2, with slack for rounding."""
+        if self.candidates.get(g, (None,))[0] is not trajectory:
+            raise ValueError(f"admit only the trajectory that arm '{g}' last swept")
+        _, _, _, box = self.candidates.pop(g)
+        margin = self.params.margin
+        pad = self.layout.robots[g].max_cartesian_speed_bound * (1.0 + 1e-6) * self.params.dt / 2.0 + 1e-9
+        self.boxes[self.layout.rows[g]] = box + (pad - margin / 2.0) * _SIGN + margin / 2.0 * _SIGN
+        self.held.pop(g, None)
         self.wake(g)
+
+    def sweep(
+        self,
+        candidate: JointTrajectory,
+        now: float,
+        timeline: Timeline,
+        running: list[str],
+        parked: list[str] | None = None,
+    ) -> list[CollisionReport]:
+        """Check a candidate starting at `now` against everything else in one sweep.
+
+        The candidate is sampled at params.dt on one grid over the longest
+        horizon (its duration or a running arm's remaining motion), held at its
+        end past it, and the other arms are read from `timeline` at `now` plus
+        the grid. The candidate's links are paired with the links of every
+        `running` arm, then with the static obstacles and the `parked` arms (in
+        sorted group order), and one kernel call gives all clearances.
+
+        A candidate that is not its arm's entry in `candidates` is placed and
+        kept there, in one call with each parked arm not `held` yet, which is
+        then held. One test of the candidate's link boxes against `boxes`
+        drops, in order, the pairs the cull drops, and a sweep left with no
+        pair calls no kernel; one more call places the running arms left with
+        a pair.
+
+        Returns one report per running arm, in order, then, unless `parked` is
+        None, one for the static obstacles and the parked arms together; a
+        block with no pair left is reported clear at `FAR`, as the full sweep
+        reports it. Times in the reports are relative to the candidate start.
+        """
+        layout, params, fixed = self.layout, self.params, sorted(parked or ())
+        groups = [candidate.group_id] + list(running) + fixed
+        unknown = set(groups) - set(layout.robots)
+        if unknown:
+            raise UnknownGroup(f"no robot model for groups {sorted(unknown)}")
+        runs = [timeline.runs[g][-1] for g in running]
+        if len(set(groups)) < len(groups) or any(run.start_time > now for run in runs):
+            raise ValueError("the candidate, running and parked arms must be distinct groups, "
+                             "and running arms must have started their runs by `now`")
+        g0, margin = candidate.group_id, params.margin
+        remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
+        times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
+        # the candidate's placement, unless it is kept, in one call with every
+        # parked arm not held yet
+        fresh = [g for g in fixed if g not in self.held]
+        q = {} if self.candidates.get(g0, (None,))[0] is candidate else {
+            g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
+        q.update(timeline.at(fresh, times, since=now))
+        if q:
+            put = layout.place(q)
+            for g in fresh:
+                self.hold(g, *put[g])
+            if g0 in put:
+                box = _box(*put[g0], layout.radii[layout.rows[g0]], margin / 2.0)
+                self.candidates[g0] = (candidate, *put[g0], box)
+        _, e0, e1, box = self.candidates[g0]
+        # each row's body in pair order (-1: not in the sweep): the running arms,
+        # then the obstacles, then the parked arms; then the pairs of candidate
+        # link i and row j whose boxes overlap, body by body and i major
+        rank = np.full(len(layout.groups) + 1, -1)
+        rank[[layout.index[g] for g in running]] = np.arange(len(running))
+        if parked is not None:
+            rank[[-1] + [layout.index[g] for g in fixed]] = len(running) + np.arange(len(fixed) + 1)
+        body = rank[layout.arm]
+        i, jj = ((body >= 0) & ~_apart(box[:, None], self.boxes[None])).nonzero()
+        order = body[jj].argsort(kind="stable")
+        ii, jj = layout.rows[g0].start + i[order], jj[order]
+        blocks = len(running) + (parked is not None)
+        bounds = np.minimum(body[jj], len(running)).searchsorted(np.arange(blocks + 1))
+        if not ii.size:
+            return [_CLEAR] * blocks
+
+        # place only the running arms left with a pair
+        touched = set(layout.arm[jj].tolist())
+        put = {g0: (e0, e1)}
+        if len(times) < len(e0):  # the grid's rows: all below its end, then the end
+            sel = np.append(np.arange(len(times) - 1), len(e0) - 1)
+            put[g0] = e0[sel], e1[sel]
+        put.update((g, self.held[g]) for g in fixed if layout.index[g] in touched)
+        q = timeline.at([g for g in running if layout.index[g] in touched], times, since=now)
+        if q:
+            put.update(layout.place(q))
+        p0, p1 = layout.spread(put)
+        clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
+        return [
+            _report(times, clear[:, a:b], layout.owners, ii[a:b], jj[a:b], margin)
+            for a, b in zip(bounds, bounds[1:])
+        ]
 
     def check(self, clock: float, window) -> CollisionReport:
         """One check at `clock`, reported from the state at `clock` alone (a
         colliding report's first_collision_time is 0.0, relative to `clock`).
 
-        A due pair that the table's cull drops (see the module docstring)
+        A due pair that the cull of `boxes` drops (see the module docstring)
         sleeps for good. For the pairs left, if any, `window(groups, limit)`
         gives the look-ahead of their arms: `(times, q, cut)`, at most
         `limit` check instants from `clock` on, each arm's positions at them
@@ -531,8 +493,7 @@ class Monitor:
         if clock < self._next:
             return _CLEAR
         due = np.flatnonzero(self.safe_until <= clock)
-        boxes = self.table.boxes
-        apart = _apart(boxes[self.ii[due]], boxes[self.jj[due]])
+        apart = _apart(self.boxes[self.ii[due]], self.boxes[self.jj[due]])
         self.safe_until[due[apart]] = math.inf
         due = due[~apart]
         if not due.size:
@@ -543,14 +504,14 @@ class Monitor:
         groups = [g for g, m in zip(self.layout.groups, involved.tolist()) if m]
         limit = max(1, PAIR_SAMPLES // max(due.size, len(self.layout.owners)))
         times, q, cut = window(groups, limit)
-        layout, ii, jj = self.layout, self.ii[due], self.jj[due]
+        layout, ii, jj, margin = self.layout, self.ii[due], self.jj[due], self.params.margin
         p0, p1 = layout.spread(layout.place(q))
-        clear = pair_clearances(p0, p1, layout.radii, ii, jj, self.margin)
-        below = clear <= self.margin
+        clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
+        below = clear <= margin
         self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)],
                                         times[-1] if cut else math.inf)
         self._next = float(self.safe_until.min())
-        return _report(np.zeros(1), clear[:1], layout.owners, ii, jj, self.margin)
+        return _report(np.zeros(1), clear[:1], layout.owners, ii, jj, margin)
 
 
 def composite_state_check(
@@ -558,13 +519,14 @@ def composite_state_check(
 ) -> CollisionReport:
     """One discrete check of the consolidated multi-robot state: a new
     `Monitor`, every pair due, whose window is the one instant 0.0. Needs one
-    state per robot group; a colliding report's first_collision_time is 0.0."""
+    state per robot group, and a margin that CheckParams accepts; a
+    colliding report's first_collision_time is 0.0."""
     missing = set(scene.robots) - set(states)
     if missing:
         raise MissingGroupState(f"missing states for groups: {sorted(missing)}")
     extra = set(states) - set(scene.robots)
     if extra:
         raise UnknownGroup(f"states for unknown groups: {sorted(extra)}")
-    return Monitor(scene.layout, margin).check(
+    return Monitor(scene.layout, CheckParams(margin=margin)).check(
         0.0, lambda groups, limit: (np.zeros(1), {g: states[g].positions[None] for g in groups}, False)
     )

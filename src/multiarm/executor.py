@@ -58,11 +58,9 @@ import numpy as np
 from .collision import (
     CheckParams,
     Monitor,
-    Placed,
     RunningRecord,
     Scene,
     Timeline,
-    candidate_sweep,
     composite_state_check,
     required_margin,
 )
@@ -187,8 +185,6 @@ class Event(NamedTuple):
 
 # Blocker tokens: ("traj", entry) | ("idle", group, its last run) | ("static",);
 # an idle token is stale once admission or a stop replaced the group's last run.
-# `placed` keeps the trajectory's placement across its sweeps until it leaves
-# the backlog for good.
 @dataclass(eq=False)
 class _Entry:
     handle: ExecHandle
@@ -198,7 +194,6 @@ class _Entry:
     deadline_tick: int
     status: ExecStatus
     blocker_tokens: tuple = ()
-    placed: Placed | None = None
 
 
 def _token_label(token) -> str:
@@ -245,7 +240,7 @@ class ExecutionManager:
         # changed; set by _requeue_soon, cleared by step 2
         self._requeue_due = False
         self._wake = math.inf  # no step acts before this tick (see the module docstring)
-        self._monitor = Monitor(scene.layout, self.params.margin)
+        self._monitor = Monitor(scene.layout, self.params)
         self.events: list[Event] = []
         # serializes external callers (submit/cancel/status) against tick()
         self._lock = threading.Lock()
@@ -450,7 +445,6 @@ class ExecutionManager:
     def _finish(self, entry: _Entry, event: str, kind: StatusKind, *values, **status):
         """The one terminal transition: final status, out of the chain, logged."""
         entry.status = ExecStatus(kind, **status)
-        entry.placed = None
         self._chains[entry.handle.group_id].remove(entry)
         self._requeue_soon()
         self._event(event, entry, *values)
@@ -516,9 +510,7 @@ class ExecutionManager:
                      for run in (self._timeline.runs[h][-1] for h in running))
         states += grid_size(duration, dt) if parked is not None else 0
         # a sweep with nothing to check still places the candidate, to box its run
-        entry.placed = entry.placed or Placed()
-        reports = candidate_sweep(entry.trajectory, clock, self.params, self._monitor.table,
-                                  self._timeline, running, parked, entry.placed)
+        reports = self._monitor.sweep(entry.trajectory, clock, self._timeline, running, parked)
         tokens = [("traj", self._running[h]) for h, rep in zip(running, reports) if rep.colliding]
         if parked is not None and reports[-1].colliding:
             blocking_owner = reports[-1].witness[1]
@@ -533,14 +525,12 @@ class ExecutionManager:
             return
         # the run stops at the first tick at or after its end, whose step 1 completes it
         k = _tick_at(clock + duration, self.tick_length, self._tick_index)
-        box = entry.placed.run_box(self.scene.robots[g], self.params)
         run = RunningRecord(entry.trajectory, clock, k * self.tick_length, duration, k)
-        entry.placed = None
         self._timeline.runs[g].append(run)
         self._running[g] = entry
         # the new run makes stale only an idle token on this arm
         if any(t[0] == "idle" and t[1] == g for e in self._backlog for t in e.blocker_tokens):
             self._requeue_soon()
-        self._monitor.admit(g, box)
+        self._monitor.admit(g, entry.trajectory)
         entry.status = ExecStatus(StatusKind.RUNNING, start_time=clock)
         self._event("ADMITTED", entry, clock, checks, states)

@@ -385,11 +385,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         idles = {}
         for rd in data["robots"]:
             model, idle = robot_from_dict(rd)
-            # the event log separates its columns by tabs and lines, and its fields by ';'
-            if not isinstance(model.group_id, str) or model.group_id in robots \
-                    or any(c in model.group_id for c in ";\t\r\n"):
-                raise ScenarioInvalid(f"group_id {model.group_id!r} is not a new string "
-                                      "free of ';', tabs and line breaks")
+            if model.group_id in robots:
+                raise ScenarioInvalid(f"group_id {model.group_id!r} names two robots")
             robots[model.group_id] = model
             idles[model.group_id] = idle
         obstacles = [
@@ -424,10 +421,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario(path, params=None) -> Scenario:
     """The one reader of scenario files: a UTF-8 JSON file, each key of `params`
-    written over its own params; `ScenarioInvalid` if it is not a scenario."""
+    written over its own params; `ScenarioInvalid` if it cannot be read or
+    is not a scenario."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        text = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # no such file, or a name no file can have (a NUL byte)
+        raise ScenarioInvalid(f"cannot read the scenario {str(path)!r}: {exc}") from exc
+    try:
+        data = json.loads(text.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise ScenarioInvalid(f"{path} is not a JSON document: {exc}") from exc
     if params and isinstance(data, dict) and isinstance(data.get("params", {}), dict):

@@ -77,7 +77,8 @@ class JointSpec:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,):
             raise ValueError("joint axis must be a 3-vector")
-        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
+        # an entry past 1 in magnitude, or not finite, is refused before its square can overflow
+        if not (np.abs(axis) <= 1.0 + 1e-9).all() or not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
             raise ValueError("joint axis must have unit norm")
         origin = np.asarray(self.origin_offset, dtype=float)
         if origin.shape != (4, 4) or not np.all(np.isfinite(origin)):
@@ -139,6 +140,9 @@ class RobotModel:
     max_cartesian_speed_bound: float = field(init=False)
 
     def __post_init__(self):
+        # the event log separates its columns by tabs and lines, and its fields by ';'
+        if not isinstance(self.group_id, str) or any(c in self.group_id for c in ";\t\r\n"):
+            raise ValueError(f"group_id {self.group_id!r} is not a string free of ';', tabs and line breaks")
         self.base_pose = np.asarray(self.base_pose, dtype=float)
         if self.base_pose.shape != (4, 4) or not np.all(np.isfinite(self.base_pose)):
             raise ValueError("base_pose must be a finite 4x4 transform")

@@ -70,6 +70,8 @@ def validate(traj: JointTrajectory, model: RobotModel) -> list[Violation]:
 
     # each check an array test; only the offending rows are looped over
     problems = [Violation("NonZeroStart", f"first waypoint at t={times[0]}")] if times[0] != 0.0 else []
+    if any(c in str(traj.id) for c in ";\t\r\n"):  # each breaks a line or a field of the event log
+        problems.append(Violation("BadId", f"trajectory id {traj.id!r} has ';', a tab or a line break"))
     dt = times[1:] - times[:-1]
     bad = (dt <= 0.0).nonzero()[0]
     problems += [Violation("NonMonotonicTime",

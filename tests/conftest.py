@@ -24,7 +24,6 @@ from multiarm import (
     Scene,
     Task,
     Timeline,
-    candidate_sweep,
     collision,
     composite_state_check,
     executor,
@@ -33,7 +32,7 @@ from multiarm import (
     plan_joint_line,
     pose,
 )
-from multiarm.collision import BoxTable, Layout, Monitor
+from multiarm.collision import Layout, Monitor
 from multiarm.harness import FIXTURES, scenario_from_dict
 from multiarm.kinematics import ArmStack
 
@@ -111,17 +110,17 @@ def sweep_traj(model, q0, q1, traj_id=None):
 
 
 def timeline_sweep(candidate, now, params, layout, running, parked=None):
-    """candidate_sweep on a Timeline of the `running` records, each arm held
-    at its first waypoint before its run, and of the `parked` postures (by
-    group, or None for no check against obstacles and parked arms)."""
+    """A new monitor's sweep on a Timeline of the `running` records, each arm
+    held at its first waypoint before its run, and of the `parked` postures
+    (by group, or None for no check against obstacles and parked arms)."""
     timeline = Timeline(dict(parked or {}))
     for rec in running:
         g = rec.trajectory.group_id
         timeline.held.setdefault(g, JointState(g, rec.trajectory.positions[0]))
         timeline.runs[g].append(rec)
     groups = [rec.trajectory.group_id for rec in running]
-    return candidate_sweep(candidate, now, params, BoxTable(layout, params.margin), timeline, groups,
-                           None if parked is None else list(parked))
+    return Monitor(layout, params).sweep(candidate, now, timeline, groups,
+                                         None if parked is None else list(parked))
 
 
 def running_check(candidate, running, now, params, models):
@@ -225,7 +224,7 @@ def monitor_oracle(scene):
             groups = sorted(scene.robots)
             _, q, _ = window(groups, 1)
             states = {g: JointState(g, q[g][0]) for g in groups}
-            full = composite_state_check(states, scene, self.margin)
+            full = composite_state_check(states, scene, self.params.margin)
             assert report.colliding == full.colliding, clock
             if full.colliding:
                 assert report == full, clock
@@ -265,7 +264,7 @@ def timeline_oracle():
     def parked(timeline):
         return postures.setdefault(timeline, dict(timeline.held))
 
-    stop, window, sweep = ExecutionManager._stop, ExecutionManager._window, executor.candidate_sweep
+    stop, window, sweep = ExecutionManager._stop, ExecutionManager._window, Monitor.sweep
 
     def checked_stop(mgr, g, elapsed):
         parked(mgr._timeline)[g] = state_at(mgr._timeline.runs[g][-1].trajectory, elapsed)
@@ -281,18 +280,19 @@ def timeline_oracle():
         counts["window"] += len(groups)
         return times, q, cut
 
-    def checked_sweep(candidate, now, params, table, timeline, running, parked_groups, *rest):
-        times, want = sweep_reads(candidate, now, params, [timeline.runs[g][-1] for g in running])
+    def checked_sweep(monitor, candidate, now, timeline, running, parked_groups=None):
+        runs = [timeline.runs[g][-1] for g in running]
+        times, want = sweep_reads(candidate, now, monitor.params, runs)
         want.update((g, parked(timeline)[g].positions[None]) for g in parked_groups or ())
         got = timeline.at(want, times, since=now)
         for g in want:
             assert same_bits(got[g], want[g]), (now, g)
         counts["admission"] += len(want)
-        return sweep(candidate, now, params, table, timeline, running, parked_groups, *rest)
+        return sweep(monitor, candidate, now, timeline, running, parked_groups)
 
     with mock.patch.object(ExecutionManager, "_stop", checked_stop), \
             mock.patch.object(ExecutionManager, "_window", checked_window), \
-            mock.patch.object(executor, "candidate_sweep", checked_sweep):
+            mock.patch.object(Monitor, "sweep", checked_sweep):
         yield counts
 
 
@@ -310,17 +310,18 @@ def no_box_apart(a, b):
 def cull_oracle():
     """Check every admission sweep inside the block against the same sweep
     with no boxes: no two boxes apart, so every running and parked arm placed
-    and paired, no placement kept from an earlier sweep, and a box table of
-    its own. Every report must be the same, field for field.
+    and paired, on a new monitor: no placement kept from an earlier sweep,
+    and no box table but its own. Every report must be the same, field for
+    field.
 
     Yields counts of the sweeps, and of the running arms that the box table
     left with no pair, reported `FAR` without placing them.
     """
     counts = {"sweeps": 0, "culled": 0}
-    sweep = executor.candidate_sweep
+    sweep = Monitor.sweep
     place = Layout.place
 
-    def checked(candidate, now, params, table, timeline, running, parked, *rest):
+    def checked(monitor, candidate, now, timeline, running, parked=None):
         placed_groups = []
 
         def spy(self, q, *args):
@@ -328,10 +329,9 @@ def cull_oracle():
             return place(self, q, *args)
 
         with mock.patch.object(Layout, "place", spy):
-            got = sweep(candidate, now, params, table, timeline, running, parked, *rest)
+            got = sweep(monitor, candidate, now, timeline, running, parked)
         with mock.patch.object(collision, "_apart", no_box_apart):
-            want = sweep(candidate, now, params, BoxTable(table.layout, params.margin), timeline,
-                         running, parked)
+            want = sweep(Monitor(monitor.layout, monitor.params), candidate, now, timeline, running, parked)
         assert len(got) == len(want)
         for report, reference in zip(got, want):
             assert same_report(report, reference), (now, candidate.id)
@@ -339,7 +339,7 @@ def cull_oracle():
         counts["culled"] += sum(g not in placed_groups for g in running)
         return got
 
-    with mock.patch.object(executor, "candidate_sweep", checked):
+    with mock.patch.object(Monitor, "sweep", checked):
         yield counts
 
 

@@ -440,7 +440,9 @@ def loop_validate(traj, model) -> list:
 
     if traj.times[0] != 0.0:
         problems.append(Violation("NonZeroStart", f"first waypoint at t={traj.times[0]}"))
-    bad = np.nonzero(np.diff(traj.times) <= 0.0)[0]
+    if set(str(traj.id)) & {";", "\t", "\r", "\n"}:
+        problems.append(Violation("BadId", f"trajectory id {traj.id!r} has ';', a tab or a line break"))
+    bad =np.nonzero(np.diff(traj.times) <= 0.0)[0]
     for k in bad:
         problems.append(
             Violation("NonMonotonicTime",

@@ -1,6 +1,6 @@
-"""The box table of admission: a pair of a candidate link and a link or
-obstacle whose boxes stay more than the margin apart is not paired, and a
-running arm left with no pair is not placed.
+"""The box table of admission, which a manager's `Monitor` keeps: a pair of a
+candidate link and a link or obstacle whose boxes stay more than the margin
+apart is not paired, and a running arm left with no pair is not placed.
 
 Every sweep of the pinned runs and of the scheduler's random sequences must
 report what a sweep with no boxes reports (`conftest.cull_oracle`); each row
@@ -26,12 +26,11 @@ from multiarm import (
     RunningRecord,
     Timeline,
     collision,
-    executor,
     fixture_path,
     load_scenario,
     run,
 )
-from multiarm.collision import BoxTable, Layout, Placed, candidate_sweep
+from multiarm.collision import Layout, Monitor
 from multiarm.geometry import segment_aabbs
 from multiarm.harness import FIXTURES, scenario_from_dict
 
@@ -72,14 +71,13 @@ def test_every_sweep_of_random_sequences_reports_as_with_no_boxes(check_static, 
 
 
 def run_box(model, traj, dt):
-    """The box admission gives a run of `traj`, as a sweep of it at `dt` places it."""
-    placed = Placed()
+    """The box admission gives a run of `traj`, as a sweep of it at `dt` places
+    it: read from a monitor at margin 0, whose table adds no margin/2 to it."""
     g = model.group_id
-    timeline = Timeline({g: JointState(g, traj.positions[0])})
-    params = CheckParams(dt=dt)
-    table = BoxTable(Layout({g: model}, []), params.margin)
-    candidate_sweep(traj, 0.0, params, table, timeline, [], None, placed)
-    return placed.run_box(model, params)
+    monitor = Monitor(Layout({g: model}, []), CheckParams(dt=dt, margin=0.0))
+    monitor.sweep(traj, 0.0, Timeline({g: JointState(g, traj.positions[0])}), [])
+    monitor.admit(g, traj)
+    return monitor.boxes[monitor.layout.rows[g].start : monitor.layout.rows[g].stop]
 
 
 MODELS = {
@@ -87,17 +85,6 @@ MODELS = {
     "three_links": planar_arm("arm", lengths=(0.4, 0.3, 0.2), radius=0.03, vlim=1.5),
     "panda": load_scenario(fixture_path("panda_like_shared.json")).scene.robots["arm_a"],
 }
-
-
-def test_a_sweep_refuses_a_table_at_another_margin():
-    """A table at a smaller margin would cull pairs within the sweep's margin."""
-    model = MODELS["one_link"]
-    traj = JointTrajectory("arm", [0.0, 1.0], [[0.0], [1.0]])
-    timeline = Timeline({"arm": JointState("arm", [0.0])})
-    table = BoxTable(Layout({"arm": model}, []), 0.01)
-    with pytest.raises(ValueError, match="margin"):
-        candidate_sweep(traj, 0.0, CheckParams(dt=0.05, margin=0.02), table, timeline, [])
-    assert candidate_sweep(traj, 0.0, CheckParams(dt=0.05, margin=0.01), table, timeline, []) == []
 
 
 fractions = st.floats(0.0, 1.0)
@@ -176,34 +163,33 @@ def test_an_arm_within_the_margin_of_the_candidate_start_is_measured(other):
     layout = Layout({"a": a, "b": b}, [])
     cand = sweep_traj(a, [0.0], [-1.0], "cand")
     timeline = Timeline({"a": JointState("a", [0.0]), "b": JointState("b", [np.pi])})
-    table = BoxTable(layout, params.margin)
+    monitor = Monitor(layout, params)
     running, parked = [], ["b"]
     if other == "running":
         motion = sweep_traj(b, [np.pi], [np.pi + 0.05], "b")
+        monitor.sweep(motion, 0.0, timeline, [])
         timeline.runs["b"].append(RunningRecord(motion, 0.0))
-        table.admit("b", run_box(b, motion, params.dt))
+        monitor.admit("b", motion)
         running, parked = ["b"], []
-    placed = Placed()
     for _ in range(2):
-        got = candidate_sweep(cand, 0.0, params, table, timeline, running, parked, placed)
+        got = monitor.sweep(cand, 0.0, timeline, running, parked)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(collision, "_apart", no_box_apart)
-            bare = BoxTable(layout, params.margin)
-            want = candidate_sweep(cand, 0.0, params, bare, timeline, running, parked)
+            want = Monitor(layout, params).sweep(cand, 0.0, timeline, running, parked)
         assert want[0].colliding and want[0].first_collision_time == 0.0
         assert all(same_report(report, reference) for report, reference in zip(got, want))
 
 
 def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
     """Blocked by the running left arm, the right arm's task waits in the
-    backlog; its retry places only the parked left arm, and its entry drops
-    its placement once admitted, the box table keeping its run's boxes."""
+    backlog; its retry places only the parked left arm, and the monitor
+    drops its placement once it is admitted, keeping its run's boxes."""
     left, right = facing_pair(gap=1.5)
     ql, qr = [np.pi / 2 - 1.0, 0.0], [-np.pi / 2 + 1.0, 0.0]
     scene = scene_of([left, right], [ql, qr])
     mgr = ExecutionManager(scene, CheckParams(dt=0.01, margin=0.02), tick_length=0.01)
     placements, sweeping = [], []
-    place, sweep = Layout.place, executor.candidate_sweep
+    place, sweep = Layout.place, Monitor.sweep
 
     def spy(self, q, *rest):
         if sweeping:
@@ -219,13 +205,13 @@ def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Layout, "place", spy)
-        patch.setattr(executor, "candidate_sweep", spied_sweep)
+        patch.setattr(Monitor, "sweep", spied_sweep)
         mgr.submit(sweep_traj(left, ql, [np.pi / 2 + 1.0, 0.0], "across"), 30.0)
         mgr.tick()
         blocked = mgr.submit(sweep_traj(right, qr, [-np.pi / 2 - 1.0, 0.0], "blocked"), 30.0)
         mgr.tick()
         entry = mgr._entries[blocked.id]
-        assert entry.placed.e0 is not None
+        assert mgr._monitor.candidates["right"][0] is entry.trajectory
         first = mgr.clock
         while not mgr.all_terminal():
             mgr.tick()
@@ -234,9 +220,32 @@ def test_a_retried_candidate_is_placed_once_and_keeps_only_its_box():
     # the newly parked left arm
     assert [groups for _, groups in placements] == [["left", "right"], ["right"], ["left"], ["left"]]
     assert placements[-1][0] > first and mgr.status(blocked).start_time == placements[-1][0]
-    assert entry.placed is None
+    assert "right" not in mgr._monitor.candidates
     rows = scene.layout.rows["right"]
-    assert np.isfinite(mgr._monitor.table.boxes[rows.start : rows.stop]).all()
+    assert np.isfinite(mgr._monitor.boxes[rows.start : rows.stop]).all()
+
+
+def test_a_new_trajectory_of_a_swept_arm_is_placed_afresh():
+    """One monitor sweeps two trajectories of one arm against a parked
+    neighbour: the first swings away from it, the second into it. The second
+    is placed anew, not read from the first's placement, and reports what a
+    new monitor reports."""
+    a = planar_arm("a", lengths=(0.5,))
+    b = planar_arm("b", (1.0, 0.0, 0.0), lengths=(0.5,))
+    params = CheckParams(dt=0.05, margin=0.02)
+    layout = Layout({"a": a, "b": b}, [])
+    timeline = Timeline({"a": JointState("a", [np.pi / 2]), "b": JointState("b", [np.pi])})
+    monitor = Monitor(layout, params)
+    away = sweep_traj(a, [np.pi / 2], [np.pi], "away")
+    into = sweep_traj(a, [np.pi / 2], [0.0], "into")
+    (first,) = monitor.sweep(away, 0.0, timeline, [], ["b"])
+    (second,) = monitor.sweep(into, 0.0, timeline, [], ["b"])
+    assert not first.colliding and second.colliding
+    assert monitor.candidates["a"][0] is into
+    with pytest.raises(ValueError):
+        monitor.admit("a", away)
+    (want,) = Monitor(layout, params).sweep(into, 0.0, timeline, [], ["b"])
+    assert same_report(second, want)
 
 
 def test_admission_places_and_pairs_less_on_the_ring():

@@ -104,6 +104,20 @@ def test_unwritable_output_path_exits_one(tmp_path, capsys, option, target):
     assert not (tmp_path / "missing_dir").exists()
 
 
+@pytest.mark.parametrize("option", ["--scenario", "--metrics-out", "--events-out"])
+def test_a_path_no_file_can_have_exits_one(tmp_path, capsys, option):
+    """A NUL byte in any path option: refused by name, with no traceback and
+    no event log (the metrics file, written first, fails first)."""
+    events = tmp_path / "events.log"
+    paths = {"--scenario": str(fixture_path("crossing.json")),
+             "--metrics-out": str(tmp_path / "metrics.csv"), "--events-out": str(events)}
+    paths[option] = str(tmp_path / "a\x00b")
+    assert main(["run"] + [arg for item in paths.items() for arg in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a\\x00b" in err and "JSON" not in err
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("content", ["{bad", "[1]", "[" * 100_000])
 def test_scenario_that_is_not_a_json_object_exits_one(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

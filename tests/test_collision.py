@@ -28,7 +28,7 @@ from multiarm import (
     required_margin,
     run,
 )
-from multiarm.collision import BoxTable, Layout, Monitor, Placed, _apart, candidate_sweep
+from multiarm.collision import Layout, Monitor, _apart
 from multiarm.harness import scenario_from_dict
 from multiarm.geometry import FAR
 
@@ -242,6 +242,13 @@ def test_composite_single_arm_home_clear():
     report = composite_state_check({"arm": JointState("arm", [0, 0])}, scene, margin=0.02)
     assert not report.colliding
     assert report.first_collision_time is None
+
+
+@pytest.mark.parametrize("margin", [-0.01, math.nan, math.inf])
+def test_composite_state_check_refuses_a_margin_that_check_params_refuses(margin):
+    scene = scene_of([planar_arm("arm")], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="margin"):
+        composite_state_check({"arm": JointState("arm", [0, 0])}, scene, margin)
 
 
 def test_composite_witness_identifies_overlapping_pair():
@@ -578,7 +585,7 @@ def test_culled_monitor_matches_the_full_pair_list(margin, rng, monkeypatch):
     def spy(self, clock, window):
         if not first:
             due = np.flatnonzero(self.safe_until <= clock)
-            boxes = self.table.boxes
+            boxes = self.boxes
             first.append((due.size, int(_apart(boxes[self.ii[due]], boxes[self.jj[due]]).sum())))
         return check(self, clock, window)
 
@@ -636,17 +643,17 @@ def test_a_far_arm_is_placed_at_most_once_at_its_idle_posture_and_never_paired(m
     assert pairs == []
     clear = CollisionReport(False, None, None, FAR)
     assert composite_state_check(scenario.scene.idle_postures, scenario.scene, 0.02) == clear
-    # a sweep against a running arm 4 m away, whose run box the table has, places the candidate only
+    # a sweep against a running arm 4 m away, whose run box the monitor has, places the candidate only
     cand, _, _, now, params, models = crossing_case(np.random.default_rng(5))
     far = planar_arm("far", (4.0, 0.0, 0.0), lengths=(0.5, 0.5))
     layout = Layout({cand.group_id: models[cand.group_id], "far": far}, [])
     motion = sweep_traj(far, [0.0, 0.0], [1.0, 0.0], "far")
-    run_placed, table = Placed(), BoxTable(layout, params.margin)
+    monitor = Monitor(layout, params)
     timeline = Timeline({"far": JointState("far", [0.0, 0.0]),
                          cand.group_id: JointState(cand.group_id, cand.positions[0])})
-    candidate_sweep(motion, 0.0, params, BoxTable(layout, params.margin), timeline, [], None, run_placed)
+    monitor.sweep(motion, 0.0, timeline, [])
     timeline.runs["far"].append(RunningRecord(motion, 0.0))
-    table.admit("far", run_placed.run_box(far, params))
+    monitor.admit("far", motion)
     placed.clear()
-    assert candidate_sweep(cand, now, params, table, timeline, ["far"]) == [clear]
+    assert monitor.sweep(cand, now, timeline, ["far"]) == [clear]
     assert [sorted(q) for q in placed] == [[cand.group_id]]

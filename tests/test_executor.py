@@ -201,6 +201,19 @@ def test_submit_refuses_non_finite_trajectories(bad):
     assert mgr.events == [] and mgr.all_terminal()
 
 
+@pytest.mark.parametrize("char", [";", "\t", "\r", "\n"])
+def test_submit_refuses_a_trajectory_id_that_would_break_the_log(char):
+    """The log writes the id in a column of its own, and as a blocker or a
+    trigger in a ';'-separated field; a tab used to pass and leave a line of
+    five columns that the log reader refused."""
+    left, right, scene = disjoint_setup()
+    mgr = manager(scene)
+    with pytest.raises(ValidationFailed) as info:
+        mgr.submit(sweep_traj(left, [0, 0], [1, 0], f"t{char}x"), timeout=5.0)
+    assert [v.kind for v in info.value.violations] == ["BadId"]
+    assert mgr.events == []
+
+
 def test_submit_validation_errors():
     left, right, scene = disjoint_setup()
     mgr = manager(scene)

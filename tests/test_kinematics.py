@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,14 @@ def test_joint_spec_validation():
     for xyz in ((np.nextafter(MAX_EXTENT, np.inf), 0.0, 0.0), (0.0, 0.0, -1e308)):
         with pytest.raises(ValueError, match="origin_offset"):
             JointSpec.from_xyz_rpy(axis=(0, 0, 1), xyz=xyz)
+    # an entry past 1 in magnitude, or not finite, is refused before the
+    # norm is taken, whose square would overflow with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axis in ((0, 0, 1e200), (0, -1e200, 0), (0, 0, np.inf), (np.nan, 0, 1), (0, 0, 1 + 2e-9)):
+            with pytest.raises(ValueError, match="unit norm"):
+                JointSpec.from_xyz_rpy(axis=axis)
+        JointSpec.from_xyz_rpy(axis=(0, 0, 1 + 5e-10))  # within the unit-norm tolerance
 
 
 def test_model_validation():
@@ -361,6 +370,13 @@ def test_model_validation():
             links=[LinkGeometry(3, Sphere((0, 0, 0), 0.1))],
             joint_velocity_limits=[1.0],
         )
+
+
+@pytest.mark.parametrize("group", ["left;x", "left\tx", "left\rx", "left\nx", 7])
+def test_a_model_refuses_a_group_id_that_would_break_the_log(group):
+    """The log writes a group id into its SUBMITTED lines, between tabs and ';'."""
+    with pytest.raises(ValueError, match="group_id"):
+        planar_arm(group)
 
 
 def test_adjacent_links_auto_allowed():

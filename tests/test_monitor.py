@@ -129,7 +129,7 @@ def test_a_due_pair_sleeps_until_its_first_instant_at_or_below_the_margin(angles
     """Clear at every instant, it sleeps until the last instant of a cut
     window, or for good; a check before its wake-up measures nothing."""
     left, right = facing_pair(gap=1.0, lengths=(0.5,))
-    monitor = Monitor(Layout({"left": left, "right": right}, []), 0.02)
+    monitor = Monitor(Layout({"left": left, "right": right}, []), CheckParams(margin=0.02))
     assert monitor.ii.size == 1
 
     def window(groups, limit):

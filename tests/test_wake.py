@@ -237,16 +237,16 @@ class BoxedTwins(Twins):
     def check(self):
         super().check()
         for mgr in (self.fast, self.full):
-            table, layout = mgr._monitor.table, mgr.scene.layout
+            monitor, layout = mgr._monitor, mgr.scene.layout
             p0, p1 = layout.spread(layout.place(mgr._timeline.at(layout.groups, [mgr.clock])))
             lo, hi = segment_aabbs(p0[0], p1[0], layout.radii)
-            assert np.all(lo >= table.boxes[:, :3]) and np.all(hi <= table.boxes[:, 3:]), mgr.clock
-            for g, (e0, e1) in table.held.items():  # the endpoints a sweep pairs in place of placing g
+            assert np.all(lo >= monitor.boxes[:, :3]) and np.all(hi <= monitor.boxes[:, 3:]), mgr.clock
+            for g, (e0, e1) in monitor.held.items():  # the endpoints a sweep pairs in place of placing g
                 rows = slice(layout.rows[g].start, layout.rows[g].stop)
                 assert np.array_equal(e0[0], p0[0, rows]) and np.array_equal(e1[0], p1[0, rows])
             for g in layout.groups:
                 ran = bool(mgr._timeline.runs.get(g))
-                held = ", held" if g in table.held else ""
+                held = ", held" if g in monitor.held else ""
                 self.kinds.add("running" if g in mgr._running else ("stopped" if ran else "never run") + held)
 
 
