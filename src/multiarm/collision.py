@@ -123,6 +123,13 @@ class Timeline:
         run = self.runs[g][-1]  # built directly: `dataclasses.replace` costs twice as much
         self.runs[g][-1] = RunningRecord(run.trajectory, run.start_time, stop, elapsed, stop_tick)
 
+    def rest(self, g: str, k: int | None = None) -> np.ndarray:
+        """The (1, J) row arm g holds after its first k runs (all of them by
+        default): the last one's held row, or its posture before any."""
+        if k is None:
+            k = len(self.runs.get(g, ()))
+        return self.runs[g][k - 1].held if k else self.held[g].positions[None]
+
     def at(self, groups, times, since: float = 0.0) -> dict[str, np.ndarray]:
         """Each arm's (n, J) positions at the instants `since + times` (ascending),
         or one (1, J) row if it is held at all of them."""
@@ -132,7 +139,7 @@ class Timeline:
             runs = self.runs.get(g, [])
             # the runs from the last one stopped by the first instant on
             k = next((k for k in range(len(runs), 0, -1) if since + times[0] >= runs[k - 1].stop), 0)
-            rows = runs[k - 1].held if k else self.held[g].positions[None]
+            rows = self.rest(g, k)
             for run in runs[k:]:
                 e = (since - run.start_time) + times
                 if e[-1] < 0.0:
@@ -343,7 +350,9 @@ class Monitor:
       cut at a held tail as `Layout.place` cuts), and its (L, 6) link boxes.
     - `safe_until`: a time for each pair of the layout's list. A pair is due
       at a check whose clock has reached it; a new monitor has every pair
-      due. `_next`, the earliest, lets a check before it find nothing due.
+      due. `next_due`, the earliest (-inf after a wake or an admission, inf
+      once every pair sleeps for good), lets a check before it find nothing
+      due, and the executor leave idle the monitor ticks before it.
     """
 
     def __init__(self, layout: Layout, params: CheckParams):
@@ -357,7 +366,7 @@ class Monitor:
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
                        for k, g in enumerate(layout.groups)}
         self.safe_until = np.full(len(self.ii), -math.inf)
-        self._next = -math.inf if len(self.ii) else math.inf
+        self.next_due = -math.inf if len(self.ii) else math.inf
 
     def hold(self, g: str, e0: np.ndarray, e1: np.ndarray):
         """Arm g is parked, until its next admission, at the row placed as `e0`, `e1`."""
@@ -368,7 +377,7 @@ class Monitor:
     def wake(self, g: str):
         """Make g's pairs due, for an arm that leaves the motion the last window saw."""
         if self._pairs[g].size:
-            self.safe_until[self._pairs[g]] = self._next = -math.inf
+            self.safe_until[self._pairs[g]] = self.next_due = -math.inf
 
     def admit(self, g: str, trajectory: JointTrajectory):
         """Arm g runs `trajectory`, the candidate it last swept, whose placement
@@ -430,7 +439,8 @@ class Monitor:
         fresh = [g for g in fixed if g not in self.held]
         q = {} if self.candidates.get(g0, (None,))[0] is candidate else {
             g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
-        q.update(timeline.at(fresh, times, since=now))
+        if fresh:
+            q.update(timeline.at(fresh, times, since=now))
         if q:
             put = layout.place(q)
             for g in fresh:
@@ -462,9 +472,9 @@ class Monitor:
             sel = np.append(np.arange(len(times) - 1), len(e0) - 1)
             put[g0] = e0[sel], e1[sel]
         put.update((g, self.held[g]) for g in fixed if layout.index[g] in touched)
-        q = timeline.at([g for g in running if layout.index[g] in touched], times, since=now)
-        if q:
-            put.update(layout.place(q))
+        moving = [g for g in running if layout.index[g] in touched]
+        if moving:
+            put.update(layout.place(timeline.at(moving, times, since=now)))
         p0, p1 = layout.spread(put)
         clear = pair_clearances(p0, p1, layout.radii, ii, jj, margin)
         return [
@@ -490,14 +500,14 @@ class Monitor:
         test kept only. The window is cut so that neither the pair-samples
         nor the placed row-samples exceed PAIR_SAMPLES.
         """
-        if clock < self._next:
+        if clock < self.next_due:
             return _CLEAR
         due = np.flatnonzero(self.safe_until <= clock)
         apart = _apart(self.boxes[self.ii[due]], self.boxes[self.jj[due]])
         self.safe_until[due[apart]] = math.inf
         due = due[~apart]
         if not due.size:
-            self._next = float(self.safe_until.min())
+            self.next_due = float(self.safe_until.min())
             return _CLEAR
         involved = np.zeros(len(self.layout.groups) + 1, dtype=bool)
         involved[self._a[due]] = involved[self._b[due]] = True
@@ -510,7 +520,7 @@ class Monitor:
         below = clear <= margin
         self.safe_until[due] = np.where(below.any(axis=0), times[below.argmax(axis=0)],
                                         times[-1] if cut else math.inf)
-        self._next = float(self.safe_until.min())
+        self.next_due = float(self.safe_until.min())
         return _report(np.zeros(1), clear[:1], layout.owners, ii, jj, margin)
 
 

@@ -26,13 +26,19 @@ entry's deadline tick, a run's stop tick, the harness's submit ticks. The
 steps compare ticks; the float clock is what the log prints. A tick below the
 wake tick `_wake` only advances the clock; that one comparison is the whole
 rule for skipping a tick. Step 1 acts only at a stop tick, 3 only at a
-deadline tick, 5 only at a monitor tick while an arm runs, 4 only on a queued
-entry and 2 only when a requeue is due. So a tick that runs the steps and
-leaves no requeue due sets `_wake` to the earliest stop tick of a running arm,
-deadline tick of a backlog entry and, while an arm runs, monitor tick; and
-`submit` (which queues) and whatever makes a requeue due (an end, or an
-admission that moves an arm a backlog entry waits on) lower it to the next
-tick. A tick below it is thus one at which no step could act. Controllers
+deadline tick, 4 only on a queued entry, 2 only when a requeue is due, and 5
+only at a monitor tick at or after the monitor's `next_due` while an arm runs
+(before it, `Monitor.check` finds no pair due). So a tick that runs the steps
+and leaves no requeue due sets `_wake` to the earliest stop tick of a running
+arm, deadline tick of a backlog entry and, while an arm runs, the first
+monitor tick at or after `next_due` (none while it is inf); and `submit`
+(which queues) and whatever makes a requeue due (an end, or an admission that
+moves an arm a backlog entry waits on) lower it to the next tick. Only two
+calls lower `next_due`, and each is followed by a recompute: `Monitor.admit`
+runs in step 4, before the recompute of its tick; `Monitor.wake` runs only
+when a cancel or a halt stops an arm before its end, and the `_finish` that
+follows makes a requeue due, so the next tick runs the steps and recomputes.
+A tick below the wake is thus one at which no step could act. Controllers
 track trajectories perfectly, so identical inputs produce byte-identical
 event logs. An event keeps typed values, formatted only when its line is
 read, by `EVENT_FIELDS`: the one schema by which `Event.line` writes each
@@ -405,7 +411,13 @@ class ExecutionManager:
         # tick, which runs the steps anyway (and keeps it off completion ticks)
         if not self._requeue_due:
             ticks = [self._timeline.runs[g][-1].stop_tick for g in self._running]
-            ticks += [k - k % self.monitor_period + self.monitor_period] if ticks else []
+            next_due = self._monitor.next_due
+            if ticks and next_due < math.inf:
+                # a finite next_due is a window instant, bit for bit a monitor
+                # tick's clock, so the division lands on that tick or one below
+                tl, period = self.tick_length, self.monitor_period
+                due = k + 1 if next_due < (k + 1) * tl else int(next_due / tl)
+                ticks.append(-(-due // period) * period)
             self._wake = min(ticks + [e.deadline_tick for e in self._backlog], default=math.inf)
         return self.events[first_new:]
 
@@ -493,7 +505,7 @@ class ExecutionManager:
         # the arm must be parked where the trajectory expects to start;
         # anything else means the chain was broken (abort/cancel upstream)
         # and the trajectory needs replanning
-        if np.abs(entry.trajectory.positions[0] - self._timeline.at([g], [clock])[g]).max() > _START_TOL:
+        if np.abs(entry.trajectory.positions[0] - self._timeline.rest(g)).max() > _START_TOL:
             self._finish(entry, "CANCELLED", StatusKind.CANCELLED, "mismatched_start")
             return
 

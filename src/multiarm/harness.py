@@ -196,20 +196,23 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
     order = sorted(range(len(scenario.tasks)), key=lambda i: scenario.tasks[i].submit_time)
     submit_ticks = [_tick_at(scenario.tasks[i].submit_time, mgr.tick_length) for i in order]
     handles: list[ExecHandle] = []
-    idx = 0
+    idx, n = 0, len(order)
     budget = sum(t.duration for t in trajectories) + sum(timeouts) + (last_submit + 1.0)
     max_ticks = int(budget / p.tick_length) + 10
+    # k mirrors mgr.tick_index: each tick() advances it by exactly one
+    k, tick = mgr.tick_index, mgr.tick
     # an entry ends only on a tick that logs it, so ask only after such ticks
     logged = True
     while True:
-        while idx < len(order) and submit_ticks[idx] <= mgr.tick_index:
+        while idx < n and submit_ticks[idx] <= k:
             handles.append(mgr.submit(trajectories[order[idx]], timeouts[order[idx]]))
             idx += 1
-        if idx == len(order) and logged and mgr.all_terminal():
+        if idx == n and logged and mgr.all_terminal():
             break
-        if mgr.tick_index >= max_ticks:
+        if k == max_ticks:
             raise TickBudgetExceeded("scenario did not quiesce within the tick budget")
-        logged = bool(mgr.tick())
+        logged = tick()
+        k += 1
     lines = mgr.event_lines()
     statuses = {h.id: mgr.status(h) for h in handles}
     return RunResult(

@@ -33,6 +33,7 @@ from multiarm import (
     pose,
 )
 from multiarm.collision import Layout, Monitor
+from multiarm.geometry import owner_str
 from multiarm.harness import FIXTURES, scenario_from_dict
 from multiarm.kinematics import ArmStack
 
@@ -197,20 +198,23 @@ def rng():
 
 @contextmanager
 def monitor_oracle(scene):
-    """Check every monitor check of the managers built on `scene` inside the
-    block against composite_state_check of every arm's state: the same
-    verdict, and the same witness, time and minimum when colliding. After
-    every wake and check, the monitor's `_next` must be its earliest
-    safe-until time.
+    """Check the managers built on `scene` inside the block against
+    composite_state_check of every arm's state at every monitor tick at
+    which an arm runs at step 5, whether or not the tick ran the steps: the
+    tick must log a COLLISION_HALT exactly when the full check collides, each
+    with the full check's witness and minimum. An arm ran at step 5 if one
+    runs after the tick, or if the tick halted them. After every wake and
+    check, the monitor's `next_due` must be its earliest safe-until time.
 
-    Yields counts of the checks, of those that measured nothing because no
-    pair was due, of those that had pairs due but built no window because
-    the box filter retired them all, and of the colliding ones.
+    Yields counts of the instants compared (`instants`) and of the colliding
+    ones, of the monitor's checks, of those that found a pair due, and of
+    those that measured no pair because the box filter retired every due one.
     """
-    counts = {"checks": 0, "skipped": 0, "retired": 0, "colliding": 0}
+    counts = {"instants": 0, "colliding": 0, "checks": 0, "due": 0, "retired": 0}
+    tick = ExecutionManager.tick
 
     def assert_next(monitor):
-        assert monitor._next == min(monitor.safe_until, default=math.inf)
+        assert monitor.next_due == min(monitor.safe_until, default=math.inf)
 
     class CheckedMonitor(Monitor):
         def wake(self, g):
@@ -218,24 +222,31 @@ def monitor_oracle(scene):
             assert_next(self)
 
         def check(self, clock, window):
-            skipped = not np.any(self.safe_until <= clock)
+            due = bool(np.any(self.safe_until <= clock))
             built = []
             report = super().check(clock, lambda *args: built.append(True) or window(*args))
-            groups = sorted(scene.robots)
-            _, q, _ = window(groups, 1)
-            states = {g: JointState(g, q[g][0]) for g in groups}
-            full = composite_state_check(states, scene, self.params.margin)
-            assert report.colliding == full.colliding, clock
-            if full.colliding:
-                assert report == full, clock
             counts["checks"] += 1
-            counts["skipped"] += skipped
-            counts["retired"] += not skipped and not built
-            counts["colliding"] += full.colliding
+            counts["due"] += due
+            counts["retired"] += due and not built
             assert_next(self)
             return report
 
-    with mock.patch.object(executor, "Monitor", CheckedMonitor):
+    def checked_tick(mgr):
+        events = tick(mgr)
+        halts = [e.values for e in events if e.kind == "COLLISION_HALT"]
+        if (isinstance(mgr._monitor, CheckedMonitor) and mgr.tick_index % mgr.monitor_period == 0
+                and (halts or mgr._running)):
+            full = composite_state_check(mgr.current_states(), scene, mgr.params.margin)
+            assert bool(halts) == full.colliding, mgr.clock
+            if full.colliding:
+                witness = "|".join(map(owner_str, full.witness))
+                assert set(halts) == {(witness, full.min_clearance_seen)}, mgr.clock
+            counts["instants"] += 1
+            counts["colliding"] += full.colliding
+        return events
+
+    with mock.patch.object(executor, "Monitor", CheckedMonitor), \
+            mock.patch.object(ExecutionManager, "tick", checked_tick):
         yield counts
 
 

@@ -5,8 +5,8 @@ is a manager that runs the five steps, step 2's backlog sweep included, on
 every tick. Driven side by side with a plain manager on the same
 submit, cancel and tick sequences, the two must log the same lines and report
 the same statuses after every operation. On the generated sequences, every
-monitor check and timeline read is also checked against its oracle
-(`monitor_oracle`, `timeline_oracle`).
+monitor tick at which an arm runs and every timeline read is also checked
+against its oracle (`monitor_oracle`, `timeline_oracle`).
 
 Each scheduler time becomes a tick by one rule, `executor._tick_at`. The
 property tests compare it with the float rules it replaced, kept in
@@ -20,10 +20,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multiarm import CheckParams, ExecutionManager, JointTrajectory, PlacedPrimitive, Sphere, run
+from multiarm import (
+    CheckParams,
+    ExecutionManager,
+    JointTrajectory,
+    PlacedPrimitive,
+    Sphere,
+    composite_state_check,
+    run,
+)
 from multiarm.executor import EVENT_KINDS, Event, _tick_at
 from multiarm.geometry import segment_aabbs
-from multiarm.harness import _MAX_TICKS
+from multiarm.harness import FIXTURES, _MAX_TICKS
 
 from conftest import (
     facing_pair,
@@ -292,6 +300,43 @@ def test_the_tick_after_an_admission_sweeps_the_entries_it_unblocked():
     twins.finish()
 
 
+def test_a_cancel_that_parks_an_arm_in_a_running_path_rearms_the_monitor():
+    """The right arm leaves the left arm's path before the left arm gets
+    there, so the first check puts every pair to sleep for good, and the
+    wake tick keeps no monitor term. Cancelled mid-motion, the right arm
+    parks in the left arm's path: its pairs wake, and the left arm must halt
+    at the first monitor tick at which the full check collides, as it does
+    on a manager that runs every step on every tick."""
+    left, right = facing_pair(vlims=(1.0, 2.0))
+    idle_l, idle_r = [np.pi / 2 - 2.0, 0.0], [-np.pi / 2, 0.0]
+    scene = scene_of([left, right], [idle_l, idle_r])
+    margin, period = 0.02, 5
+    twins = Twins(scene, params=CheckParams(dt=0.01, margin=margin), monitor_period=period)
+    twins.submit(sweep_traj(right, idle_r, [-np.pi / 2 + 1.5, 0.0], "away"), 10.0)
+    twins.submit(sweep_traj(left, idle_l, [np.pi / 2 + 0.5, 0.0], "sweep"), 10.0)
+    twins.tick(10)
+    fast = twins.fast
+    assert fast._monitor.next_due == math.inf
+    assert fast._wake == min(r.stop_tick for r in fast.running_records().values())
+    twins.cancel(0)
+    first = None  # the first monitor tick at which the full check collides
+    ran = []  # the ticks at which the plain manager runs the steps
+    while not fast.all_terminal():
+        if fast.tick_index + 1 >= fast._wake:
+            ran.append(fast.tick_index + 1)
+        twins.tick()
+        k = fast.tick_index
+        if first is None and k % period == 0:
+            if composite_state_check(fast.current_states(), scene, margin).colliding:
+                first = k
+    halt = Event.parse(fast.event_lines()[-1])
+    assert (halt.kind, halt.trajectory_id) == ("COLLISION_HALT", "sweep")
+    assert first is not None and halt.clock == first * fast.tick_length
+    # the tick after the cancel sweeps the backlog, the next monitor tick
+    # measures the woken pairs, and every tick from then to the halt is idle
+    assert ran == [11, 15, first] and first > 15 + period
+
+
 # Mutation checks, each on a copy of the library, each failing tests of this
 # module: the deadline tick that the recomputed wake uses made one tick late
 # (both random drives fail); `submit` not lowering the wake (the cancel test
@@ -301,7 +346,12 @@ def test_the_tick_after_an_admission_sweeps_the_entries_it_unblocked():
 # the ring16 count fail); admission always making one (both counts fail); and
 # `FullTicks` forcing full ticks from inside `_tick_locked`, which the fast
 # path in `tick()` never reaches (its clock-read check fails in every test
-# that drives `Twins`).
+# that drives `Twins`). And three of the monitor term: a wake that ignores
+# `next_due` lowered by `Monitor.wake` (the re-arm test fails); the term one
+# monitor period late, and a conversion that can land past the exact tick,
+# `int(next_due / tick) + 1` (each fails the re-arm test, the four other
+# differential checks on random cells and generated sequences, and a
+# halting-ring digest).
 
 
 def test_a_run_stops_and_an_entry_aborts_on_the_tick_the_float_rules_chose():
@@ -401,17 +451,25 @@ def test_a_manager_at_extreme_scales_keeps_the_float_rules(case, moves, waits, p
     twins.finish(limit=200)
 
 
-@pytest.mark.parametrize("name", ["ring16_901.json", "batch_small.json"])
+# the most ticks that run the steps: on the 8 runs of the shipped fixtures
+# (async and sync) together, and on two pinned runs; a wake whose monitor
+# term was every monitor tick while an arm ran took 876, 294 and 221
+FULL_TICKS = {"fixtures": 55, "ring16_901.json": 144, "batch_small.json": 41}
+
+
+@pytest.mark.parametrize("name", FULL_TICKS)
 def test_only_ticks_at_which_a_step_can_act_run_the_steps(monkeypatch, name):
     """A tick runs the five steps only if it logs, if it follows a tick that
-    logged, if it is a monitor tick while an arm runs, or if a submission came
-    before it. Ticking through a run still takes one `tick()` per tick."""
+    logged, if it is a monitor tick at or after the monitor's `next_due`
+    while an arm runs, or if a submission came before it. Ticking through a
+    run still takes one `tick()` per tick."""
     logged, monitor, submitted = set(), set(), set()
     tick, submit = ExecutionManager.tick, ExecutionManager.submit
 
     def spy_tick(mgr):
         k = mgr.tick_index + 1
-        if mgr.running_records() and k % mgr.monitor_period == 0:
+        if (mgr.running_records() and k % mgr.monitor_period == 0
+                and k * mgr.tick_length >= mgr._monitor.next_due):
             monitor.add(k)
         events = tick(mgr)
         if events:
@@ -424,11 +482,19 @@ def test_only_ticks_at_which_a_step_can_act_run_the_steps(monkeypatch, name):
 
     monkeypatch.setattr(ExecutionManager, "tick", spy_tick)
     monkeypatch.setattr(ExecutionManager, "submit", spy_submit)
-    with work_counts() as counts:
-        result = run(pinned_scenario(name), "async")
-    last = Event.parse(result.lines[-1]).clock
-    assert counts["ticks"] == round(last / pinned_scenario(name).params.tick_length)
-    followers = {k + 1 for k in logged}
-    assert len(logged) <= counts["full_ticks"] <= len(logged | followers | monitor | submitted)
-    # an admission that made a requeue due whatever the backlog held ran 353 and 241
-    assert counts["full_ticks"] <= {"ring16_901.json": 294, "batch_small.json": 221}[name]
+    runs = [(name, "async")]
+    if name == "fixtures":
+        runs = [(f, mode) for f in FIXTURES for mode in ("async", "sync")]
+    full_ticks = 0
+    for run_name, mode in runs:
+        for ticks in (logged, monitor, submitted):
+            ticks.clear()
+        scenario = pinned_scenario(run_name)
+        with work_counts() as counts:
+            result = run(scenario, mode)
+        last = Event.parse(result.lines[-1]).clock
+        assert counts["ticks"] == round(last / scenario.params.tick_length)
+        followers = {k + 1 for k in logged}
+        assert len(logged) <= counts["full_ticks"] <= len(logged | followers | monitor | submitted)
+        full_ticks += counts["full_ticks"]
+    assert full_ticks <= FULL_TICKS[name]
