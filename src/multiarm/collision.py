@@ -15,11 +15,19 @@ checks both read its box table. Each row's box, inflated by margin/2, holds
 the row at every instant until the next admission of its arm: an
 obstacle's is fixed; an arm that never ran is unbounded until a sweep
 places its idle posture, then boxed there; a running arm has its run's box
-(`Monitor.admit`); a stopped arm keeps that box until a sweep places its
-held row, then has that row's. A candidate's links are boxed over its motion
-alike. A pair whose boxes are apart on some axis is one the AABB test prunes
-at every instant, so it reads `FAR` unmeasured, and an arm left with no pair
-is neither read nor placed.
+(`Monitor.admit`); a stopped arm keeps that box until a sweep holds it at
+its held row, then has that row's. The sweep places that row, unless the
+arm stopped at the end of its run: it then takes the last row its
+admission placed, which is the same row bit for bit. A candidate's links
+are boxed over its motion alike. A pair whose boxes are apart on some axis
+is one the AABB test prunes at every instant, so it reads `FAR` unmeasured,
+and an arm left with no pair is neither read nor placed.
+
+Placements are kept per trajectory, from the sweep that places one until
+its admission or the end of its entry. A caller may name the trajectories
+it will submit (`Monitor.announce`): the first sweep that places one of an
+arm's trajectories then places the arm's other announced ones in the same
+forward-kinematics call.
 
 A configuration is *colliding* when the minimum clearance is <= margin. The
 witness of a colliding check is the first pair, in the check's pair order,
@@ -253,38 +261,48 @@ class Layout:
         counts = [robots[g].n_links for g in self.groups] + [len(static_obstacles)]
         self.arm = np.repeat(np.arange(len(counts)), counts)
 
-    def place(self, q: dict[str, np.ndarray]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    def place(self, q: dict[str, np.ndarray | list]) -> dict[str, tuple | list[tuple]]:
         """Each arm's links placed: {g: (e0, e1)}, each (m, L, 3) with row
         min(t, m - 1) the arm at sample t (`spread`'s rule).
 
         q[g] is an (n, J) batch of configurations of arm g, or a (1, J)
-        configuration held at every sample; each must fit the arm's joint
-        count and limits (with the rounding slack that interpolated states
-        need). Each ArmStack places its arms in one call, each arm's rows
-        up to its trailing run of bit-identical rows, so a held tail is placed
-        once and m is the count of rows up to it.
+        configuration held at every sample, or a list of such batches, for
+        which g gets a list of (e0, e1), one per batch; each batch must fit
+        the arm's joint count and limits (with the rounding slack that
+        interpolated states need). Each ArmStack places the batches of its
+        arms in one call per PAIR_SAMPLES rows, each batch up to its trailing
+        run of bit-identical rows, so a held tail is placed once and m is the
+        count of rows up to it. A row's placement does not depend on its batch.
         """
-        batches: dict[ArmStack, list[str]] = {}
+        batches: dict[ArmStack, list[tuple[str, np.ndarray]]] = {}
         for g, qg in q.items():
             if g not in self.robots:
                 raise UnknownGroup(f"no robot model for group '{g}'")
-            if np.shape(qg)[1:] != (self.robots[g].n_joints,) or not len(qg):
-                raise DimensionMismatch(f"{g}: expected rows of {self.robots[g].n_joints} joint values")
-            batches.setdefault(self._slot[g][0], []).append(g)
+            for qb in qg if isinstance(qg, list) else [qg]:
+                if np.shape(qb)[1:] != (self.robots[g].n_joints,) or not len(qb):
+                    raise DimensionMismatch(f"{g}: expected rows of {self.robots[g].n_joints} joint values")
+                batches.setdefault(self._slot[g][0], []).append((g, qb))
         placed = {}
-        for stack, groups in batches.items():
-            qs = [_distinct_rows(q[g]) for g in groups]
-            kept = np.array([len(qg) for qg in qs])
-            member = np.repeat(np.arange(len(groups)), kept)  # each row's index into groups
-            arms, qs = np.array([self._slot[g][1] for g in groups])[member], np.concatenate(qs)
+        for stack, items in batches.items():
+            qs = [_distinct_rows(qb) for _, qb in items]
+            kept = np.array([len(qb) for qb in qs])
+            member = np.repeat(np.arange(len(items)), kept)  # each row's index into items
+            arms = np.array([self._slot[g][1] for g, _ in items])[member]
+            qs = np.concatenate(qs)
             lo, hi = (stack.arrays[name][arms] for name in ("_lo", "_hi"))
             ok = (qs >= lo - _LIMIT_SLACK) & (qs <= hi + _LIMIT_SLACK)
             if not ok.all():
                 bad = np.flatnonzero(~ok.all(axis=1))[0]
-                raise JointLimitViolation(f"{groups[member[bad]]}: state outside joint limits")
-            a0, a1 = stack.place(qs, arms)
-            ends = np.cumsum(kept)
-            placed.update((g, (a0[b - m : b], a1[b - m : b])) for g, b, m in zip(groups, ends, kept))
+                raise JointLimitViolation(f"{items[member[bad]][0]}: state outside joint limits")
+            parts = [stack.place(qs[s : s + PAIR_SAMPLES], arms[s : s + PAIR_SAMPLES])
+                     for s in range(0, len(qs), PAIR_SAMPLES)]
+            a0, a1 = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
+            for (g, _), b, m in zip(items, np.cumsum(kept).tolist(), kept.tolist()):
+                ends = a0[b - m : b], a1[b - m : b]
+                if isinstance(q[g], list):
+                    placed.setdefault(g, []).append(ends)
+                else:
+                    placed[g] = ends
         return placed
 
     def spread(self, placed: dict[str, tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -345,9 +363,16 @@ class Monitor:
     - `boxes` (S, 6): the cull's box of each row (lo xyz, hi xyz), inflated
       by margin/2. `held[g]`: the placed endpoints (e0, e1), each (1, L, 3),
       of the row a parked arm g holds (`hold`).
-    - `candidates[g]`: `(trajectory, e0, e1, box)`, the trajectory arm g last
-      swept, placed at every instant a sweep's grid reads it (`_motion_times`,
-      cut at a held tail as `Layout.place` cuts), and its (L, 6) link boxes.
+    - `placements[trajectory]`: `(e0, e1, box)`, a trajectory placed at every
+      instant a sweep's grid reads it (`_motion_times`, cut at a held tail as
+      `Layout.place` cuts), and its (L, 6) link boxes: kept from the sweep
+      that placed it until its admission (`admit`) or the end of its entry
+      (`drop`). `announced[g]`: the trajectories of arm g named by `announce`
+      and not placed yet, which the first sweep that places one of g's
+      trajectories places with it.
+    - `ends[g]`: `(trajectory, e0, e1)`, the last placed row of arm g's last
+      admitted run, which a sweep holds the arm at, with no placement, once
+      it finds the arm parked at the end of that run.
     - `safe_until`: a time for each pair of the layout's list. A pair is due
       at a check whose clock has reached it; a new monitor has every pair
       due. `next_due`, the earliest (-inf after a wake or an admission, inf
@@ -361,7 +386,9 @@ class Monitor:
         s = slice(layout.static_rows.start, layout.static_rows.stop)
         self.boxes[s] = _box(*(e[None] for e in layout._static_ends), layout.radii[s], params.margin / 2.0)
         self.held: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.candidates: dict[str, tuple] = {}
+        self.placements: dict[JointTrajectory, tuple] = {}
+        self.announced: dict[str, dict[JointTrajectory, None]] = defaultdict(dict)
+        self.ends: dict[str, tuple] = {}
         self._a, self._b = layout.arm[self.ii], layout.arm[self.jj]
         self._pairs = {g: np.flatnonzero((self._a == k) | (self._b == k))
                        for k, g in enumerate(layout.groups)}
@@ -374,21 +401,36 @@ class Monitor:
         self.boxes[rows.start : rows.stop] = _box(e0, e1, self.layout.radii[rows], self.params.margin / 2.0)
         self.held[g] = e0.copy(), e1.copy()  # not the block of the call that placed it
 
+    def announce(self, trajectories):
+        """Name trajectories that sweeps will meet, to be placed per arm at once."""
+        for trajectory in trajectories:
+            if trajectory not in self.placements:
+                self.announced[trajectory.group_id][trajectory] = None
+
+    def drop(self, trajectory: JointTrajectory):
+        """Forget `trajectory`, whose entry ended without being admitted."""
+        self.placements.pop(trajectory, None)
+        self.announced.get(trajectory.group_id, {}).pop(trajectory, None)
+
     def wake(self, g: str):
         """Make g's pairs due, for an arm that leaves the motion the last window saw."""
         if self._pairs[g].size:
             self.safe_until[self._pairs[g]] = self.next_due = -math.inf
 
     def admit(self, g: str, trajectory: JointTrajectory):
-        """Arm g runs `trajectory`, the candidate it last swept, whose placement
-        goes: wake g's pairs, and box each link at every instant of the run by
-        its box over the placed rows (at most dt apart in time), grown by the
-        farthest a point of the arm moves in dt / 2, with slack for rounding."""
-        if self.candidates.get(g, (None,))[0] is not trajectory:
-            raise ValueError(f"admit only the trajectory that arm '{g}' last swept")
-        _, _, _, box = self.candidates.pop(g)
+        """Arm g runs `trajectory`, which a sweep placed: its placement goes,
+        but for its last row (`ends[g]`); wake g's pairs, and box each link at
+        every instant of the run by its box over the placed rows (at most dt
+        apart in time), grown by the farthest a point of that link moves in
+        dt / 2 (`RobotModel.link_speed_bounds`), with slack for rounding."""
+        placed = self.placements.pop(trajectory, None) if trajectory.group_id == g else None
+        if placed is None:
+            raise ValueError(f"admit only a trajectory of arm '{g}' that a sweep placed")
+        e0, e1, box = placed
+        self.ends[g] = trajectory, e0[-1:], e1[-1:]
         margin = self.params.margin
-        pad = self.layout.robots[g].max_cartesian_speed_bound * (1.0 + 1e-6) * self.params.dt / 2.0 + 1e-9
+        speeds = self.layout.robots[g].link_speed_bounds[:, None]
+        pad = speeds * (1.0 + 1e-6) * self.params.dt / 2.0 + 1e-9
         self.boxes[self.layout.rows[g]] = box + (pad - margin / 2.0) * _SIGN + margin / 2.0 * _SIGN
         self.held.pop(g, None)
         self.wake(g)
@@ -410,12 +452,16 @@ class Monitor:
         `running` arm, then with the static obstacles and the `parked` arms (in
         sorted group order), and one kernel call gives all clearances.
 
-        A candidate that is not its arm's entry in `candidates` is placed and
-        kept there, in one call with each parked arm not `held` yet, which is
-        then held. One test of the candidate's link boxes against `boxes`
-        drops, in order, the pairs the cull drops, and a sweep left with no
-        pair calls no kernel; one more call places the running arms left with
-        a pair.
+        A candidate with no entry in `placements` is placed and kept there, in
+        one call with its arm's `announced` trajectories, kept alike, and each
+        parked arm not `held` yet, which is then held. A parked arm not held
+        yet that stopped at the end of its last run, whose last row `ends`
+        keeps, is held at that row instead: `states_at` reads the end of a
+        run as its last waypoint, so the row is the one a placement of its
+        held posture gives, bit for bit. One test of the candidate's link
+        boxes against `boxes` drops, in order, the pairs the cull drops, and a
+        sweep left with no pair calls no kernel; one more call places the
+        running arms left with a pair.
 
         Returns one report per running arm, in order, then, unless `parked` is
         None, one for the static obstacles and the parked arms together; a
@@ -434,21 +480,31 @@ class Monitor:
         g0, margin = candidate.group_id, params.margin
         remaining = [run.trajectory.duration - max(0.0, now - run.start_time) for run in runs]
         times = time_grid(max([candidate.duration, 0.0] + remaining), params.dt)
-        # the candidate's placement, unless it is kept, in one call with every
-        # parked arm not held yet
-        fresh = [g for g in fixed if g not in self.held]
-        q = {} if self.candidates.get(g0, (None,))[0] is candidate else {
-            g0: states_at(candidate, _motion_times(candidate.duration, params.dt))}
+        # hold each parked arm not held yet at its last run's end row if it
+        # stopped there; place the others in one call with the candidate,
+        # unless it is placed, and its arm's announced trajectories
+        fresh = []
+        for g in fixed:
+            if g not in self.held:
+                end, runs = self.ends.pop(g, None), timeline.runs.get(g)
+                if end and runs and runs[-1].trajectory is end[0] and runs[-1].elapsed == end[0].duration:
+                    self.hold(g, end[1], end[2])
+                else:
+                    fresh.append(g)
+        q, program = {}, []
+        if candidate not in self.placements:
+            program = [candidate] + [t for t in self.announced.pop(g0, ()) if t is not candidate]
+            q[g0] = [states_at(t, _motion_times(t.duration, params.dt)) for t in program]
         if fresh:
             q.update(timeline.at(fresh, times, since=now))
         if q:
             put = layout.place(q)
             for g in fresh:
                 self.hold(g, *put[g])
-            if g0 in put:
-                box = _box(*put[g0], layout.radii[layout.rows[g0]], margin / 2.0)
-                self.candidates[g0] = (candidate, *put[g0], box)
-        _, e0, e1, box = self.candidates[g0]
+            radii = layout.radii[layout.rows[g0]]
+            for t, (e0, e1) in zip(program, put.get(g0, ())):
+                self.placements[t] = e0, e1, _box(e0, e1, radii, margin / 2.0)
+        e0, e1, box = self.placements[candidate]
         # each row's body in pair order (-1: not in the sweep): the running arms,
         # then the obstacles, then the parked arms; then the pairs of candidate
         # link i and row j whose boxes overlap, body by body and i major

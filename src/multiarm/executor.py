@@ -43,6 +43,14 @@ track trajectories perfectly, so identical inputs produce byte-identical
 event logs. An event keeps typed values, formatted only when its line is
 read, by `EVENT_FIELDS`: the one schema by which `Event.line` writes each
 kind and `Event.parse` reads it.
+
+`announce` names trajectories a caller will submit later (the harness names
+its whole plan when the run checks parked arms), each validated as `submit`
+validates it, and not again when submitted, so a bad plan raises before the
+run and not inside a tick. The monitor then places each arm's announced
+trajectories in one call, at the first sweep that needs one of them, and an
+entry that ends without being admitted drops its placement; no event,
+verdict or status depends on whether or what was announced.
 """
 
 from __future__ import annotations
@@ -247,6 +255,7 @@ class ExecutionManager:
         self._requeue_due = False
         self._wake = math.inf  # no step acts before this tick (see the module docstring)
         self._monitor = Monitor(scene.layout, self.params)
+        self._announced: set[JointTrajectory] = set()  # validated by `announce`
         self.events: list[Event] = []
         # serializes external callers (submit/cancel/status) against tick()
         self._lock = threading.Lock()
@@ -291,15 +300,25 @@ class ExecutionManager:
             q = self._timeline.at(self.scene.robots, [self.clock])
             return {g: JointState(g, q[g][0]) for g in self.scene.robots}
 
+    def announce(self, trajectories) -> None:
+        """Name trajectories to be submitted later, each validated here as
+        `submit` validates it (and not again when it is submitted), so that
+        admission places each arm's announced ones at once (see the module
+        docstring). An announced trajectory must not change: the monitor may
+        place it at any later sweep. Changes no event, verdict or status."""
+        trajectories = list(trajectories)
+        for traj in trajectories:
+            self._validate(traj)
+        with self._lock:
+            self._announced.update(trajectories)
+            self._monitor.announce(trajectories)
+
     def submit(self, traj: JointTrajectory, timeout: float) -> ExecHandle:
         """Queue a trajectory; it is considered for admission on the next tick."""
-        if traj.group_id not in self.scene.robots:
-            raise UnknownGroup(f"no robot group '{traj.group_id}' in scene")
+        if traj not in self._announced:
+            self._validate(traj)
         if not timeout > 0.0:
             raise ValueError("timeout must be > 0")
-        problems = validate(traj, self.scene.robots[traj.group_id])
-        if problems:
-            raise ValidationFailed(problems)
         with self._lock:
             handle = ExecHandle(id=f"s{self._seq}", group_id=traj.group_id)
             entry = _Entry(
@@ -423,6 +442,13 @@ class ExecutionManager:
 
     # internal helpers
 
+    def _validate(self, traj: JointTrajectory):
+        if traj.group_id not in self.scene.robots:
+            raise UnknownGroup(f"no robot group '{traj.group_id}' in scene")
+        problems = validate(traj, self.scene.robots[traj.group_id])
+        if problems:
+            raise ValidationFailed(problems)
+
     def _lookup(self, handle: ExecHandle) -> _Entry:
         entry = self._entries.get(handle.id)
         if entry is None:
@@ -455,7 +481,10 @@ class ExecutionManager:
         return times, self._timeline.at(groups, times), last > end
 
     def _finish(self, entry: _Entry, event: str, kind: StatusKind, *values, **status):
-        """The one terminal transition: final status, out of the chain, logged."""
+        """The one terminal transition: final status, out of the chain, logged;
+        an entry never admitted drops its placement."""
+        if entry.status.kind is not StatusKind.RUNNING:
+            self._monitor.drop(entry.trajectory)
         entry.status = ExecStatus(kind, **status)
         self._chains[entry.handle.group_id].remove(entry)
         self._requeue_soon()

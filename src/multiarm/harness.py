@@ -193,6 +193,11 @@ def run(scenario: Scenario, mode: str = "async") -> RunResult:
         check_static=p.check_static,
         serialized=(mode == "sync"),
     )
+    # with the check against parked arms off, arms that drive into parked
+    # ones are halted and the rest of their programs never reach the gate,
+    # so their trajectories are not placed ahead of their sweeps
+    if p.check_static:
+        mgr.announce(trajectories)
     order = sorted(range(len(scenario.tasks)), key=lambda i: scenario.tasks[i].submit_time)
     submit_ticks = [_tick_at(scenario.tasks[i].submit_time, mgr.tick_length) for i in order]
     handles: list[ExecHandle] = []

@@ -122,13 +122,14 @@ class RobotModel:
     attached to the same joint frame) are always added automatically, since
     chained capsules touch by construction.
 
-    `max_cartesian_speed_bound` is a conservative upper bound on the speed of
-    any point of any placed primitive while every joint respects its velocity
-    limit: sum_j vlim_j * reach_j, where reach_j bounds, by the triangle
-    inequality, how far a surface point of a link that joint j moves can be
-    from joint j's origin: `chain[f]` sums the norms of the offsets of joints
-    1..f, so a link of frame f lies within `chain[f] - chain[j]` plus its
-    farthest surface point of joint j's origin.
+    `link_speed_bounds` (L,) bounds the speed of any surface point of each
+    link while every joint respects its velocity limit: sum_j vlim_j *
+    reach[j, l], where reach[j, l] bounds, by the triangle inequality, how far
+    a surface point of link l, if joint j moves it, can be from joint j's
+    origin: `chain[f]` sums the norms of the offsets of joints 1..f, so a link
+    of frame f lies within `chain[f] - chain[j]` plus its farthest surface
+    point of joint j's origin. `max_cartesian_speed_bound`, the bound for any
+    point of the arm, is sum_j vlim_j * max_l reach[j, l].
     """
 
     group_id: str
@@ -138,6 +139,7 @@ class RobotModel:
     joint_velocity_limits: np.ndarray
     allowed_pairs: set[tuple[int, int]] = field(default_factory=set)
     max_cartesian_speed_bound: float = field(init=False)
+    link_speed_bounds: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # the event log separates its columns by tabs and lines, and its fields by ';'
@@ -184,8 +186,9 @@ class RobotModel:
         ) + self._radii
         chain = np.append(0.0, np.cumsum(np.linalg.norm(self._t_off[1:], axis=1)))
         moved = self._frames >= np.arange(len(self.joints))[:, None]  # (J, L)
-        reach = np.where(moved, chain[self._frames] - chain[:, None] + far, 0.0).max(axis=1, initial=0.0)
-        self.max_cartesian_speed_bound = float(self.joint_velocity_limits @ reach)
+        reach = np.where(moved, chain[self._frames] - chain[:, None] + far, 0.0)  # (J, L)
+        self.max_cartesian_speed_bound = float(self.joint_velocity_limits @ reach.max(axis=1, initial=0.0))
+        self.link_speed_bounds = self.joint_velocity_limits @ reach
 
     def _adjacent_pairs(self) -> set[tuple[int, int]]:
         pairs = set()

@@ -28,6 +28,7 @@ from multiarm import (
     composite_state_check,
     executor,
     fixture_path,
+    harness,
     load_scenario,
     plan_joint_line,
     pose,
@@ -56,6 +57,32 @@ def pinned_scenario(name, period=None):
     if period is not None:
         data["params"].update(check_static=False, monitor_period=period)
     return scenario_from_dict(data)
+
+
+@contextmanager
+def announcing(on):
+    """Run each `harness.run` inside the block with its whole plan announced
+    before its first submission (`on`), whether or not the run checks
+    parked arms, or with nothing announced."""
+    if not on:
+        with mock.patch.object(ExecutionManager, "announce", lambda mgr, trajectories: None):
+            yield
+        return
+    plans = []
+    plan_tasks, submit = harness.plan_tasks, ExecutionManager.submit
+
+    def planned(scenario):
+        plans.append(plan_tasks(scenario))
+        return plans[-1]
+
+    def announced_submit(mgr, traj, timeout):
+        if not mgr._entries:
+            mgr.announce(plans[-1])
+        return submit(mgr, traj, timeout)
+
+    with mock.patch.object(harness, "plan_tasks", planned), \
+            mock.patch.object(ExecutionManager, "submit", announced_submit):
+        yield
 
 
 # The shipped fixture parameters deliberately violate the margin/dt soundness

@@ -217,12 +217,15 @@ def test_submit_refuses_a_trajectory_id_that_would_break_the_log(char):
 def test_submit_validation_errors():
     left, right, scene = disjoint_setup()
     mgr = manager(scene)
-    ghost = planar_arm("ghost")
-    with pytest.raises(UnknownGroup):
-        mgr.submit(sweep_traj(ghost, [0, 0], [1, 0]), timeout=5.0)
+    ghost = sweep_traj(planar_arm("ghost"), [0, 0], [1, 0])
     bad = JointTrajectory("left", [0.0, 1.0, 1.0], [[0, 0], [1, 0], [2, 0]])
-    with pytest.raises(ValidationFailed):
-        mgr.submit(bad, timeout=5.0)
+    # announce refuses what submit refuses, before it names any trajectory
+    for error, traj in ((UnknownGroup, ghost), (ValidationFailed, bad)):
+        with pytest.raises(error):
+            mgr.submit(traj, timeout=5.0)
+        with pytest.raises(error):
+            mgr.announce([sweep_traj(left, [0, 0], [1, 0]), traj])
+    assert not mgr._monitor.announced and not mgr.events
     for timeout in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             mgr.submit(sweep_traj(left, [0, 0], [1, 0]), timeout=timeout)

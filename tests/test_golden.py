@@ -31,7 +31,7 @@ from multiarm import fixture_path, load_scenario, replay_min_clearance, run
 from multiarm.executor import Event
 from multiarm.harness import scenario_from_dict
 
-from conftest import PINNED_RUNS, pinned_scenario
+from conftest import PINNED_RUNS, announcing, pinned_scenario
 
 DIGESTS = {
     ("disjoint.json", "async"): "9656a6cd909545bde0935daa4ab139104f43e3d5adde33c11872b6df2b279e13",
@@ -105,3 +105,19 @@ def test_halting_ring16_event_log_matches_pinned_digest(period):
 def test_replay_audit_matches_pinned_value(name, mode, period):
     scenario = pinned_scenario(name, period)
     assert replay_min_clearance(scenario, run(scenario, mode)) == REPLAY[(name, mode, period)]
+
+
+def pinned_digest(name, mode, period):
+    if name == "ring16_901.json":
+        return RING16_901 if period is None else RING16_901_HALTING[period]
+    return BATCH_SMALL if name == "batch_small.json" else DIGESTS[(name, mode)]
+
+
+@pytest.mark.parametrize("announce", [False, True])
+@pytest.mark.parametrize("name, mode, period", PINNED_RUNS)
+def test_announcing_the_plan_or_not_changes_no_line(name, mode, period, announce):
+    """`run` announces its plan when the run checks parked arms: the log is
+    the same with the plan never announced, and with it always announced."""
+    with announcing(announce):
+        lines = run(pinned_scenario(name, period), mode).lines
+    assert digest(lines) == pinned_digest(name, mode, period)

@@ -217,9 +217,11 @@ def test_each_placement_makes_one_kinematics_call_on_the_ring(monkeypatch):
     monkeypatch.setattr(ArmStack, "place", spy_stack)
     data = json.loads((Path(__file__).parent / "data" / "ring16_901.json").read_text())
     run(scenario_from_dict(data), "async")
-    # the 16 arms share one structure, and every placement places some arm
+    # the 16 arms share one structure, and every placement places some arm;
+    # each arm's first sweep places its announced program in one call, and
+    # an arm that finished a run is held at the last row that run placed
     placements = [k for k, c in enumerate(calls) if c == "layout"]
-    assert len(placements) > 100
+    assert len(placements) == 65
     assert calls.count("stack") == len(placements)
     assert all(calls[k + 1] == "stack" for k in placements)
 
@@ -310,6 +312,25 @@ def test_bounds_equal_the_loops_on_every_shipped_arm(name):
         assert model.max_cartesian_speed_bound == loop_speed_bound(model)
     manager = ExecutionManager(scenario.scene, scenario.params.check)
     assert manager.margin_bound == all_pairs_margin_bound(models, scenario.params.check.dt)
+
+
+def test_each_link_speed_bound_holds_its_link(rng):
+    """Each link's bound holds the speed of its endpoints, by finite
+    differences of FK at random states and joint speeds within the limits,
+    on skewed arms and on every shipped arm; a link nearer the base gets a
+    lower bound than the arm's, which bounds every link."""
+    models = [skewed_arm(rng, "arm", (0.0, 0.0, 0.0)) for _ in range(100)]
+    for name in [*FIXTURES, "ring16_901.json"]:
+        path = fixture_path(name) if name in FIXTURES else Path(__file__).parent / "data" / name
+        models += load_scenario(path).scene.robots.values()
+    for model in models:
+        bounds = model.link_speed_bounds
+        assert bounds.shape == (model.n_links,) and bounds.max() <= model.max_cartesian_speed_bound
+        assert bounds.min() < model.max_cartesian_speed_bound
+        for _ in range(20):
+            q = rng.uniform(model._lo, model._hi)
+            qdot = rng.uniform(-1.0, 1.0, model.n_joints) * model.joint_velocity_limits
+            assert np.all(finite_difference_speeds(model, q, qdot) <= bounds * (1 + 1e-6))
 
 
 def test_bounds_match_the_loops_and_hold_on_skewed_arms(rng):

@@ -8,7 +8,8 @@ breaks the chain, so later tasks of that group end as mismatched starts.
 Timeouts include values below one tick. Cancels park arms mid-motion, so
 every monitor check is also compared with a check of every pair, and every
 timeline read of admission and of the monitor's window with the builder it
-replaced.
+replaced. The same sequences, driven through a manager told every
+trajectory first (`announce`), must log the same lines.
 """
 
 import numpy as np
@@ -73,22 +74,72 @@ def test_a_run_read_an_ulp_short_of_its_stop_is_held_at_its_end():
     assert counts["admission"] > 0
 
 
-def drive(scene, check_static, sequence):
-    """Run one generated sequence, checking the scheduler invariants as it goes."""
-    mgr = ExecutionManager(
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.booleans(), ops)
+def test_announcing_the_sequence_changes_no_line(check_static, sequence):
+    """Two managers driven alike, one told every trajectory of the sequence
+    before it starts, log the same lines after every operation."""
+    scene = scene_of(facing_pair(gap=1.2), [IDLE["left"], IDLE["right"]])
+    plan = planned(scene, sequence)
+    told, untold = manager(scene, check_static), manager(scene, check_static)
+    told.announce([op[1] for op in plan if op[0] == "submit"])
+    handles = []
+    for op in plan:
+        if op[0] == "submit":
+            handles.append(told.submit(*op[1:]))
+            assert untold.submit(*op[1:]) == handles[-1]
+        elif op[0] == "cancel" and handles:
+            told.cancel(handles[op[1] % len(handles)])
+            untold.cancel(handles[op[1] % len(handles)])
+        for _ in range(op[1] if op[0] == "tick" else 0):
+            told.tick()
+            untold.tick()
+        assert told.event_lines() == untold.event_lines()
+    for _ in range(20_000):
+        if told.all_terminal():
+            break
+        told.tick()
+        untold.tick()
+    assert told.all_terminal() and untold.all_terminal()
+    assert told.event_lines() == untold.event_lines()
+
+
+def manager(scene, check_static):
+    return ExecutionManager(
         scene,
         params=CheckParams(dt=TICK, margin=0.02),
         tick_length=TICK,
         monitor_period=2,
         check_static=check_static,
     )
-    cursor = dict(IDLE)
-    handles, deadlines, budget = [], {}, 1.0
+
+
+def planned(scene, sequence):
+    """The sequence with each submit's trajectory planned, ids p0, p1, ...:
+    each task of an arm starts at its last goal, as the harness chains them."""
+    cursor, plan, n = dict(IDLE), [], 0
     for op in sequence:
         if op[0] == "submit":
             _, g, goal, timeout = op
-            traj = sweep_traj(scene.robots[g], cursor[g], GOALS[g][goal], f"p{len(handles)}")
-            cursor[g] = GOALS[g][goal]
+            plan.append(("submit", sweep_traj(scene.robots[g], cursor[g], GOALS[g][goal], f"p{n}"), timeout))
+            cursor[g], n = GOALS[g][goal], n + 1
+        else:
+            plan.append(op)
+    return plan
+
+
+def drive(scene, check_static, sequence):
+    """Run one generated sequence, checking the scheduler invariants as it goes."""
+    mgr = manager(scene, check_static)
+    handles, deadlines, budget = [], {}, 1.0
+    for op in planned(scene, sequence):
+        if op[0] == "submit":
+            _, traj, timeout = op
             handles.append(mgr.submit(traj, timeout))
             deadlines[traj.id] = mgr.clock + timeout
             budget += traj.duration + timeout

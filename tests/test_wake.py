@@ -4,9 +4,11 @@ A tick before the manager's wake tick only advances the clock. `FullTicks`
 is a manager that runs the five steps, step 2's backlog sweep included, on
 every tick. Driven side by side with a plain manager on the same
 submit, cancel and tick sequences, the two must log the same lines and report
-the same statuses after every operation. On the generated sequences, every
-monitor tick at which an arm runs and every timeline read is also checked
-against its oracle (`monitor_oracle`, `timeline_oracle`).
+the same statuses after every operation. On half of the drives the plain
+manager alone is told every trajectory before the first (`announce`), which
+must change no line. On the generated sequences, every monitor tick at
+which an arm runs and every timeline read is also checked against its
+oracle (`monitor_oracle`, `timeline_oracle`).
 
 Each scheduler time becomes a tick by one rule, `executor._tick_at`. The
 property tests compare it with the float rules it replaced, kept in
@@ -44,7 +46,7 @@ from conftest import (
     work_counts,
 )
 from oracles import _end_tick, deadline_passed, stop_tick_search, submit_due
-from test_scheduler_properties import GOALS, IDLE, TICK, ops
+from test_scheduler_properties import IDLE, TICK, ops, planned
 
 
 class FullTicks(ExecutionManager):
@@ -80,6 +82,11 @@ class Twins:
     def check(self):
         assert self.fast.event_lines() == self.full.event_lines()
         assert [self.fast.status(h) for h in self.handles] == [self.full.status(h) for h in self.handles]
+
+    def announce(self, trajectories):
+        """Tell the plain manager alone of trajectories to come: the two must
+        still log alike."""
+        self.fast.announce(trajectories)
 
     def submit(self, traj, timeout):
         handle = self.fast.submit(traj, timeout)
@@ -117,22 +124,29 @@ class Twins:
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.booleans(), ops)
 def test_fast_path_logs_what_full_ticks_log_on_generated_sequences(check_static, sequence):
+    """On sequences of even length the plain manager is told every
+    trajectory first."""
     scene = scene_of(facing_pair(gap=1.2), [IDLE["left"], IDLE["right"]])
-    cursor = dict(IDLE)
+    plan = planned(scene, sequence)
     with monitor_oracle(scene), timeline_oracle():
         twins = Twins(scene, params=CheckParams(dt=TICK, margin=0.02), tick_length=TICK,
                       monitor_period=2, check_static=check_static)
-        for op in sequence:
-            if op[0] == "submit":
-                _, g, goal, timeout = op
-                traj = sweep_traj(scene.robots[g], cursor[g], GOALS[g][goal], f"p{len(twins.handles)}")
-                cursor[g] = GOALS[g][goal]
-                twins.submit(traj, timeout)
-            elif op[0] == "cancel":
-                twins.cancel(op[1])
-            else:
-                twins.tick(op[1])
-        twins.finish()
+        if len(sequence) % 2 == 0:
+            twins.announce([op[1] for op in plan if op[0] == "submit"])
+        play(twins, plan)
+
+
+def play(twins, plan, live=False):
+    """Submit, cancel (with `live`, the k-th entry that has not ended) and
+    tick as `plan` says, then tick until every entry ended."""
+    for op in plan:
+        if op[0] == "submit":
+            twins.submit(*op[1:])
+        elif op[0] == "cancel":
+            twins.cancel(op[1], live)
+        else:
+            twins.tick(op[1])
+    twins.finish()
 
 
 def random_cell(rng, across=False):
@@ -165,7 +179,8 @@ def random_cell(rng, across=False):
 
 
 def drive_random_cell(seed, twins_class=Twins, across=False):
-    """Random submits, cancels and ticks on `random_cell(seed, across)`, run to the end."""
+    """Random submits, cancels and ticks on `random_cell(seed, across)`, run to
+    the end; on even seeds the plain manager is told every trajectory first."""
     rng = np.random.default_rng(1700 + seed)
     scene, idle, kwargs = random_cell(rng, across)
     twins = twins_class(scene, **kwargs)
@@ -174,26 +189,29 @@ def drive_random_cell(seed, twins_class=Twins, across=False):
     groups = sorted(scene.robots)
     # timeouts below one tick, of a few ticks, and long enough to wait a motion out
     timeouts = [0.4 * tick, tick, 3 * tick, 1.0, 5.0, 30.0]
+    plan = []
     if across:  # a1 stretches out through the centre, and waits on a0; then a0 bends its elbow
         opening = [("a1", [float(rng.uniform(-0.1, 0.1)), 0.0]),
                    ("a0", [cursor["a0"][0], float(rng.choice([-0.5, 0.5]))])]
         for g, goal in opening:
-            twins.submit(sweep_traj(scene.robots[g], cursor[g], goal, f"open_{g}"), 30.0)
+            plan.append(("submit", sweep_traj(scene.robots[g], cursor[g], goal, f"open_{g}"), 30.0))
             cursor[g] = goal
-            twins.tick(int(rng.integers(1, 4)))
+            plan.append(("tick", int(rng.integers(1, 4))))
     for step in range(int(rng.integers(8, 20))):
         op = rng.choice(["submit", "submit", "tick", "tick", "cancel"])
         if op == "submit":
             g = groups[int(rng.integers(len(groups)))]
             goal = np.clip(np.asarray(cursor[g]) + rng.uniform(-2.0, 2.0, 2), -4.0, 4.0)
-            twins.submit(sweep_traj(scene.robots[g], cursor[g], goal, f"c{step}"),
-                         float(rng.choice(timeouts)))
+            traj = sweep_traj(scene.robots[g], cursor[g], goal, f"c{step}")
+            plan.append(("submit", traj, float(rng.choice(timeouts))))
             cursor[g] = goal
         elif op == "cancel":
-            twins.cancel(int(rng.integers(64)), live=True)
+            plan.append(("cancel", int(rng.integers(64))))
         else:
-            twins.tick(int(rng.integers(1, 60)))
-    twins.finish()
+            plan.append(("tick", int(rng.integers(1, 60))))
+    if seed % 2 == 0:
+        twins.announce([op[1] for op in plan if op[0] == "submit"])
+    play(twins, plan, live=True)
     return twins
 
 
@@ -337,6 +355,49 @@ def test_a_cancel_that_parks_an_arm_in_a_running_path_rearms_the_monitor():
     assert ran == [11, 15, first] and first > 15 + period
 
 
+def drive_cancel_across(seed):
+    """A random facing pair: the right arm swings out of the left arm's path
+    and the left arm sweeps through it, both submitted at once, and the right
+    arm is cancelled before it is out of the way, parked in that path. On
+    even seeds the plain manager is told both trajectories first. Returns
+    the twins run to the end, and whether every pair slept for good just
+    before the cancel."""
+    rng = np.random.default_rng(4100 + seed)
+    left, right = facing_pair(gap=float(rng.uniform(1.3, 1.7)),
+                              vlims=(float(rng.uniform(0.5, 1.5)), float(rng.uniform(1.5, 3.0))))
+    idle_l = [np.pi / 2 - float(rng.uniform(1.5, 2.5)), float(rng.uniform(-0.3, 0.3))]
+    idle_r = [-np.pi / 2 + float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.3, 0.3))]
+    scene = scene_of([left, right], [idle_l, idle_r])
+    twins = Twins(scene, params=CheckParams(dt=0.01, margin=0.02), tick_length=0.01,
+                  monitor_period=int(rng.choice([1, 3, 5, 7])), check_static=bool(rng.integers(0, 2)))
+    side = float(rng.choice([-1.0, 1.0]))
+    away = sweep_traj(right, idle_r, [-np.pi / 2 + side * float(rng.uniform(1.2, 2.0)), idle_r[1]], "away")
+    sweep = sweep_traj(left, idle_l, [np.pi / 2 + float(rng.uniform(0.3, 1.0)), idle_l[1]], "sweep")
+    if seed % 2 == 0:
+        twins.announce([away, sweep])
+    twins.submit(away, 10.0)
+    twins.submit(sweep, 10.0)
+    twins.tick(int(rng.integers(1, max(2, int(60 * away.duration)))))
+    asleep = twins.fast._monitor.next_due == math.inf
+    twins.cancel(0)
+    twins.finish()
+    return twins, asleep
+
+
+def test_a_cancel_that_parks_an_arm_in_a_running_path_rearms_the_monitor_in_random_cells():
+    """The plain manager logs what `FullTicks` logs, so it halts the left arm
+    at the tick at which a manager that checks at every monitor tick does,
+    also in the cells where the cancel comes after a check that put every
+    pair to sleep for good."""
+    asleep = halts = 0
+    for seed in range(40):
+        twins, slept = drive_cancel_across(seed)
+        halted = any(e.kind == "COLLISION_HALT" for e in twins.fast.events)
+        asleep += slept and halted
+        halts += halted
+    assert halts >= 35 and asleep >= 30
+
+
 # Mutation checks, each on a copy of the library, each failing tests of this
 # module: the deadline tick that the recomputed wake uses made one tick late
 # (both random drives fail); `submit` not lowering the wake (the cancel test
@@ -347,7 +408,9 @@ def test_a_cancel_that_parks_an_arm_in_a_running_path_rearms_the_monitor():
 # `FullTicks` forcing full ticks from inside `_tick_locked`, which the fast
 # path in `tick()` never reaches (its clock-read check fails in every test
 # that drives `Twins`). And three of the monitor term: a wake that ignores
-# `next_due` lowered by `Monitor.wake` (the re-arm test fails); the term one
+# `next_due` lowered by `Monitor.wake`, reading one saved at the last check
+# and admission (the re-arm test fails, and so do 20 of the 40 random
+# cancel-across cells, in their differential check); the term one
 # monitor period late, and a conversion that can land past the exact tick,
 # `int(next_due / tick) + 1` (each fails the re-arm test, the four other
 # differential checks on random cells and generated sequences, and a
